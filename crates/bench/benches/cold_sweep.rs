@@ -1,15 +1,14 @@
 //! Cold-sweep benchmark: the staged lattice engine on a single cold query.
 //!
-//! Measures one full staged sweep — predicate-index filter, parallel
-//! structural merge pass, and a single influence-scored scoring pass — on
-//! German and Adult at 10k rows, with the structural pass chunked across 1
-//! vs 4 workers. Every iteration builds a fresh coverage cache, index, and
-//! structural artifact, so each sample is genuinely cold (nothing is
-//! amortized across iterations, unlike the session benches). On a >=4-core
-//! host the 4-thread arm's structural phase shrinks with cores
-//! (`tests/staged_sweep.rs` asserts it); on a 1-core container the arms
-//! converge, showing the chunked pass adds no overhead over the inline
-//! loop.
+//! Measures one full staged sweep — predicate-index filter, then per
+//! level the merge enumeration and resolution and an influence-scored
+//! (second-order) score pass — on German and Adult at 10k rows, with the
+//! level pipeline on 1 vs 4 workers. Every iteration builds a fresh
+//! coverage cache, index, and structural artifact, so each sample is
+//! genuinely cold (nothing is amortized across iterations, unlike the
+//! session benches). The 4-thread arm scales with the host's cores; on a
+//! 1-core container the arms converge, showing the pipeline adds no
+//! overhead over one worker.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gopher_bench::workloads::{prepare, train_lr, DatasetKind};
@@ -45,7 +44,7 @@ fn bench_cold_sweep(c: &mut Criterion) {
                         let cache = CoverageCache::new();
                         let index = PredicateIndex::build(&table, &cache);
                         let structure = SweepStructure::build(&index, &config);
-                        let mut score = |cov: &gopher_patterns::BitSet| {
+                        let score = |cov: &gopher_patterns::BitSet| {
                             let rows = cov.to_indices();
                             bi.responsibility(
                                 &p.train,
@@ -54,14 +53,9 @@ fn bench_cold_sweep(c: &mut Criterion) {
                                 BiasEval::ChainRule,
                             )
                         };
-                        let mut scorers: Vec<ScoreFn<'_>> = vec![Box::new(&mut score)];
+                        let scorers: Vec<ScoreFn<'_>> = vec![Box::new(score)];
                         compute_candidates_multi(
-                            &table,
-                            &mut scorers,
-                            &config,
-                            &cache,
-                            &structure,
-                            threads,
+                            &table, &scorers, &config, &cache, &structure, threads,
                         )
                     });
                 },

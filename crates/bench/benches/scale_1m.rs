@@ -78,10 +78,9 @@ fn cold_sweep(
     // Density scoring: one SIMD popcount per candidate, so merge
     // resolution — the work the prefilter targets — dominates the arm
     // instead of a per-row scoring loop.
-    let mut scorer = |cov: &BitSet| cov.count() as f64 / n_rows as f64;
-    let mut scorers: Vec<ScoreFn<'_>> = vec![Box::new(&mut scorer)];
-    let mut results =
-        compute_candidates_multi(table, &mut scorers, &config(), &cache, &structure, 1);
+    let scorer = |cov: &BitSet| cov.count() as f64 / n_rows as f64;
+    let scorers: Vec<ScoreFn<'_>> = vec![Box::new(scorer)];
+    let mut results = compute_candidates_multi(table, &scorers, &config(), &cache, &structure, 1);
     let (candidates, stats) = results.pop().expect("one scorer in, one result out");
     (candidates, stats.total_scored)
 }
@@ -205,10 +204,9 @@ fn bench_session_second_order(c: &mut Criterion) {
     let p = prepare(DatasetKind::Sqf, 100_000, 42);
     let model = train_lr(&p);
     // All retention off: every explain pays its full sweep, so the timed
-    // loop is the real second-order workload, not a cache memo. Two worker
-    // threads force the shared structural pass, which is the only path
-    // where structural time is attributed separately from scoring (at one
-    // thread merges resolve inline inside the scoring loop).
+    // loop is the real second-order workload, not a cache memo. Each
+    // level's report times its structural phase apart from scoring at any
+    // thread count.
     let session = SessionBuilder::new()
         .structure_cache_cap(0)
         .sweep_cache_cap(0)

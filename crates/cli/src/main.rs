@@ -74,9 +74,10 @@ COMMON OPTIONS:
     --seed <N>              RNG seed for generation, split and training [42]
     --test-fraction <F>     held-out fraction for the audit set [0.3]
     --l2 <LAMBDA>           L2 regularization strength [1e-3]
-    --threads <N>           worker threads for explain/report/query batches
-                            (scorer fan-out, sweep groups, ground-truth
-                            retrains); 0 = auto: $GOPHER_THREADS if set, else
+    --threads <N>           worker threads for explain/report/query (each
+                            lattice level's merge resolution and score
+                            pass, sweep groups, ground-truth retrains);
+                            0 = auto: $GOPHER_THREADS if set, else
                             all available cores [0]. Results are identical
                             at every thread count.
     --prefilter-sample <N>  row-sample size of the admissible sampled-support

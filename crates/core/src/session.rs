@@ -14,7 +14,7 @@
 //!   like against the same session, including batched multi-metric queries
 //!   via [`ExplainSession::explain_batch`], which shares one lattice sweep
 //!   (structural enumeration + coverage intersection) across requests and
-//!   fans the scoring callbacks out per request.
+//!   scores every request's candidates in one parallel pass per level.
 //!
 //! Results are **bit-identical** to cold [`Gopher`](crate::Gopher) runs with
 //! the equivalent [`GopherConfig`](crate::GopherConfig): the session only
@@ -153,10 +153,11 @@ impl SessionBuilder {
         self
     }
 
-    /// Worker threads for batched queries: scorer passes, structural sweep
-    /// groups, and ground-truth retrains all fan out across this many
-    /// threads. `0` (the default) resolves to the `GOPHER_THREADS`
-    /// environment variable if set, else the host's available parallelism.
+    /// Worker threads for every query: each lattice level's merge
+    /// resolution and score pass, structural sweep groups, and ground-truth
+    /// retrains all fan out across this many threads. `0` (the default)
+    /// resolves to the `GOPHER_THREADS` environment variable if set, else
+    /// the host's available parallelism.
     /// Results are bit-identical at every thread count.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
@@ -648,19 +649,47 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     }
 }
 
-/// Number of geometric latency buckets: bucket `i` covers `[2^(i−1), 2^i)`
-/// microseconds (bucket 0 is `< 1 µs`), so the last bucket's lower bound is
-/// `2^38 µs` ≈ 3 days — effectively open-ended for an explain request.
-const LATENCY_BUCKETS: usize = 40;
+/// Linear sub-buckets per power of two in the latency histogram: every
+/// bucket from 16 µs up spans at most 1/16 of its lower bound, so a
+/// reported quantile is within 6.25% of the recorded value (values under
+/// 16 µs get a bucket each).
+const LATENCY_SUB_BITS: u32 = 4;
+
+/// Buckets covering every `u64` microsecond value: 16 exact ones, then 16
+/// per power of two from `2^4` to `2^63`.
+const LATENCY_BUCKETS: usize = (64 - LATENCY_SUB_BITS as usize + 1) << LATENCY_SUB_BITS;
+
+/// The histogram bucket a latency of `us` microseconds lands in.
+fn latency_bucket(us: u64) -> usize {
+    let sub = 1u64 << LATENCY_SUB_BITS;
+    if us < sub {
+        return us as usize;
+    }
+    // `us` lies in [2^e, 2^(e+1)); its sub-bucket is the next SUB_BITS bits.
+    let e = 63 - us.leading_zeros();
+    let shift = e - LATENCY_SUB_BITS;
+    (((shift + 1) as usize) << LATENCY_SUB_BITS) + ((us >> shift) - sub) as usize
+}
+
+/// The largest latency (µs) that lands in bucket `idx`.
+fn latency_bucket_max(idx: usize) -> u64 {
+    let sub = 1usize << LATENCY_SUB_BITS;
+    if idx < sub {
+        return idx as u64;
+    }
+    let shift = (idx >> LATENCY_SUB_BITS) as u32 - 1;
+    let lo = ((sub + idx % sub) as u64) << shift;
+    lo + ((1u64 << shift) - 1)
+}
 
 /// Lock-free fixed-boundary histogram of per-request explain latency.
 ///
 /// Recording is one relaxed atomic increment fed from the `query_time` each
 /// request already measures — the scored paths gain **no** new clock reads —
-/// and the boundaries are fixed powers of two, so concurrent recording never
-/// contends or rebalances. Quantiles are answered as the *upper* boundary of
-/// the bucket containing the target rank: conservative, and exact to within
-/// the 2× bucket width (plenty for the p50/p99 a deployment alerts on).
+/// and the boundaries are fixed (log-linear: 16 linear buckets per power of
+/// two), so concurrent recording never contends or rebalances. Quantiles
+/// are answered as the largest value of the bucket containing the target
+/// rank: conservative, and within 6.25% of the recorded latency.
 struct LatencyHistogram {
     buckets: Vec<AtomicU64>,
 }
@@ -674,11 +703,10 @@ impl LatencyHistogram {
 
     fn record(&self, elapsed: Duration) {
         let us = elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
-        let idx = (64 - us.leading_zeros() as usize).min(LATENCY_BUCKETS - 1);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.buckets[latency_bucket(us)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Upper boundary (µs) of the bucket holding quantile `q` of everything
+    /// Largest value (µs) of the bucket holding quantile `q` of everything
     /// recorded so far; 0 when nothing has been recorded.
     fn quantile_upper_us(&self, q: f64) -> u64 {
         let counts: Vec<u64> = self
@@ -695,10 +723,10 @@ impl LatencyHistogram {
         for (i, &c) in counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return 1u64 << i;
+                return latency_bucket_max(i);
             }
         }
-        1u64 << (LATENCY_BUCKETS - 1)
+        u64::MAX
     }
 }
 
@@ -775,8 +803,9 @@ pub struct SessionStats {
     /// warm-retrain stall, non-analytic model). Fallbacks trade the speedup
     /// for exactness; a high rate means deltas are too large relative to n.
     pub factor_fallbacks: u64,
-    /// Median per-request explain latency in µs (upper bucket boundary of
-    /// the session's fixed power-of-two histogram; 0 until a request runs).
+    /// Median per-request explain latency in µs (the largest value of its
+    /// bucket in the session's log-linear histogram, within 6.25% of the
+    /// recorded latency; 0 until a request runs).
     pub explain_p50_us: u64,
     /// 99th-percentile per-request explain latency in µs (same histogram).
     pub explain_p99_us: u64,
@@ -958,9 +987,10 @@ impl<M: ModelFamily> ExplainSession<M> {
     ///
     /// * requests with identical structural lattice parameters share **one
     ///   sweep** — the structural enumeration and every coverage
-    ///   intersection run once, with the per-request scoring callbacks
-    ///   (metric × estimator × bias-eval) fanned out across the session's
-    ///   worker threads;
+    ///   intersection run once, and each level scores the candidates of
+    ///   every request (metric × estimator × bias-eval) in one parallel
+    ///   pass across the session's worker threads, so even a solo cold
+    ///   request uses every thread;
     /// * distinct structural groups run **concurrently**, each on its own
     ///   worker;
     /// * requests with identical scoring too (differing only in k,
@@ -1037,7 +1067,7 @@ impl<M: ModelFamily> ExplainSession<M> {
 
         // Distinct structural groups are independent sweeps: fan them out,
         // splitting the thread budget between the group level and each
-        // group's scorer fan-out so nesting can't oversubscribe to
+        // group's level pipeline so nesting can't oversubscribe to
         // ~threads² live workers. Fresh sweeps are handed back directly
         // (and cached subject to the LRU bound) so over-cap batches still
         // answer without recomputation.
@@ -1164,9 +1194,9 @@ impl<M: ModelFamily> ExplainSession<M> {
     /// lattice config, distinct scoring) against an already-resolved
     /// `structure` (callers fetch it via [`Self::structure_for`] — the
     /// batch path resolves all its groups' artifacts up front, in
-    /// loosest-τ-first order), fanning the per-member scorer passes across
-    /// up to `threads` workers (the batched path splits the session budget
-    /// between concurrent groups and this fan-out). Results are cached
+    /// loosest-τ-first order), running the level pipeline on up to
+    /// `threads` workers (the batched path splits the session budget
+    /// between concurrent groups and their pipelines). Results are cached
     /// subject to the LRU bound and returned for this batch.
     fn run_sweeps_with(
         &self,
@@ -1175,7 +1205,7 @@ impl<M: ModelFamily> ExplainSession<M> {
         threads: usize,
         structure: &Arc<SweepStructure>,
     ) -> Vec<(SweepKey, Arc<SweepResult>)> {
-        let mut scorers: Vec<ScoreFn<'_>> = members
+        let scorers: Vec<ScoreFn<'_>> = members
             .iter()
             .map(|(_, req)| {
                 let scorer = self.backend.scorer(
@@ -1191,7 +1221,7 @@ impl<M: ModelFamily> ExplainSession<M> {
             .collect();
         let results = lattice::compute_candidates_multi(
             &self.table,
-            &mut scorers,
+            &scorers,
             lattice_cfg,
             &self.coverage,
             structure,
@@ -1714,6 +1744,9 @@ mod tests {
         fn accumulate_hessian(&self, x: &[f64], y: f64, out: &mut gopher_linalg::Matrix) {
             self.inner.accumulate_hessian(x, y, out);
         }
+        fn hessian_rank_one(&self, x: &[f64], y: f64, aug: &mut [f64]) -> Option<f64> {
+            self.inner.hessian_rank_one(x, y, aug)
+        }
     }
 
     impl ModelFamily for PanickyModel {
@@ -2184,6 +2217,37 @@ mod tests {
         let stats = s.stats();
         assert!(stats.explain_p50_us > 0, "p50 must populate: {stats:?}");
         assert!(stats.explain_p99_us >= stats.explain_p50_us);
+    }
+
+    /// Log-linear buckets keep every reported latency within 1/16 above
+    /// the recorded value; a 19 ms median reads as about 19 ms, not as the
+    /// next power of two.
+    #[test]
+    fn latency_quantiles_are_within_ten_percent() {
+        let h = LatencyHistogram::new();
+        for _ in 0..60 {
+            h.record(Duration::from_millis(19));
+        }
+        for _ in 0..40 {
+            h.record(Duration::from_micros(250_300));
+        }
+        let p50 = h.quantile_upper_us(0.5) as f64;
+        assert!((p50 - 19_000.0).abs() <= 1_900.0, "p50 {p50}");
+        let p99 = h.quantile_upper_us(0.99) as f64;
+        assert!((p99 - 250_300.0).abs() <= 25_030.0, "p99 {p99}");
+
+        let mut values: Vec<u64> = (0..100).collect();
+        for e in 4..63 {
+            let p = 1u64 << e;
+            values.extend([p - 1, p, p + 1, p + p / 3, 2 * p - 1]);
+        }
+        values.push(u64::MAX);
+        for v in values {
+            let idx = latency_bucket(v);
+            assert!(idx < LATENCY_BUCKETS, "{v}");
+            let max = latency_bucket_max(idx);
+            assert!(max >= v && max - v <= v / 16, "{v} reads as {max}");
+        }
     }
 
     #[test]

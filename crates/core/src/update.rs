@@ -252,14 +252,11 @@ where
             vecops::axpy(-1.0, &orig, &mut diff);
             // Mean data gradient over the full set ≈ −λθ* at the optimum;
             // include it for fidelity to Eq. 14.
-            let mut mean_grad = vec![0.0; p];
-            for r in 0..train.n_rows() {
-                vecops::axpy(1.0, self.engine().row_gradient(r), &mut mean_grad);
-            }
+            let grad_sum = self.engine().gradient_sum();
             let n = train.n_rows() as f64;
             let mut step = vec![0.0; p];
             for j in 0..p {
-                step[j] = -cfg.one_step_eta * (mean_grad[j] + diff[j]) / n;
+                step[j] = -cfg.one_step_eta * (grad_sum[j] + diff[j]) / n;
             }
             vecops::dot(&grad_f, &step)
         };

@@ -102,14 +102,23 @@ impl EngineUpdateReport {
 /// Precomputed state for influence queries against one trained model.
 ///
 /// Construction costs one pass to collect per-example gradients (`n × p`)
-/// plus the Hessian assembly (`O(n p²)` for analytic models, `2p` full-data
-/// gradient passes otherwise — this mirrors the paper's "pre-compute the
-/// gradients and Hessian at start-up"). Each subsequent query is `O(m p)`
-/// for the subset gradient plus `O(p²)` per solve.
+/// and per-row Hessian weights, plus the Hessian assembly (`O(n p²)` from
+/// the weights for rank-one models, `2p` full-data gradient passes
+/// otherwise — this mirrors the paper's "pre-compute the gradients and
+/// Hessian at start-up"). Each subsequent query is `O(m p)` for the subset
+/// gradient plus `O(p²)` per solve.
 pub struct InfluenceEngine<M: Differentiable> {
     model: M,
     /// Per-example data-term gradients at θ*, one row per training example.
     grads: Matrix,
+    /// `Σ_r grads[r]`, summed in row order: the full-data gradient one-step
+    /// GD reads on every call.
+    grad_sum: Vec<f64>,
+    /// Each training row's rank-one Hessian weight at the model's current
+    /// θ (see [`Differentiable::hessian_rank_one`]), so subset
+    /// Hessian–vector products skip re-evaluating the model per row;
+    /// `None` for models without that structure.
+    hess_weights: Option<Vec<f64>>,
     /// Damped full Hessian `H = (1/n) Σ ∇²L + λI + damping·I`.
     hessian: Matrix,
     chol: Cholesky,
@@ -134,17 +143,25 @@ impl<M: Differentiable> InfluenceEngine<M> {
         assert!(n > 0, "influence engine needs a non-empty training set");
         let p = model.n_params();
 
-        // Per-example gradients.
+        // Per-example gradients, their sum, and the rank-one Hessian
+        // weights, in one pass.
         let mut grads = Matrix::zeros(n, p);
+        let mut grad_sum = vec![0.0; p];
+        let mut hess_weights = Some(Vec::with_capacity(n));
+        let mut aug = vec![0.0; p];
         for r in 0..n {
-            model.accumulate_grad(train.x.row(r), train.y[r], grads.row_mut(r));
+            let (x, y) = (train.x.row(r), train.y[r]);
+            model.accumulate_grad(x, y, grads.row_mut(r));
+            vecops::axpy(1.0, grads.row(r), &mut grad_sum);
+            hess_weights = push_rank_one_weight(&model, x, y, &mut aug, hess_weights);
         }
 
-        // Hessian assembly.
+        // Hessian assembly: `Σ w x̃ x̃ᵀ` from the weights just stored, or
+        // central differences for models without rank-one structure.
         let mut hessian = Matrix::zeros(p, p);
-        if model.has_analytic_hessian() {
-            for r in 0..n {
-                model.accumulate_hessian(train.x.row(r), train.y[r], &mut hessian);
+        if let Some(weights) = &hess_weights {
+            for (r, &w) in weights.iter().enumerate() {
+                add_rank_one(&mut hessian, w, train.x.row(r));
             }
             hessian.scale(1.0 / n as f64);
         } else {
@@ -182,6 +199,8 @@ impl<M: Differentiable> InfluenceEngine<M> {
         Self {
             model,
             grads,
+            grad_sum,
+            hess_weights,
             hessian,
             chol,
             damping_used,
@@ -203,7 +222,8 @@ impl<M: Differentiable> InfluenceEngine<M> {
     /// 3. warm-retrains by quasi-Newton steps through the patched factor
     ///    until the true gradient norm on `new_train` meets the Newton
     ///    trainer's tolerance, and
-    /// 4. recomputes all per-row gradients at the new optimum (`O(n p)`).
+    /// 4. recomputes all per-row gradients, their sum, and the per-row
+    ///    Hessian weights at the new optimum (`O(n p)`).
     ///
     /// Fallbacks: a failed downdate or probe refactors from the patched
     /// Hessian (`refactored`, `O(p³)`); a retrain stall, a non-analytic
@@ -400,11 +420,17 @@ impl<M: Differentiable> InfluenceEngine<M> {
         // `objective` sweep; the fused trait method is bit-identical to
         // loss-after-grad, and the row order matches `objective`'s, so the
         // reported final loss is exactly what the two-pass form computes.
+        // Gradient sum and Hessian weights follow `new`'s row order too.
         let mut data_loss = 0.0;
+        let mut grad_sum = vec![0.0; p];
+        let mut hess_weights = Some(Vec::with_capacity(n_new));
         for r in 0..n_new {
+            let (x, y) = (new_train.x.row(r), new_train.y[r]);
             let row = grads.row_mut(r);
             row.fill(0.0);
-            data_loss += model.accumulate_grad_and_loss(new_train.x.row(r), new_train.y[r], row);
+            data_loss += model.accumulate_grad_and_loss(x, y, row);
+            vecops::axpy(1.0, row, &mut grad_sum);
+            hess_weights = push_rank_one_weight(&model, x, y, &mut aug, hess_weights);
         }
         let theta = model.params();
         let final_loss = data_loss / n_new as f64 + 0.5 * model.l2() * vecops::dot(theta, theta);
@@ -416,6 +442,8 @@ impl<M: Differentiable> InfluenceEngine<M> {
         };
         self.model = model;
         self.grads = grads;
+        self.grad_sum = grad_sum;
+        self.hess_weights = hess_weights;
         self.hessian = hessian_new;
         self.chol = chol;
         self.n = n_new;
@@ -472,6 +500,13 @@ impl<M: Differentiable> InfluenceEngine<M> {
         self.grads.row(r)
     }
 
+    /// `Σ_r ∇L(z_r, θ*)` over the whole training set: the per-row
+    /// gradients summed in row order, kept current by build and
+    /// [`update`](Self::update).
+    pub fn gradient_sum(&self) -> &[f64] {
+        &self.grad_sum
+    }
+
     /// `g_S = Σ_{z∈S} ∇L(z, θ*)` for the given training rows.
     pub fn subset_gradient(&self, rows: &[u32]) -> Vec<f64> {
         let mut g = vec![0.0; self.n_params()];
@@ -483,9 +518,11 @@ impl<M: Differentiable> InfluenceEngine<M> {
 
     /// Applies the subset's mean Hessian (plus λI): `out = H̃_S · v`.
     ///
-    /// Analytic models use per-row Hessian–vector products; others use a
-    /// single central difference of the subset gradient along `v` (two
-    /// subset-gradient passes).
+    /// Models with rank-one per-row Hessians read each row's stored weight
+    /// `w` and add `w (x̃ᵀv) x̃` — the arithmetic of their own per-row
+    /// Hessian–vector product, without re-evaluating the model. The rest
+    /// (the MLP) use a single central difference of the subset gradient
+    /// along `v` (two subset-gradient passes).
     pub fn subset_hessian_vec(&self, train: &Encoded, rows: &[u32], v: &[f64]) -> Vec<f64> {
         let p = self.n_params();
         let m = rows.len().max(1) as f64;
@@ -493,11 +530,18 @@ impl<M: Differentiable> InfluenceEngine<M> {
         if rows.is_empty() {
             return out;
         }
-        if self.model.has_analytic_hessian() {
+        if let Some(weights) = &self.hess_weights {
+            let d = p - 1;
             for &r in rows {
                 let r = r as usize;
-                self.model
-                    .accumulate_hessian_vec(train.x.row(r), train.y[r], v, &mut out);
+                let w = weights[r];
+                if w == 0.0 {
+                    continue;
+                }
+                let x = train.x.row(r);
+                let scale = w * (vecops::dot(x, &v[..d]) + v[d]);
+                vecops::axpy(scale, x, &mut out[..d]);
+                out[d] += scale;
             }
         } else {
             let vnorm = vecops::norm_inf(v);
@@ -584,10 +628,7 @@ impl<M: Differentiable> InfluenceEngine<M> {
             Estimator::OneStepGd { learning_rate } => {
                 // Paper Eq. 13: θ̄ = θ − η(∇L(D, θ*) − (1/n) g_S), where
                 // ∇L(D, θ*) is the mean data gradient (−λθ* at the optimum).
-                let mut mean_grad = vec![0.0; p];
-                for r in 0..self.n {
-                    vecops::axpy(1.0, self.grads.row(r), &mut mean_grad);
-                }
+                let mut mean_grad = self.grad_sum.clone();
                 vecops::scale(1.0 / n, &mut mean_grad);
                 let mut delta = vec![0.0; p];
                 for i in 0..p {
@@ -605,6 +646,52 @@ impl<M: Differentiable> InfluenceEngine<M> {
         vecops::axpy(m * l2, self.model.params(), &mut g);
         g
     }
+}
+
+/// `out += w · x̃ x̃ᵀ` with `x̃ = [x, 1]`: the arithmetic of the rank-one
+/// models' own [`Differentiable::accumulate_hessian`] (rows and products
+/// that are zero add nothing), so the assembled Hessian is bit-identical to
+/// theirs.
+fn add_rank_one(out: &mut Matrix, w: f64, x: &[f64]) {
+    if w == 0.0 {
+        return;
+    }
+    let d = x.len();
+    for i in 0..d {
+        let s = w * x[i];
+        if s == 0.0 {
+            continue;
+        }
+        let row = out.row_mut(i);
+        vecops::axpy(s, x, &mut row[..d]);
+        row[d] += s;
+    }
+    let last = out.row_mut(d);
+    vecops::axpy(w, x, &mut last[..d]);
+    last[d] += w;
+}
+
+/// Appends row `(x, y)`'s rank-one Hessian weight to `weights`, or drops
+/// them all (`None`) once a row has no rank-one structure. `aug` is a
+/// work buffer of length `n_params`.
+fn push_rank_one_weight<M: Differentiable>(
+    model: &M,
+    x: &[f64],
+    y: f64,
+    aug: &mut [f64],
+    weights: Option<Vec<f64>>,
+) -> Option<Vec<f64>> {
+    let mut weights = weights?;
+    weights.push(model.hessian_rank_one(x, y, aug)?);
+    debug_assert!(
+        aug.len() == x.len() + 1
+            && aug
+                .iter()
+                .zip(x.iter().chain([&1.0]))
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "stored Hessian weights assume x̃ = [x, 1]"
+    );
+    Some(weights)
 }
 
 #[cfg(test)]
@@ -669,6 +756,11 @@ mod tests {
             let xv = vecops::dot(x, &v[..self.n_inputs]) + v[self.n_inputs];
             vecops::axpy(xv, x, &mut out[..self.n_inputs]);
             out[self.n_inputs] += xv;
+        }
+        fn hessian_rank_one(&self, x: &[f64], _y: f64, aug: &mut [f64]) -> Option<f64> {
+            aug[..self.n_inputs].copy_from_slice(x);
+            aug[self.n_inputs] = 1.0;
+            Some(1.0)
         }
     }
 
@@ -1010,6 +1102,83 @@ mod tests {
         let report = engine.update(&new_train, &as_refs(&rm), &as_refs(&add));
         assert!(report.full_rebuild, "MLP has no rank-1 structure to patch");
         assert_eq!(engine.n_train(), new_train.n_rows());
+    }
+
+    /// The stored-weight subset HVP against the model's own per-row HVPs,
+    /// bit for bit.
+    fn assert_weighted_hvp_matches_per_row<M: Differentiable>(
+        engine: &InfluenceEngine<M>,
+        train: &Encoded,
+    ) {
+        let p = engine.n_params();
+        let v: Vec<f64> = (0..p).map(|i| (i % 5) as f64 * 0.37 - 0.8).collect();
+        let rows: Vec<u32> = (0..train.n_rows() as u32).step_by(3).collect();
+        let got = engine.subset_hessian_vec(train, &rows, &v);
+        let mut want = vec![0.0; p];
+        for &r in &rows {
+            let r = r as usize;
+            engine
+                .model()
+                .accumulate_hessian_vec(train.x.row(r), train.y[r], &v, &mut want);
+        }
+        let m = rows.len() as f64;
+        let l2 = engine.model().l2() + engine.damping_used();
+        for (o, vi) in want.iter_mut().zip(&v) {
+            *o = *o / m + l2 * vi;
+        }
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+    }
+
+    /// The per-row state build and `update` keep is exactly what a fresh
+    /// per-row pass computes: the stored-weight HVP against the models' own
+    /// HVPs (LR; SVM, whose rows at zero slack carry weight 0) and the
+    /// gradient sum against the row-order sum of the stored gradients.
+    #[test]
+    fn stored_row_state_matches_per_row_recomputation_bit_for_bit() {
+        let row_sum = |engine: &InfluenceEngine<LogisticRegression>| {
+            let mut sum = vec![0.0; engine.n_params()];
+            for r in 0..engine.n_train() {
+                vecops::axpy(1.0, engine.row_gradient(r), &mut sum);
+            }
+            sum
+        };
+        // LR, before and after an incremental update.
+        let (data, mut engine) = fitted_engine(1500, 36);
+        assert_weighted_hvp_matches_per_row(&engine, &data);
+        assert_eq!(engine.gradient_sum(), row_sum(&engine).as_slice());
+        let new_train = with_delta(&data, &[4, 90], &[7, 8]);
+        let rm = delta_pairs(&data, &[4, 90]);
+        let add = delta_pairs(&data, &[7, 8]);
+        let report = engine.update(&new_train, &as_refs(&rm), &as_refs(&add));
+        assert!(!report.full_rebuild, "small delta must stay incremental");
+        assert_weighted_hvp_matches_per_row(&engine, &new_train);
+        assert_eq!(engine.gradient_sum(), row_sum(&engine).as_slice());
+
+        // SVM: rows beyond the margin (zero slack) carry weight 0.
+        let raw = german(1500, 37);
+        let data = Encoder::fit(&raw).transform(&raw);
+        let mut svm = gopher_models::LinearSvm::new(data.n_cols(), 1e-3);
+        gopher_models::train::fit_default(&mut svm, &data);
+        let mut aug = vec![0.0; svm.n_params()];
+        let weights: Vec<f64> = (0..data.n_rows())
+            .map(|r| {
+                svm.hessian_rank_one(data.x.row(r), data.y[r], &mut aug)
+                    .unwrap()
+            })
+            .collect();
+        assert!(weights.contains(&0.0), "some rows must sit at zero slack");
+        assert!(
+            weights.contains(&2.0),
+            "some rows must sit inside the margin"
+        );
+        let mut engine = InfluenceEngine::new(svm, &data, InfluenceConfig::default());
+        assert_weighted_hvp_matches_per_row(&engine, &data);
+        let new_train = with_delta(&data, &[11, 300], &[12, 13]);
+        let rm = delta_pairs(&data, &[11, 300]);
+        let add = delta_pairs(&data, &[12, 13]);
+        engine.update(&new_train, &as_refs(&rm), &as_refs(&add));
+        assert_weighted_hvp_matches_per_row(&engine, &new_train);
     }
 
     #[test]

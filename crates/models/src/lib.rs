@@ -142,15 +142,19 @@ pub trait Differentiable: Model {
     }
 
     /// Exposes the rank-1 structure of the per-example Hessian, when the
-    /// model has one: writes the augmented feature vector `x̃` (length
-    /// `n_params`) into `aug` and returns the weight `w` such that
+    /// model has one: writes the augmented feature vector `x̃ = [x, 1]`
+    /// (length `n_params`) into `aug` and returns the weight `w` such that
     /// `∇²θ L(z, θ) = w · x̃ x̃ᵀ`. Returns `None` for models without that
     /// structure (the finite-difference / full-assembly paths apply); a
     /// returned weight may be `0.0` (e.g. a non-support vector), in which
     /// case the contribution is the zero matrix and `aug` may be ignored.
     ///
     /// This is what lets the influence engine patch its Hessian factor with
-    /// rank-1 Cholesky updates and Woodbury solves instead of refactoring.
+    /// rank-1 Cholesky updates and Woodbury solves instead of refactoring,
+    /// and store one weight per training row for its subset
+    /// Hessian–vector products. The weight must be the one the model's own
+    /// [`accumulate_hessian_vec`](Self::accumulate_hessian_vec) uses, so
+    /// that `w · (x̃ᵀv) · x̃` reproduces it bit for bit.
     fn hessian_rank_one(&self, x: &[f64], y: f64, aug: &mut [f64]) -> Option<f64> {
         let _ = (x, y, aug);
         None

@@ -1,21 +1,17 @@
 //! Scoped-thread fork-join helpers: the workspace's rayon substitute.
 //!
 //! The build environment has no crates.io access, so the parallel query
-//! engine is built on [`std::thread::scope`] instead of rayon. Two shapes
-//! cover every fan-out in the workspace:
+//! engine is built on [`std::thread::scope`] instead of rayon. One shape
+//! covers every fan-out in the workspace: [`par_map`] maps a `Fn` over a
+//! shared slice, collecting results in input order (each lattice level's
+//! merge resolution and score pass, structural sweep groups, ground-truth
+//! retrains).
 //!
-//! * [`par_map`] — map a `Fn` over a shared slice, collecting results in
-//!   input order (used for structural sweep groups and ground-truth
-//!   retrains);
-//! * [`par_for_each_mut`] — run a `Fn` over a slice of *mutable* work items,
-//!   each visited exactly once (used for per-scorer lattice frontiers, where
-//!   every scorer owns mutable state).
-//!
-//! Both helpers hand out items via an atomic cursor, so uneven work items
-//! balance across workers, and both preserve determinism: item `i` is always
-//! processed alone by exactly one thread, and results land at index `i`.
-//! With `threads <= 1` (or a single item) they degrade to a plain inline
-//! loop — no threads are spawned, which keeps single-threaded runs
+//! Items are handed out via an atomic cursor, so uneven work items balance
+//! across workers, and determinism is preserved: item `i` is always
+//! processed alone by exactly one thread, and its result lands at index
+//! `i`. With `threads <= 1` (or a single item) the map degrades to a plain
+//! inline loop — no threads are spawned, which keeps single-threaded runs
 //! bit-for-bit comparable and cheap.
 //!
 //! Panic behavior: a panicking worker sets a shared poison flag, so the
@@ -113,50 +109,6 @@ where
         .collect()
 }
 
-/// Runs `f` once on every item of `items` with up to `threads` worker
-/// threads. `f` receives `(index, &mut item)`; each item is visited by
-/// exactly one thread, so `f` may freely mutate it.
-///
-/// With `threads <= 1` or fewer than two items, runs inline on the calling
-/// thread. Threads are scoped, so `f` may borrow from the caller's stack.
-pub fn par_for_each_mut<W, F>(threads: usize, items: &mut [W], f: F)
-where
-    W: Send,
-    F: Fn(usize, &mut W) + Sync,
-{
-    let n = items.len();
-    if threads <= 1 || n <= 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    // Each cell is locked exactly once, by the worker that claims its index;
-    // the mutexes only exist to hand a `&mut` through the `Sync` boundary.
-    let cells: Vec<Mutex<&mut W>> = items.iter_mut().map(Mutex::new).collect();
-    let cursor = AtomicUsize::new(0);
-    let poisoned = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n) {
-            scope.spawn(|| loop {
-                if poisoned.load(Ordering::Relaxed) {
-                    break;
-                }
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let mut item = lock_recover(&cells[i]);
-                if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(|| f(i, &mut item)))
-                {
-                    poisoned.store(true, Ordering::Relaxed);
-                    std::panic::resume_unwind(payload);
-                }
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,27 +153,11 @@ mod tests {
     }
 
     #[test]
-    fn par_for_each_mut_visits_every_item_once() {
-        for threads in [1, 2, 4, 16] {
-            let mut items = vec![0u32; 100];
-            par_for_each_mut(threads, &mut items, |i, slot| {
-                *slot += i as u32 + 1;
-            });
-            for (i, &v) in items.iter().enumerate() {
-                assert_eq!(v, i as u32 + 1, "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
     fn empty_and_singleton_inputs() {
         let empty: Vec<u8> = Vec::new();
         assert!(par_map(4, &empty, |_, &x| x).is_empty());
         let one = vec![7];
         assert_eq!(par_map(4, &one, |_, &x| x + 1), vec![8]);
-        let mut one_mut = vec![7];
-        par_for_each_mut(4, &mut one_mut, |_, x| *x += 1);
-        assert_eq!(one_mut, vec![8]);
     }
 
     #[test]

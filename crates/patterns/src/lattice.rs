@@ -1,27 +1,34 @@
 //! Lattice search for candidate explanations (paper Algorithm 1,
-//! `ComputeCandidates`), staged into structural and scoring phases.
+//! `ComputeCandidates`).
 //!
-//! Each level of the search runs in two explicit phases:
+//! Every level of the search runs one pipeline, whatever the thread count:
 //!
-//! 1. a **structural phase** — metric-independent: enumerate merge pairs
-//!    over the *union* of all scorers' frontiers, intersect coverages, count
-//!    support, and record every resolved merge in the sweep's
-//!    [`SweepStructure`]. The pair space is chunked across `gopher-par`
-//!    workers with deterministic, order-preserving concatenation, so the
-//!    artifact is bit-identical at any thread count;
-//! 2. per-scorer **scoring/pruning phases** — each scorer walks its own
-//!    frontier (pruning is score-dependent), resolving every merge against
-//!    the artifact instead of re-intersecting, and runs on its own worker.
+//! 1. **enumerate** — walk each scorer's frontier for merge pairs (the pair
+//!    space is chunked across `gopher-par` workers and concatenated in
+//!    serial pair order, so the first pair to generate a pattern wins, as
+//!    in a serial walk);
+//! 2. **resolve** — look every merged pattern up in the sweep's
+//!    [`SweepStructure`] and intersect the unseen ones across workers
+//!    (metric-independent: the coverage of a merged pattern is the AND of
+//!    its predicates', whichever parents produced it);
+//! 3. **score** — one order-preserving `par_map` over every supported
+//!    candidate of every scorer (each score is a pure function of a
+//!    coverage);
+//! 4. **prune** — walk each scorer's candidates in enumeration order and
+//!    keep those that beat both parents.
 //!
-//! The split is what lets a session reuse the structural half across
-//! metrics, estimators, and bias evaluations — see `SweepStructure`.
+//! Steps 1–2 are the level's structural phase, step 3 its scoring phase.
+//! Scores and pruning decisions never depend on scheduling, so results are
+//! bit-identical at any thread count. The structural half lands in the
+//! artifact, which is what lets a session reuse it across metrics,
+//! estimators, and bias evaluations — see `SweepStructure`.
 
 use crate::bitset::BitSet;
 use crate::candidates::PredicateTable;
 use crate::coverage::CoverageCache;
 use crate::index::PredicateIndex;
 use crate::pattern::Pattern;
-use crate::structure::{min_count_for, ParentHint, SweepStructure};
+use crate::structure::{min_count_for, MergeRecord, ParentHint, SweepStructure};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -54,9 +61,10 @@ impl Default for LatticeConfig {
 }
 
 /// A boxed scoring callback: coverage bitset in, estimated responsibility
-/// out. [`compute_candidates_multi`] fans one of these out per request —
-/// each scorer runs on its own worker thread, hence the `Send` bound.
-pub type ScoreFn<'a> = Box<dyn FnMut(&BitSet) -> f64 + Send + 'a>;
+/// out. Each level scores the candidates of every scorer in one parallel
+/// pass, so a scorer is called from several workers at once and in no
+/// fixed order: it must be a pure function of the coverage.
+pub type ScoreFn<'a> = Box<dyn Fn(&BitSet) -> f64 + Send + Sync + 'a>;
 
 /// A scored candidate explanation.
 #[derive(Debug, Clone)]
@@ -76,6 +84,10 @@ pub struct Candidate {
 }
 
 /// Per-level search statistics (the paper's Table 7 columns).
+///
+/// The scorers of one sweep share each level's pipeline, so the three
+/// durations are the level's, reported identically in every scorer's stats
+/// — the time each of them waited for the level.
 #[derive(Debug, Clone)]
 pub struct LevelStats {
     /// Lattice level (number of predicates).
@@ -84,14 +96,15 @@ pub struct LevelStats {
     pub generated: usize,
     /// Candidates kept after all pruning.
     pub kept: usize,
-    /// Wall-clock time of the level's *shared structural phase* (coverage
-    /// intersection + support counting over the union frontier; for level 1,
-    /// the artifact's build time). The same cost appears in every scorer's
-    /// stats — it is what a solo run would have paid itself.
+    /// Wall-clock time of the level's structural phase: enumerating every
+    /// live frontier's merges and resolving them against the artifact (for
+    /// level 1, the artifact's build time).
     pub structural: Duration,
-    /// Wall-clock time this scorer spent on the level, including its share
-    /// of the structural phase (`structural` + its own scoring pass), so
-    /// reported search times stay comparable with pre-staged runs.
+    /// Wall-clock time of the level's ordered score pass over every
+    /// supported candidate of every scorer.
+    pub scoring: Duration,
+    /// Wall-clock time of the whole level: `structural`, `scoring`, and
+    /// pruning.
     pub duration: Duration,
 }
 
@@ -110,8 +123,8 @@ impl SearchStats {
         self.levels.iter().map(|l| l.kept).sum()
     }
 
-    /// Wall-clock spent in the shared structural phases, summed across
-    /// levels (the metric-independent part of the sweep).
+    /// Wall-clock spent in the structural phases, summed across levels (the
+    /// metric-independent part of the sweep).
     pub fn structural_time(&self) -> Duration {
         self.levels.iter().map(|l| l.structural).sum()
     }
@@ -134,19 +147,19 @@ impl SearchStats {
 /// own and call [`compute_candidates_multi`].
 pub fn compute_candidates<F>(
     table: &PredicateTable,
-    mut score: F,
+    score: F,
     config: &LatticeConfig,
 ) -> (Vec<Candidate>, SearchStats)
 where
-    F: FnMut(&BitSet) -> f64 + Send,
+    F: Fn(&BitSet) -> f64 + Send + Sync,
 {
     let cache = CoverageCache::new();
     let index = PredicateIndex::build(table, &cache);
     let structure = SweepStructure::build(&index, config);
-    let mut scorer: ScoreFn<'_> = Box::new(&mut score);
+    let scorer: ScoreFn<'_> = Box::new(score);
     compute_candidates_multi(
         table,
-        std::slice::from_mut(&mut scorer),
+        std::slice::from_ref(&scorer),
         config,
         &cache,
         &structure,
@@ -156,20 +169,17 @@ where
     .expect("one scorer in, one result out")
 }
 
-/// The multi-query variant of [`compute_candidates`]: one staged lattice
-/// sweep with the scoring callbacks fanned out per request.
+/// The multi-query variant of [`compute_candidates`]: one lattice sweep
+/// serving several scoring callbacks, run as the module's level pipeline on
+/// up to `threads` workers.
 ///
-/// All scorers share the structural work — pair enumeration over the union
-/// of their frontiers, coverage intersection, and support counting — which
-/// runs as a chunked parallel pass over up to `threads` workers and lands in
-/// `structure`; each scorer then keeps its own frontier, pruning decisions,
-/// and [`SearchStats`], running on its own worker. The result for scorer `i`
-/// is **identical** to what `compute_candidates(table, scorers[i], config)`
-/// would return on its own, at any thread count: per-scorer frontiers evolve
-/// exactly as in a solo run (scorer `i` is always driven by exactly one
-/// thread, sequentially), merged coverages are decomposition-independent
-/// (the AND of a pattern's predicates, whichever parents produced it), and
-/// the structural pass concatenates its chunks in serial pair order.
+/// Each scorer keeps its own frontier, pruning decisions, and
+/// [`SearchStats`]; the scorers share the enumeration, the merge
+/// resolution, and one score pass per level. The result for scorer `i` is
+/// **identical** to what `compute_candidates(table, scorers[i], config)`
+/// would return on its own, at any thread count: every step either is
+/// order-independent (merge resolution, pure scores) or runs in the serial
+/// enumeration order (deduplication, pruning).
 ///
 /// Both `cache` and `structure` outlive the call on purpose: an interactive
 /// session passes a long-lived cache and a per-structural-config artifact,
@@ -181,7 +191,7 @@ where
 /// row count than `config`/`table` describe.
 pub fn compute_candidates_multi(
     table: &PredicateTable,
-    scorers: &mut [ScoreFn<'_>],
+    scorers: &[ScoreFn<'_>],
     config: &LatticeConfig,
     cache: &CoverageCache,
     structure: &SweepStructure,
@@ -196,10 +206,9 @@ pub fn compute_candidates_multi(
         "need at least one predicate per pattern"
     );
     let n = table.n_rows();
-    let min_count = min_count_for(config.support_threshold, n);
     assert_eq!(
         structure.min_count(),
-        min_count,
+        min_count_for(config.support_threshold, n),
         "structural artifact was built for a different support threshold"
     );
     assert_eq!(
@@ -208,213 +217,258 @@ pub fn compute_candidates_multi(
         "structural artifact was built for a different dataset"
     );
 
-    /// Everything one scorer owns during the sweep; fanning a level out
-    /// means handing each `ScorerRun` to a worker thread.
-    struct ScorerRun<'s, 'a> {
-        score: &'s mut ScoreFn<'a>,
+    /// Everything one scorer owns during the sweep.
+    #[derive(Default)]
+    struct ScorerRun {
         stats: SearchStats,
         all: Vec<Candidate>,
         frontier: Vec<Candidate>,
         done: bool,
     }
-    let mut runs: Vec<ScorerRun<'_, '_>> = scorers
-        .iter_mut()
-        .map(|score| ScorerRun {
-            score,
-            stats: SearchStats::default(),
-            all: Vec::new(),
-            frontier: Vec::new(),
-            done: false,
-        })
-        .collect();
+    let mut runs: Vec<ScorerRun> = scorers.iter().map(|_| ScorerRun::default()).collect();
 
-    // Level 1. Structural phase: the artifact's supported singles (built
-    // once per structural config, from the session's predicate index).
-    // Scoring phase: fan the per-scorer passes out.
-    let singles = structure.singles();
-    gopher_par::par_for_each_mut(threads, &mut runs, |_, run| {
-        let t0 = Instant::now();
-        let mut frontier: Vec<Candidate> = Vec::with_capacity(singles.len());
-        for single in singles {
-            let responsibility = (run.score)(&single.coverage);
-            run.stats.total_scored += 1;
-            let support = single.count as f64 / n as f64;
-            frontier.push(Candidate {
-                pattern: Pattern::singleton(single.id),
-                coverage: Arc::clone(&single.coverage),
-                support,
-                responsibility,
-                interestingness: responsibility / support,
-            });
+    for level in 1..=config.max_predicates {
+        // A frontier of fewer than two patterns has no pairs to merge.
+        if level > 1 {
+            for run in &mut runs {
+                run.done |= run.frontier.len() < 2;
+            }
         }
-        truncate_level(&mut frontier, config.max_level_candidates);
-        // A solo run pays the structural pass itself, so every scorer's
-        // level-1 duration includes it — keeping reported search times
-        // comparable with single-query runs.
-        run.stats.levels.push(LevelStats {
-            level: 1,
-            generated: singles.len(),
-            kept: frontier.len(),
-            structural: structure.build_time(),
-            duration: structure.build_time() + t0.elapsed(),
-        });
-        run.all.extend(frontier.iter().cloned());
-        run.frontier = frontier;
-    });
-
-    // Levels 2..=max: merge pairs sharing all but one predicate.
-    for level in 2..=config.max_predicates {
-        if runs.iter().all(|r| r.done) {
+        let live: Vec<usize> = (0..runs.len()).filter(|&s| !runs[s].done).collect();
+        if live.is_empty() {
             break;
         }
 
-        // Structural phase: resolve every merge reachable from the union of
-        // the live frontiers, chunked across workers. Per-scorer
-        // interestingness pruning means no single frontier is "the"
-        // frontier, so the shared pass enumerates the union — a superset of
-        // every scorer's own pair space. The union is collected in
-        // first-seen order (runs in input order, each frontier in its own
-        // order), deterministic because the frontiers themselves are.
-        //
-        // With a single worker the pass is skipped entirely — it exists to
-        // spread coverage intersections across threads, and inline it would
-        // only duplicate the enumeration the scoring phase performs anyway
-        // (each scorer's `resolve` computes unseen merges lazily, exactly
-        // like the pre-staged engine did). Values are identical either way;
-        // skipping keeps single-threaded sweeps at their old cost.
-        let t_structural = Instant::now();
-        if threads > 1 {
-            let mut union: Vec<UnionParent> = Vec::new();
-            let mut union_index: HashMap<Vec<u16>, usize> = HashMap::new();
-            for (run_idx, run) in runs
+        // Structural phase. Level 1 proposes the artifact's supported
+        // singles (built once per structural config) to every scorer.
+        let t_level = Instant::now();
+        let (proposals, structural) = if level == 1 {
+            let singles: Vec<Proposal> = structure
+                .singles()
                 .iter()
-                .enumerate()
-                .filter(|(_, r)| !r.done && r.frontier.len() >= 2)
-            {
-                // Scorers beyond the mask width share the last bit: their
-                // pairings become conservatively resolvable (extra work,
-                // never wrong values).
-                let bit = 1u64 << run_idx.min(63);
-                for cand in &run.frontier {
-                    match union_index.get(cand.pattern.ids()) {
-                        Some(&at) => union[at].scorers |= bit,
-                        None => {
-                            union_index.insert(cand.pattern.ids().to_vec(), union.len());
-                            let count = (cand.support * n as f64).round() as usize;
-                            union.push(UnionParent {
-                                pattern: cand.pattern.clone(),
-                                coverage: Arc::clone(&cand.coverage),
-                                hint: structure.parent_hint(&cand.coverage, count),
-                                scorers: bit,
-                            });
-                        }
-                    }
-                }
-            }
-            resolve_union_merges(table, cache, structure, &union, threads);
-        }
-        let structural_cost = t_structural.elapsed();
-
-        // Scoring phase: each scorer walks its own frontier on its own
-        // worker, resolving merges against the artifact (all hits after the
-        // structural pass; the fallback closure only fires for territory a
-        // warm artifact has never seen).
-        gopher_par::par_for_each_mut(threads, &mut runs, |_, run| {
-            if run.done {
-                return;
-            }
-            if run.frontier.len() < 2 {
-                run.done = true;
-                return;
-            }
-            let t0 = Instant::now();
-            let mut next: Vec<Candidate> = Vec::new();
-            let mut seen: HashSet<Vec<u16>> = HashSet::new();
-            let mut generated = 0usize;
-            // Exact parent counts (supports round-trip exactly at these
-            // magnitudes) plus in-sample counts, one pass per frontier
-            // pattern, let the artifact's sampled-support prefilter, when
-            // attached, skip doomed merges.
-            let hints: Vec<_> = run
-                .frontier
-                .iter()
-                .map(|c| {
-                    structure.parent_hint(&c.coverage, (c.support * n as f64).round() as usize)
+                .map(|single| Proposal {
+                    pattern: Pattern::singleton(single.id),
+                    coverage: Arc::clone(&single.coverage),
+                    count: single.count,
+                    parents: None,
                 })
                 .collect();
-            for i in 0..run.frontier.len() {
-                for j in (i + 1)..run.frontier.len() {
-                    let (a, b) = (&run.frontier[i], &run.frontier[j]);
-                    let Some(merged) = a.pattern.merge(&b.pattern) else {
-                        continue;
-                    };
-                    if !seen.insert(merged.ids().to_vec()) {
-                        continue;
-                    }
-                    if merge_conflicts(table, &a.pattern, &b.pattern) {
-                        continue;
-                    }
-                    let hint = Some((hints[i], hints[j]));
-                    let record =
-                        structure.resolve_with(merged.ids(), cache, &a.coverage, &b.coverage, hint);
-                    if record.count < min_count {
-                        continue;
-                    }
-                    let coverage = record
-                        .coverage
-                        .expect("supported merges retain their coverage");
-                    generated += 1;
-                    let responsibility = (run.score)(&coverage);
-                    run.stats.total_scored += 1;
+            (vec![singles; live.len()], structure.build_time())
+        } else {
+            let frontiers: Vec<&[Candidate]> =
+                live.iter().map(|&s| runs[s].frontier.as_slice()).collect();
+            let proposals = propose_merges(table, cache, structure, &frontiers, threads);
+            (proposals, t_level.elapsed())
+        };
+
+        // Scoring phase: every supported candidate of every live scorer, in
+        // (scorer, enumeration) order.
+        let t_score = Instant::now();
+        let items: Vec<(usize, &BitSet)> = live
+            .iter()
+            .zip(&proposals)
+            .flat_map(|(&s, props)| props.iter().map(move |p| (s, p.coverage.as_ref())))
+            .collect();
+        let scores = gopher_par::par_map(threads, &items, |_, &(s, coverage)| scorers[s](coverage));
+        let scoring = t_score.elapsed();
+
+        // Pruning, per scorer in enumeration order.
+        let mut scores = scores.into_iter();
+        let mut kept = Vec::with_capacity(live.len());
+        for (&s, props) in live.iter().zip(proposals) {
+            let run = &mut runs[s];
+            let generated = props.len();
+            let mut next: Vec<Candidate> = Vec::new();
+            for (prop, responsibility) in props.into_iter().zip(scores.by_ref()) {
+                if let Some((i, j)) = prop.parents {
                     if config.prune_by_responsibility
-                        && (responsibility <= a.responsibility
-                            || responsibility <= b.responsibility)
+                        && (responsibility <= run.frontier[i].responsibility
+                            || responsibility <= run.frontier[j].responsibility)
                     {
                         continue;
                     }
-                    let support = record.count as f64 / n as f64;
-                    next.push(Candidate {
-                        pattern: merged,
-                        coverage,
-                        support,
-                        responsibility,
-                        interestingness: responsibility / support,
-                    });
                 }
+                let support = prop.count as f64 / n as f64;
+                next.push(Candidate {
+                    pattern: prop.pattern,
+                    coverage: prop.coverage,
+                    support,
+                    responsibility,
+                    interestingness: responsibility / support,
+                });
             }
             truncate_level(&mut next, config.max_level_candidates);
-            run.stats.levels.push(LevelStats {
-                level,
-                generated,
-                kept: next.len(),
-                structural: structural_cost,
-                duration: structural_cost + t0.elapsed(),
-            });
+            run.stats.total_scored += generated;
+            kept.push((generated, next.len()));
             if next.is_empty() {
                 run.done = true;
             } else {
                 run.all.extend(next.iter().cloned());
-                run.frontier = next;
             }
-        });
+            run.frontier = next;
+        }
+        let duration = structural + t_score.elapsed();
+        for (&s, (generated, kept)) in live.iter().zip(kept) {
+            runs[s].stats.levels.push(LevelStats {
+                level,
+                generated,
+                kept,
+                structural,
+                scoring,
+                duration,
+            });
+        }
     }
 
     runs.into_iter().map(|run| (run.all, run.stats)).collect()
 }
 
-/// A frontier pattern in the structural phase's union: the pattern, its
-/// coverage, and a bitmask of which scorers hold it. The mask is what keeps
-/// the shared pass *exact* rather than a blow-up: a pair is only worth
-/// resolving when some scorer holds **both** parents (masks intersect) —
-/// cross-scorer-only pairings would compute coverages nobody asks for.
-struct UnionParent {
+/// A supported pattern proposed for scoring: its pattern, coverage, and
+/// support count, plus the frontier positions of the parent pair that first
+/// generated it (`None` at level 1, which has no parents to beat).
+#[derive(Clone)]
+struct Proposal {
     pattern: Pattern,
     coverage: Arc<BitSet>,
-    /// Exact member count of `coverage` (recovered from the candidate's
-    /// support) plus its in-sample count — the prefilter hint for the
-    /// structural pass, computed once per distinct parent.
-    hint: ParentHint,
-    scorers: u64,
+    count: usize,
+    parents: Option<(usize, usize)>,
+}
+
+/// The structural phase of a merged level, for every live frontier:
+/// enumerates its merges in serial pair order, resolves them against the
+/// artifact (intersecting the unseen ones across up to `threads` workers),
+/// and returns each frontier's supported merges in that order.
+fn propose_merges(
+    table: &PredicateTable,
+    cache: &CoverageCache,
+    structure: &SweepStructure,
+    frontiers: &[&[Candidate]],
+    threads: usize,
+) -> Vec<Vec<Proposal>> {
+    // Enumerate, chunked across workers; each chunk drops the repeats it
+    // generates itself.
+    let work: Vec<(usize, std::ops::Range<usize>)> = frontiers
+        .iter()
+        .enumerate()
+        .flat_map(|(f, frontier)| {
+            pair_chunks(frontier.len(), threads)
+                .into_iter()
+                .map(move |range| (f, range))
+        })
+        .collect();
+    let found = gopher_par::par_map(threads, &work, |_, (f, range)| {
+        let frontier = frontiers[*f];
+        let mut out: Vec<(Pattern, usize, usize)> = Vec::new();
+        let mut local_seen: HashSet<Pattern> = HashSet::new();
+        for i in range.clone() {
+            for j in (i + 1)..frontier.len() {
+                if let Some(merged) = frontier[i].pattern.merge(&frontier[j].pattern) {
+                    if local_seen.insert(merged.clone()) {
+                        out.push((merged, i, j));
+                    }
+                }
+            }
+        }
+        out
+    });
+    // Concatenate in pair order: the first pair to generate a pattern wins,
+    // and only that pair's conflict check decides it, as in a serial walk.
+    let mut merges: Vec<Vec<(Pattern, usize, usize)>> = vec![Vec::new(); frontiers.len()];
+    let mut seen: Vec<HashSet<Pattern>> = vec![HashSet::new(); frontiers.len()];
+    for ((f, _), chunk) in work.iter().zip(found) {
+        for (merged, i, j) in chunk {
+            if !seen[*f].insert(merged.clone()) {
+                continue;
+            }
+            let frontier = frontiers[*f];
+            if merge_conflicts(table, &frontier[i].pattern, &frontier[j].pattern) {
+                continue;
+            }
+            merges[*f].push((merged, i, j));
+        }
+    }
+
+    // Resolve each distinct merge once, from the first pair that generated
+    // it: the artifact answers what it already knows, and the rest is
+    // intersected in parallel and recorded.
+    let (slots, records) = {
+        let mut distinct: HashMap<&[u16], usize> = HashMap::new();
+        let mut first: Vec<(&[u16], usize, usize, usize)> = Vec::new();
+        let slots: Vec<Vec<usize>> = merges
+            .iter()
+            .enumerate()
+            .map(|(f, list)| {
+                list.iter()
+                    .map(|(merged, i, j)| {
+                        *distinct.entry(merged.ids()).or_insert_with(|| {
+                            first.push((merged.ids(), f, *i, *j));
+                            first.len() - 1
+                        })
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut records: Vec<Option<MergeRecord>> = first
+            .iter()
+            .map(|&(ids, ..)| structure.lookup(ids))
+            .collect();
+        let misses: Vec<usize> = (0..records.len())
+            .filter(|&k| records[k].is_none())
+            .collect();
+        // Exact parent counts (supports round-trip exactly at these
+        // magnitudes), one hint per frontier pattern, let the artifact's
+        // prefilter, when attached, skip doomed merges.
+        let n = structure.n_rows() as f64;
+        let hints: Vec<Vec<ParentHint>> = frontiers
+            .iter()
+            .map(|frontier| {
+                frontier
+                    .iter()
+                    .map(|c| structure.parent_hint(&c.coverage, (c.support * n).round() as usize))
+                    .collect()
+            })
+            .collect();
+        let computed = gopher_par::par_map(threads, &misses, |_, &k| {
+            let (ids, f, i, j) = first[k];
+            let (a, b) = (&frontiers[f][i], &frontiers[f][j]);
+            let parents = Some((hints[f][i], hints[f][j]));
+            structure.compute_record_with(ids, cache, &a.coverage, &b.coverage, parents)
+        });
+        for (k, record) in misses.into_iter().zip(computed) {
+            structure.insert(first[k].0, record.clone());
+            records[k] = Some(record);
+        }
+        let records: Vec<MergeRecord> = records
+            .into_iter()
+            .map(|r| r.expect("every merge resolved"))
+            .collect();
+        (slots, records)
+    };
+
+    let min_count = structure.min_count();
+    merges
+        .into_iter()
+        .zip(slots)
+        .map(|(list, slots)| {
+            list.into_iter()
+                .zip(slots)
+                .filter_map(|((pattern, i, j), k)| {
+                    let record = &records[k];
+                    (record.count >= min_count).then(|| Proposal {
+                        pattern,
+                        coverage: Arc::clone(
+                            record
+                                .coverage
+                                .as_ref()
+                                .expect("supported merges retain their coverage"),
+                        ),
+                        count: record.count,
+                        parents: Some((i, j)),
+                    })
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// True when the two differing predicates of a mergeable pair conflict (the
@@ -427,79 +481,6 @@ fn merge_conflicts(table: &PredicateTable, a: &Pattern, b: &Pattern) -> bool {
     table
         .predicate(da[0])
         .conflicts_with(table.predicate(db[0]))
-}
-
-/// The parallel structural merge pass, in two phases over the chunked pair
-/// space of the union frontier:
-///
-/// 1. **Enumerate** (parallel, lock-free): each chunk walks its `(i, j)`
-///    pairs — mask check, merge, conflict check — filtering against a
-///    *snapshot* of the artifact's resolved keys (exact for the whole pass,
-///    since nothing inserts until phase 2 finishes). Chunks are then
-///    concatenated in serial pair order and globally deduplicated, first
-///    generating pair wins (any pair of the same pattern yields identical
-///    bits).
-/// 2. **Compute** (parallel): one fused and+popcount per *distinct* merge,
-///    with the full AND materialized (and routed through the coverage
-///    cache) only for merges that meet the artifact's support count —
-///    failed merges, the majority at realistic thresholds, cost a single
-///    counting pass and no allocation; records land in the artifact in the
-///    deduplicated (deterministic) order.
-///
-/// The split keeps the hot enumeration loop free of the artifact's mutex
-/// and guarantees no merged pattern is intersected twice, however many of
-/// its parent decompositions straddle chunk boundaries.
-fn resolve_union_merges(
-    table: &PredicateTable,
-    cache: &CoverageCache,
-    structure: &SweepStructure,
-    union: &[UnionParent],
-    threads: usize,
-) {
-    let m = union.len();
-    if m < 2 {
-        return;
-    }
-    let known = structure.known_keys();
-    let chunks = pair_chunks(m, threads);
-    let found = gopher_par::par_map(threads, &chunks, |_, range| {
-        let mut out: Vec<(Box<[u16]>, usize, usize)> = Vec::new();
-        let mut local_seen: HashSet<Box<[u16]>> = HashSet::new();
-        for i in range.clone() {
-            for j in (i + 1)..m {
-                let (a, b) = (&union[i], &union[j]);
-                if a.scorers & b.scorers == 0 {
-                    continue; // no scorer holds both parents
-                }
-                let Some(merged) = a.pattern.merge(&b.pattern) else {
-                    continue;
-                };
-                let ids: Box<[u16]> = merged.ids().into();
-                if known.contains(&ids) || !local_seen.insert(ids.clone()) {
-                    continue;
-                }
-                if merge_conflicts(table, &a.pattern, &b.pattern) {
-                    continue;
-                }
-                out.push((ids, i, j));
-            }
-        }
-        out
-    });
-    let mut merges: Vec<(Box<[u16]>, usize, usize)> = Vec::new();
-    let mut seen: HashSet<Box<[u16]>> = HashSet::new();
-    for (ids, i, j) in found.into_iter().flatten() {
-        if seen.insert(ids.clone()) {
-            merges.push((ids, i, j));
-        }
-    }
-    let records = gopher_par::par_map(threads, &merges, |_, (ids, i, j)| {
-        let (a, b) = (&union[*i], &union[*j]);
-        structure.compute_record_with(ids, cache, &a.coverage, &b.coverage, Some((a.hint, b.hint)))
-    });
-    for ((ids, _, _), record) in merges.iter().zip(records) {
-        structure.insert(ids, record);
-    }
 }
 
 /// Splits the upper-triangular pair space of `m` items into contiguous
@@ -544,7 +525,7 @@ mod tests {
 
     /// A deterministic toy score: fraction of covered rows that are
     /// positive-labeled (monotone enough to exercise the pruning paths).
-    fn toy_score(labels: &[u8]) -> impl FnMut(&BitSet) -> f64 + '_ {
+    fn toy_score(labels: &[u8]) -> impl Fn(&BitSet) -> f64 + Send + Sync + '_ {
         move |cov: &BitSet| {
             let total = cov.count().max(1);
             let pos: usize = cov.iter().map(|r| labels[r as usize] as usize).sum();
@@ -784,17 +765,10 @@ mod tests {
             let cache = CoverageCache::new();
             let index = PredicateIndex::build(&table, &cache);
             let structure = SweepStructure::build(&index, &config);
-            let mut sa = toy_score(&labels);
-            let mut sb = priv_score;
-            let mut scorers: Vec<ScoreFn<'_>> = vec![Box::new(&mut sa), Box::new(&mut sb)];
-            let mut multi = compute_candidates_multi(
-                &table,
-                &mut scorers,
-                &config,
-                &cache,
-                &structure,
-                threads,
-            );
+            let scorers: Vec<ScoreFn<'_>> =
+                vec![Box::new(toy_score(&labels)), Box::new(priv_score)];
+            let mut multi =
+                compute_candidates_multi(&table, &scorers, &config, &cache, &structure, threads);
             let (multi_b, mstats_b) = multi.pop().unwrap();
             let (multi_a, mstats_a) = multi.pop().unwrap();
 
@@ -844,9 +818,8 @@ mod tests {
         let index = PredicateIndex::build(&table, &cache);
         let structure = SweepStructure::build(&index, &config);
         let run = |cache: &CoverageCache, structure: &SweepStructure| {
-            let mut s = toy_score(&labels);
-            let mut scorers: Vec<ScoreFn<'_>> = vec![Box::new(&mut s)];
-            compute_candidates_multi(&table, &mut scorers, &config, cache, structure, 2)
+            let scorers: Vec<ScoreFn<'_>> = vec![Box::new(toy_score(&labels))];
+            compute_candidates_multi(&table, &scorers, &config, cache, structure, 2)
                 .pop()
                 .unwrap()
         };
@@ -867,9 +840,9 @@ mod tests {
         assert_eq!(cache.stats().misses, coverage_misses_after_cold);
     }
 
-    /// Fan-out must keep per-level timing populated: every explored level of
-    /// every scorer reports a nonzero duration even when scorers run on
-    /// worker threads.
+    /// A multi-scorer sweep on worker threads keeps per-level timing
+    /// populated: every explored level of every scorer reports a nonzero
+    /// duration that holds its structural and scoring phases.
     #[test]
     fn fanned_out_level_stats_keep_durations() {
         let d = german(400, 70);
@@ -882,13 +855,10 @@ mod tests {
         let cache = CoverageCache::new();
         let index = PredicateIndex::build(&table, &cache);
         let structure = SweepStructure::build(&index, &config);
-        let mut s1 = toy_score(&labels);
-        let mut s2 = toy_score(&labels);
-        let mut s3 = toy_score(&labels);
-        let mut scorers: Vec<ScoreFn<'_>> =
-            vec![Box::new(&mut s1), Box::new(&mut s2), Box::new(&mut s3)];
-        let results =
-            compute_candidates_multi(&table, &mut scorers, &config, &cache, &structure, 4);
+        let scorers: Vec<ScoreFn<'_>> = (0..3)
+            .map(|_| Box::new(toy_score(&labels)) as ScoreFn<'_>)
+            .collect();
+        let results = compute_candidates_multi(&table, &scorers, &config, &cache, &structure, 4);
         for (_, stats) in &results {
             assert!(!stats.levels.is_empty());
             for level in &stats.levels {
@@ -900,8 +870,67 @@ mod tests {
                         level.generated
                     );
                 }
-                assert!(level.duration >= level.structural);
+                assert!(level.duration >= level.structural + level.scoring);
             }
+        }
+    }
+
+    /// One pipeline at every thread count: each candidate is scored exactly
+    /// once (a counting scorer sees `total_scored` calls), and every level's
+    /// structural and scoring phases fit inside its duration — including
+    /// merge resolution at one thread, which is timed as structural work.
+    #[test]
+    fn scorer_calls_and_phase_times_match_the_stats_at_any_thread_count() {
+        let d = german(400, 71);
+        let table = generate_predicates(&d, 4);
+        let config = LatticeConfig {
+            support_threshold: 0.04,
+            ..Default::default()
+        };
+        let labels = d.labels().to_vec();
+        for threads in [1, 4] {
+            let calls = std::sync::atomic::AtomicUsize::new(0);
+            let score = toy_score(&labels);
+            let counting = |cov: &BitSet| {
+                calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                score(cov)
+            };
+            let cache = CoverageCache::new();
+            let index = PredicateIndex::build(&table, &cache);
+            let structure = SweepStructure::build(&index, &config);
+            let scorers: Vec<ScoreFn<'_>> = vec![Box::new(counting)];
+            let (_, stats) =
+                compute_candidates_multi(&table, &scorers, &config, &cache, &structure, threads)
+                    .pop()
+                    .unwrap();
+            assert_eq!(
+                calls.load(std::sync::atomic::Ordering::Relaxed),
+                stats.total_scored,
+                "threads={threads}"
+            );
+            assert_eq!(
+                stats.total_scored,
+                stats.levels.iter().map(|l| l.generated).sum::<usize>()
+            );
+            assert!(
+                stats.levels.len() >= 2,
+                "the sweep must reach merged levels"
+            );
+            for level in &stats.levels {
+                assert!(
+                    level.structural + level.scoring <= level.duration,
+                    "threads={threads} level {}: {:?} + {:?} > {:?}",
+                    level.level,
+                    level.structural,
+                    level.scoring,
+                    level.duration
+                );
+                if level.level > 1 {
+                    assert!(level.structural > Duration::ZERO, "threads={threads}");
+                }
+            }
+            assert!(stats.structural_time() > structure.build_time());
+            assert!(stats.levels.iter().any(|l| l.scoring > Duration::ZERO));
         }
     }
 

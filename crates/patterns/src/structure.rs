@@ -13,8 +13,8 @@
 //! The artifact is **append-only and internally synchronized**: entries are
 //! pure functions of the predicate table (a merged pattern's coverage is the
 //! AND of its predicates' coverages, independent of which parent pair
-//! produced it), so concurrent structural workers and scorer threads can
-//! share one artifact freely, and a warm query topping up unexplored
+//! produced it), so concurrent sweeps and their workers can share one
+//! artifact freely, and a warm query topping up unexplored
 //! territory can never invalidate anything.
 
 use crate::bitset::BitSet;
@@ -477,10 +477,7 @@ impl SweepStructure {
         self.lock().contains_key(ids)
     }
 
-    /// Snapshot of every resolved merge key. The structural pass takes one
-    /// snapshot per level instead of locking per enumerated pair: it only
-    /// inserts records *after* its parallel phase returns, so the snapshot
-    /// stays exact for the phase's whole duration.
+    /// Snapshot of every resolved merge key.
     pub fn known_keys(&self) -> HashSet<Box<[u16]>> {
         self.lock().keys().cloned().collect()
     }
@@ -495,9 +492,7 @@ impl SweepStructure {
 
     /// Resolves a merged pattern from its parents' coverages: returns the
     /// cached record, or computes one lazily (see
-    /// [`SweepStructure::compute_record`]), records it, and returns it. This
-    /// is both the structural-pass worker primitive and the scorer fallback
-    /// for territory the shared pass has not visited.
+    /// [`SweepStructure::compute_record`]), records it, and returns it.
     pub fn resolve(
         &self,
         ids: &[u16],
@@ -550,9 +545,9 @@ impl SweepStructure {
         record
     }
 
-    /// Computes a record without touching the merge map (structural-pass
-    /// workers use this so insertion order stays deterministic — chunks are
-    /// concatenated and inserted in pair order by the caller).
+    /// Computes a record without touching the merge map (the lattice level
+    /// pipeline computes a level's unseen merges in parallel this way, then
+    /// records them in first-seen order).
     ///
     /// **Count-first, materialize-on-demand:** unless some other structural
     /// configuration already materialized this pattern's coverage (a cache

@@ -8,7 +8,7 @@
 //! response from the leader. The win is structural, not just syscall
 //! amortization: requests sharing a lattice shape resolve against one sweep
 //! (and one structure-cache entry) instead of racing to build their own,
-//! and the sweep's scorer fan-out spans the whole batch.
+//! and each level's parallel score pass spans the whole batch.
 //!
 //! Edge semantics:
 //!

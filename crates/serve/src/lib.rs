@@ -14,7 +14,7 @@
 //! * [`batcher`] — the killer feature: concurrent `POST .../explain`
 //!   requests against one session are coalesced into a single
 //!   [`ExplainSession::explain_batch`](gopher_core::ExplainSession::explain_batch)
-//!   call, where the lattice sweep and scorer fan-out amortize across the
+//!   call, where the lattice sweep and its score passes amortize across the
 //!   whole batch (and the structure cache turns same-shape peers into one
 //!   sweep);
 //! * [`api`] — the JSON wire codecs, shared with the `gopher query`

@@ -1,19 +1,20 @@
 //! Parallel == sequential bit-identity for the session query engine.
 //!
-//! The parallel execution layer (scorer fan-out, concurrent structural
-//! groups, ground-truth retrain fan-out) must be invisible in the results:
-//! `explain_batch` with `threads = N` answers every request mix exactly as
-//! `threads = 1` does — same candidates, same responsibility bits, same
-//! stats counts, same response order. The property test drives random
-//! request mixes at both thread counts against identically-built sessions;
-//! the timing test additionally checks the wall-clock win on multi-core
-//! hosts.
+//! The parallel execution layer (each lattice level's merge resolution and
+//! score pass, concurrent structural groups, ground-truth retrain fan-out)
+//! must be invisible in the results: `explain_batch` with `threads = N`
+//! answers every request mix exactly as `threads = 1` does — same
+//! candidates, same responsibility bits, same stats counts, same response
+//! order. The property test drives random request mixes at both thread
+//! counts against identically-built sessions, one solo request per non-LR
+//! family pins the other backends, and the timing test additionally checks
+//! the wall-clock win on multi-core hosts.
 
-use gopher_core::{ExplainRequest, ExplainSession, SessionBuilder};
+use gopher_core::{ExplainRequest, ExplainResponse, ExplainSession, SessionBuilder};
 use gopher_data::generators::german;
 use gopher_fairness::FairnessMetric;
-use gopher_influence::Estimator;
-use gopher_models::LogisticRegression;
+use gopher_influence::{BiasEval, Estimator, ModelFamily};
+use gopher_models::{Forest, ForestConfig, LinearSvm, LogisticRegression, Mlp};
 use gopher_prng::Rng;
 use proptest::prelude::*;
 use std::sync::{Mutex, OnceLock};
@@ -60,29 +61,122 @@ fn request_from(spec: (u64, u64, u64, u64)) -> ExplainRequest {
         FairnessMetric::PredictiveParity,
         FairnessMetric::AverageOdds,
     ][metric as usize % 4];
+    // `estimator` packs the estimator and the bias evaluation.
+    let bias_eval = [
+        BiasEval::ChainRule,
+        BiasEval::ReEvalSmooth,
+        BiasEval::ReEvalHard,
+    ][(estimator / 4) as usize % 3];
     let estimator = [
         Estimator::SecondOrder,
         Estimator::FirstOrder,
         Estimator::NewtonStep,
-    ][estimator as usize % 3];
+        Estimator::OneStepGd { learning_rate: 0.5 },
+    ][estimator as usize % 4];
     // `knobs` packs support choice, depth, and the (expensive, so rarer)
     // ground-truth flag.
     let support = [0.04, 0.06, 0.1][(knobs % 3) as usize];
     let depth = 2 + (knobs / 3) % 2; // 2 or 3
     let ground_truth = knobs % 8 == 0;
-    ExplainRequest::default()
+    let mut request = ExplainRequest::default()
         .with_metric(metric)
         .with_k(1 + (k as usize % 3))
         .with_estimator(estimator)
         .with_support_threshold(support)
         .with_max_predicates(depth as usize)
-        .with_ground_truth(ground_truth)
+        .with_ground_truth(ground_truth);
+    request.bias_eval = bias_eval;
+    request
+}
+
+/// Asserts two responses agree bit for bit: report scalars, search-stats
+/// counts, and every explanation's pattern, support, responsibilities, and
+/// ground truth.
+fn assert_responses_identical(s: &ExplainResponse, p: &ExplainResponse) {
+    assert_eq!(s.report.base_bias.to_bits(), p.report.base_bias.to_bits());
+    assert_eq!(s.report.accuracy.to_bits(), p.report.accuracy.to_bits());
+    assert_eq!(s.report.stats.total_scored, p.report.stats.total_scored);
+    assert_eq!(s.report.stats.levels.len(), p.report.stats.levels.len());
+    for (sl, pl) in s.report.stats.levels.iter().zip(&p.report.stats.levels) {
+        assert_eq!(
+            (sl.level, sl.generated, sl.kept),
+            (pl.level, pl.generated, pl.kept)
+        );
+    }
+    assert_eq!(s.report.explanations.len(), p.report.explanations.len());
+    for (se, pe) in s.report.explanations.iter().zip(&p.report.explanations) {
+        assert_eq!(se.pattern_text, pe.pattern_text);
+        assert_eq!(se.support.to_bits(), pe.support.to_bits());
+        assert_eq!(
+            se.est_responsibility.to_bits(),
+            pe.est_responsibility.to_bits()
+        );
+        assert_eq!(
+            se.candidate.interestingness.to_bits(),
+            pe.candidate.interestingness.to_bits()
+        );
+        assert_eq!(
+            se.ground_truth_responsibility.map(f64::to_bits),
+            pe.ground_truth_responsibility.map(f64::to_bits)
+        );
+    }
+}
+
+/// One solo cold request on German-300 at depth 2, answered by sessions of
+/// one family at 1, 2, and 8 threads. The model is trained once and shared,
+/// so the sessions differ only in their thread count.
+fn assert_family_thread_count_invariant<M: ModelFamily>(make_model: impl FnOnce(usize) -> M) {
+    let mut rng = Rng::new(DATA_SEED);
+    let (train, test) = german(300, DATA_SEED).train_test_split(0.3, &mut rng);
+    let request = ExplainRequest::default()
+        .with_max_predicates(2)
+        .with_k(2)
+        .with_ground_truth(true);
+    let _cpu = CPU_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let sequential = SessionBuilder::new()
+        .threads(1)
+        .fit(make_model, &train, &test);
+    let reference = sequential.explain(&request);
+    assert!(reference.report.base_bias.abs() > 1e-12);
+    assert!(!reference.report.explanations.is_empty());
+    for threads in [2, 8] {
+        let parallel =
+            SessionBuilder::new()
+                .threads(threads)
+                .build(sequential.model().clone(), &train, &test);
+        assert_responses_identical(&reference, &parallel.explain(&request));
+    }
+}
+
+#[test]
+fn svm_solo_request_is_thread_count_invariant() {
+    assert_family_thread_count_invariant(|cols| LinearSvm::new(cols, 1e-3));
+}
+
+#[test]
+fn mlp_solo_request_is_thread_count_invariant() {
+    assert_family_thread_count_invariant(|cols| {
+        Mlp::new(cols, 4, 1e-3, &mut Rng::new(DATA_SEED + 1))
+    });
+}
+
+#[test]
+fn forest_solo_request_is_thread_count_invariant() {
+    assert_family_thread_count_invariant(|cols| {
+        Forest::new(
+            cols,
+            ForestConfig {
+                n_trees: 4,
+                ..ForestConfig::default()
+            },
+        )
+    });
 }
 
 proptest! {
     #[test]
     fn explain_batch_is_thread_count_invariant(
-        specs in proptest::collection::vec((0u64..4, 0u64..4, 0u64..3, 0u64..16), 1..6)
+        specs in proptest::collection::vec((0u64..4, 0u64..4, 0u64..12, 0u64..16), 1..6)
     ) {
         let requests: Vec<ExplainRequest> = specs.into_iter().map(request_from).collect();
         let _cpu = CPU_LOCK.lock().unwrap_or_else(|e| e.into_inner());

@@ -135,7 +135,7 @@ fn table() -> &'static (Dataset, PredicateTable) {
 }
 
 /// A deterministic scorer (positive-label rate over the coverage).
-fn make_scorer(labels: &[u8]) -> impl FnMut(&BitSet) -> f64 + '_ {
+fn make_scorer(labels: &[u8]) -> impl Fn(&BitSet) -> f64 + Send + Sync + '_ {
     move |cov: &BitSet| {
         let total = cov.count().max(1) as f64;
         cov.iter()
@@ -162,10 +162,8 @@ fn run_sweep(
     let cache = CoverageCache::new();
     let index = PredicateIndex::build(table, &cache);
     let structure = SweepStructure::build_with_prefilter(&index, config, prefilter);
-    let mut scorer = make_scorer(labels);
-    let mut scorers: Vec<ScoreFn<'_>> = vec![Box::new(&mut scorer)];
-    let results =
-        compute_candidates_multi(table, &mut scorers, config, &cache, &structure, threads);
+    let scorers: Vec<ScoreFn<'_>> = vec![Box::new(make_scorer(labels))];
+    let results = compute_candidates_multi(table, &scorers, config, &cache, &structure, threads);
     (results, structure, cache)
 }
 

@@ -1,6 +1,6 @@
-//! Seeded bad fixture for the `undocumented-unsafe` rule: SIMD-style
+//! Seeded bad fixture for the `undocumented-unsafe` rule: raw-pointer
 //! kernels and FFI whose obligations are stated nowhere — the real tree's
-//! AVX2 bitset kernels and `signal(2)` wiring document theirs inline.
+//! one unsafe island, the `signal(2)` wiring, documents its inline.
 //! (Not compiled into the workspace; consumed by the analyzer's tests and
 //! the CI negative smoke.)
 

@@ -32,7 +32,7 @@ pub struct RuleInfo {
 /// Environment variables the workspace documents as tuning knobs; any other
 /// string literal fed to `env::var` trips the `env-literal` rule. Extend
 /// this list (and the README knob table) when adding a knob.
-pub const KNOWN_ENV_KNOBS: &[&str] = &["GOPHER_THREADS", "GOPHER_SIMD"];
+pub const KNOWN_ENV_KNOBS: &[&str] = &["GOPHER_THREADS"];
 
 /// All deny-by-default rules, in catalog order.
 pub const RULES: &[RuleInfo] = &[
@@ -821,7 +821,11 @@ mod tests {
     #[test]
     fn env_literal_enforces_the_knob_list() {
         assert!(run("env-literal", "let v = std::env::var(\"GOPHER_THREADS\");").is_empty());
-        assert!(run("env-literal", "let v = std::env::var(\"GOPHER_SIMD\");").is_empty());
+        // A retired knob is no longer on the list.
+        assert_eq!(
+            run("env-literal", "let v = std::env::var(\"GOPHER_SIMD\");").len(),
+            1
+        );
         let bad = "let v = std::env::var(\"GOPHER_SECRET_MODE\");";
         let found = run("env-literal", bad);
         assert_eq!(found.len(), 1);

@@ -4,27 +4,18 @@
 //!
 //! Two families of arms:
 //!
-//! * **`cold_sweep_{off,on}/{100k,500k,1m}`** — one cold staged sweep per
+//! * **`scale_sqf_{100k,500k,1m}/cold_sweep`** — one cold staged sweep per
 //!   iteration (fresh coverage cache and structural artifact over a
 //!   prebuilt predicate index) over synthetic SQF at 100k/500k/1M rows,
 //!   support τ = 0.1, depth 3, responsibility pruning off, one cheap
-//!   count-based scorer so the structural merge pass dominates the
-//!   measurement. `off` runs the exact `and_count` for every merge; `on`
-//!   attaches a sampled-support prefilter over a quarter of the rows that
-//!   skips merges whose sampled upper bound already proves them
-//!   unsupported. The PR's acceptance criterion is `on` strictly faster
-//!   than `off` at 500k, asserted on the median of paired back-to-back
-//!   off/on sweeps (robust to host drift, which exceeds the effect size on
-//!   shared containers); the bench also asserts the two arms are
-//!   bit-identical and that the prefilter actually skipped work before any
-//!   timing is trusted.
-//! * **`session_100k/second_order_cold_explain`** — end-to-end
+//!   count-based scorer so the structural merge pass (an exact fused
+//!   `and_count` per merge) dominates the measurement.
+//! * **`scale_sqf_session_100k/second_order_cold_explain`** — end-to-end
 //!   `ExplainSession::explain` under *second-order* scoring at SQF-100k
-//!   (all retention off, so each iteration pays the full sweep), with the
-//!   prefilter on. After timing, the report's per-level timings re-measure
-//!   the structural share at scale — the number the ROADMAP asks for
-//!   (German-10k/first-order put it at ~2%; tune structural work where it
-//!   actually costs).
+//!   (all retention off, so each iteration pays the full sweep). After
+//!   timing, the report's per-level timings re-measure the structural
+//!   share at scale (German-10k/first-order put it at ~2%; tune structural
+//!   work where it actually costs).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gopher_bench::workloads::{prepare, train_lr, DatasetKind};
@@ -33,17 +24,9 @@ use gopher_data::generators::sqf;
 use gopher_influence::Estimator;
 use gopher_patterns::lattice::{compute_candidates_multi, LatticeConfig};
 use gopher_patterns::{
-    generate_predicates, BitSet, Candidate, CoverageCache, PredicateIndex, PredicateTable, ScoreFn,
-    SupportPrefilter, SweepStructure,
+    generate_predicates, BitSet, CoverageCache, PredicateIndex, PredicateTable, ScoreFn,
+    SweepStructure,
 };
-use std::sync::Arc;
-
-/// Prefilter sample as a fraction of the rows (the bound's power scales
-/// with the sampled fraction; a quarter of the universe is the session
-/// guidance at 100k+).
-fn prefilter_rows(n: usize) -> usize {
-    n / 4
-}
 
 /// (rows, label, timed samples) — samples shrink as the sweeps grow.
 const SIZES: [(usize, &str, usize); 3] = [
@@ -63,26 +46,19 @@ fn config() -> LatticeConfig {
 
 /// One cold staged sweep over a prebuilt predicate index: fresh coverage
 /// cache and structural artifact per call, one cheap scorer. The index
-/// (predicate materialization — data prep, identical in both arms and
-/// untouched by the prefilter) is built once per size outside the timed
-/// region, so the measurement is the structural merge pass plus scoring:
-/// the work the prefilter exists to cut.
-fn cold_sweep(
-    table: &PredicateTable,
-    index: &PredicateIndex,
-    n_rows: usize,
-    prefilter: Option<Arc<SupportPrefilter>>,
-) -> (Vec<Candidate>, usize) {
+/// (predicate materialization — data prep) is built once per size outside
+/// the timed region, so the measurement is the structural merge pass plus
+/// scoring. Returns the number of candidates scored.
+fn cold_sweep(table: &PredicateTable, index: &PredicateIndex, n_rows: usize) -> usize {
     let cache = CoverageCache::new();
-    let structure = SweepStructure::build_with_prefilter(index, &config(), prefilter);
-    // Density scoring: one SIMD popcount per candidate, so merge
-    // resolution — the work the prefilter targets — dominates the arm
-    // instead of a per-row scoring loop.
+    let structure = SweepStructure::build(index, &config());
+    // Density scoring: one popcount per candidate, so merge resolution
+    // dominates the arm instead of a per-row scoring loop.
     let scorer = |cov: &BitSet| cov.count() as f64 / n_rows as f64;
     let scorers: Vec<ScoreFn<'_>> = vec![Box::new(scorer)];
     let mut results = compute_candidates_multi(table, &scorers, &config(), &cache, &structure, 1);
-    let (candidates, stats) = results.pop().expect("one scorer in, one result out");
-    (candidates, stats.total_scored)
+    let (_, stats) = results.pop().expect("one scorer in, one result out");
+    stats.total_scored
 }
 
 fn bench_cold_sweeps(c: &mut Criterion) {
@@ -91,111 +67,14 @@ fn bench_cold_sweeps(c: &mut Criterion) {
         let table = generate_predicates(&d, 4);
         let index_cache = CoverageCache::new();
         let index = PredicateIndex::build(&table, &index_cache);
-
-        // Identity + effectiveness gate before trusting any timing: the
-        // prefiltered sweep must return bit-identical candidates and must
-        // actually have skipped exact merges.
-        let pf = Arc::new(SupportPrefilter::new(n, prefilter_rows(n)));
-        let (plain, plain_scored) = cold_sweep(&table, &index, n, None);
-        let (filtered, filtered_scored) = cold_sweep(&table, &index, n, Some(Arc::clone(&pf)));
-        assert_eq!(
-            plain_scored, filtered_scored,
-            "{label}: scored counts diverge"
-        );
-        assert_eq!(
-            plain.len(),
-            filtered.len(),
-            "{label}: candidate counts diverge"
-        );
-        for (a, b) in plain.iter().zip(&filtered) {
-            assert_eq!(
-                a.pattern.ids(),
-                b.pattern.ids(),
-                "{label}: patterns diverge"
-            );
-            assert_eq!(
-                a.support.to_bits(),
-                b.support.to_bits(),
-                "{label}: supports diverge"
-            );
-        }
-        assert!(
-            pf.skips() > 0,
-            "{label}: prefilter never skipped a merge — the arm measures nothing"
-        );
         println!(
-            "{label}: {} candidates, prefilter skipped {}/{} probes",
-            plain.len(),
-            pf.skips(),
-            pf.probes()
+            "{label}: {} candidates scored",
+            cold_sweep(&table, &index, n)
         );
-
-        // Paired off/on measurement. The container this runs on shares its
-        // host: single-arm means drift by more than the prefilter's
-        // effect, so the verdict uses the median of per-pair deltas — each
-        // pair runs back-to-back (cancelling common-mode drift) and the
-        // within-pair order alternates (cancelling order bias) — instead
-        // of comparing two separately-timed arms. 500k gets extra pairs
-        // because the acceptance assertion below rides on it.
-        let pairs = if label == "500k" { 21 } else { samples + 2 };
-        let timed_off = || {
-            let t = std::time::Instant::now();
-            let _ = cold_sweep(&table, &index, n, None);
-            t.elapsed().as_secs_f64()
-        };
-        let timed_on = || {
-            let t = std::time::Instant::now();
-            let _ = cold_sweep(
-                &table,
-                &index,
-                n,
-                Some(Arc::new(SupportPrefilter::new(n, prefilter_rows(n)))),
-            );
-            t.elapsed().as_secs_f64()
-        };
-        let mut deltas = Vec::with_capacity(pairs);
-        let mut on_wins = 0usize;
-        for i in 0..pairs {
-            let (off_t, on_t) = if i % 2 == 0 {
-                let off_t = timed_off();
-                (off_t, timed_on())
-            } else {
-                let on_t = timed_on();
-                (timed_off(), on_t)
-            };
-            on_wins += usize::from(on_t < off_t);
-            deltas.push(off_t - on_t);
-        }
-        deltas.sort_by(f64::total_cmp);
-        let median = deltas[pairs / 2];
-        println!(
-            "{label}: paired prefilter delta: median {:+.3}ms (on faster in {on_wins}/{pairs} pairs)",
-            median * 1e3
-        );
-        if label == "500k" {
-            assert!(
-                median > 0.0,
-                "500k: prefilter-on must be strictly faster than off \
-                 (paired median {:+.3}ms) — the PR's acceptance criterion",
-                median * 1e3
-            );
-        }
 
         let mut group = c.benchmark_group(format!("scale_sqf_{label}"));
         group.sample_size(samples);
-        group.bench_function("cold_sweep_prefilter_off", |b| {
-            b.iter(|| cold_sweep(&table, &index, n, None))
-        });
-        group.bench_function("cold_sweep_prefilter_on", |b| {
-            b.iter(|| {
-                cold_sweep(
-                    &table,
-                    &index,
-                    n,
-                    Some(Arc::new(SupportPrefilter::new(n, prefilter_rows(n)))),
-                )
-            })
-        });
+        group.bench_function("cold_sweep", |b| b.iter(|| cold_sweep(&table, &index, n)));
         group.finish();
     }
 }
@@ -212,7 +91,6 @@ fn bench_session_second_order(c: &mut Criterion) {
         .sweep_cache_cap(0)
         .coverage_cache_cap(0)
         .threads(2)
-        .prefilter_sample(prefilter_rows(p.train_raw.n_rows()))
         .build(model, &p.train_raw, &p.test_raw);
     let request = ExplainRequest::default()
         .with_support_threshold(0.1)

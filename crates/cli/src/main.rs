@@ -80,12 +80,6 @@ COMMON OPTIONS:
                             0 = auto: $GOPHER_THREADS if set, else
                             all available cores [0]. Results are identical
                             at every thread count.
-    --prefilter-sample <N>  row-sample size of the admissible sampled-support
-                            prefilter; 0 = off [0]. Skips provably
-                            unsupported merges in the structural pass before
-                            their exact intersection — results are identical
-                            on or off; worth turning on from ~100k rows
-                            (sample about a quarter of the rows).
     --json                  emit a JSON report on stdout instead of text
 
 EXPLAIN/QUERY OPTIONS:
@@ -179,7 +173,6 @@ struct Opts {
     test_fraction: f64,
     l2: f64,
     threads: usize,
-    prefilter_sample: usize,
     json: bool,
     stats: bool,
     k: usize,
@@ -214,7 +207,6 @@ impl Default for Opts {
             test_fraction: 0.3,
             l2: 1e-3,
             threads: 0,
-            prefilter_sample: 0,
             json: false,
             stats: false,
             k: 3,
@@ -278,10 +270,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, UsageError> {
             }
             "--l2" => opts.l2 = parse_num(value("--l2")?, "--l2")?,
             "--threads" => opts.threads = parse_num(value("--threads")?, "--threads")?,
-            "--prefilter-sample" => {
-                opts.prefilter_sample =
-                    parse_num(value("--prefilter-sample")?, "--prefilter-sample")?
-            }
             "--delta-remove" => {
                 opts.delta_remove = parse_num(value("--delta-remove")?, "--delta-remove")?
             }
@@ -662,7 +650,6 @@ fn fit_session<M: ModelFamily>(
 ) -> ExplainSession<M> {
     SessionBuilder::new()
         .threads(opts.threads)
-        .prefilter_sample(opts.prefilter_sample)
         .fit(make_model, train, test)
 }
 

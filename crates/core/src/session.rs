@@ -54,8 +54,7 @@ use gopher_influence::{
 use gopher_models::Differentiable;
 use gopher_patterns::{
     generate_predicates, lattice, min_count_for, topk, BitSet, Candidate, CoverageCache,
-    LatticeConfig, PredicateIndex, PredicateTable, ScoreFn, SearchStats, SupportPrefilter,
-    SweepStructure,
+    LatticeConfig, PredicateIndex, PredicateTable, ScoreFn, SearchStats, SweepStructure,
 };
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -113,7 +112,6 @@ pub struct SessionBuilder {
     sweep_cache_cap: usize,
     structure_cache_cap: usize,
     coverage_cache_cap: usize,
-    prefilter_sample: usize,
 }
 
 impl Default for SessionBuilder {
@@ -135,7 +133,6 @@ impl SessionBuilder {
             sweep_cache_cap: SWEEP_CACHE_CAP,
             structure_cache_cap: STRUCTURE_CACHE_CAP,
             coverage_cache_cap: gopher_patterns::coverage::DEFAULT_COVERAGE_CACHE_CAP,
-            prefilter_sample: 0,
         }
     }
 
@@ -197,26 +194,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Row-sample size of the admissible sampled-support prefilter, or `0`
-    /// (the default) to disable it. When on, the structural pass bounds each
-    /// merge's support from above on ~this many sampled rows and skips the
-    /// exact intersection when the bound already fails the support
-    /// threshold. The skip rule is *admissible* — a merge is skipped iff the
-    /// bound proves `count < min_count` — so results, candidates, and every
-    /// sweep statistic are bit-identical with the prefilter on or off; only
-    /// the structural pass gets cheaper. The bound's power scales with the
-    /// sampled *fraction* — about a quarter of the training rows works
-    /// well; a fixed few thousand rows proves nothing at SQF scale (see
-    /// `gopher_patterns::SupportPrefilter`). Worth turning on from ~100k
-    /// rows; at small n the probe overhead outweighs the skipped work, and
-    /// around 1M rows the structural pass goes memory-bandwidth-bound and
-    /// the prefilter lands at break-even rather than a win.
-    #[must_use]
-    pub fn prefilter_sample(mut self, sample_rows: usize) -> Self {
-        self.prefilter_sample = sample_rows;
-        self
-    }
-
     /// Builds a session around an **already trained** model. The model must
     /// have been trained on `Encoder::fit(train_raw)`-encoded data;
     /// influence functions assume its parameters are a stationary point.
@@ -244,8 +221,6 @@ impl SessionBuilder {
         // any support threshold or metric start from these shared bitsets.
         let index = PredicateIndex::build(&table, &coverage);
         let accuracy = gopher_models::train::accuracy(backend.model(), &test);
-        let prefilter = (self.prefilter_sample > 0)
-            .then(|| Arc::new(SupportPrefilter::new(table.n_rows(), self.prefilter_sample)));
         ExplainSession {
             train_raw: train_raw.clone(),
             encoder,
@@ -260,7 +235,6 @@ impl SessionBuilder {
             bias_cache: Mutex::new(HashMap::new()),
             sweep_cache: Mutex::new(LruCache::new(self.sweep_cache_cap)),
             structure_cache: Mutex::new(LruCache::new(self.structure_cache_cap)),
-            prefilter,
             requests_served: AtomicU64::new(0),
             batches_served: AtomicU64::new(0),
             max_batch_requests: AtomicU64::new(0),
@@ -772,14 +746,6 @@ pub struct SessionStats {
     /// Fresh coverages the coverage-cache cap refused to retain (nonzero
     /// means the cap is too small for the workload).
     pub coverage_inserts_refused: u64,
-    /// Effective row-sample size of the sampled-support prefilter (`0` when
-    /// the prefilter is off).
-    pub prefilter_sample_rows: usize,
-    /// Merge resolutions that consulted the prefilter.
-    pub prefilter_probes: u64,
-    /// Prefilter consultations whose sampled upper bound skipped the exact
-    /// intersection (each one a provably unsupported merge).
-    pub prefilter_skips: u64,
     /// Total explanation requests answered (every entry point funnels
     /// through [`ExplainSession::explain_batch`]). Registry-facing: the
     /// per-session traffic counter a serving deployment watches.
@@ -837,11 +803,6 @@ pub struct ExplainSession<M: ModelFamily> {
     /// Tier 1: structural artifacts, keyed by structural config alone and
     /// reused across metrics, estimators, and bias evaluations.
     structure_cache: Mutex<LruCache<StructuralKey, Arc<SweepStructure>>>,
-    /// Admissible sampled-support prefilter attached to every structural
-    /// artifact this session builds; `None` when the knob is off. Session-
-    /// constant, so it is deliberately *not* part of [`StructuralKey`] —
-    /// artifacts differ only in speed, never content.
-    prefilter: Option<Arc<SupportPrefilter>>,
     /// Total [`ExplainRequest`]s this session has answered (every entry
     /// point funnels through [`Self::explain_batch`]). Registry-facing: a
     /// serving deployment's per-session traffic counter.
@@ -948,9 +909,6 @@ impl<M: ModelFamily> ExplainSession<M> {
             coverage_hits: coverage.hits,
             coverage_misses: coverage.misses,
             coverage_inserts_refused: coverage.inserts_refused,
-            prefilter_sample_rows: self.prefilter.as_ref().map_or(0, |p| p.sample_rows()),
-            prefilter_probes: self.prefilter.as_ref().map_or(0, |p| p.probes()),
-            prefilter_skips: self.prefilter.as_ref().map_or(0, |p| p.skips()),
             requests_served: self.requests_served.load(Ordering::Relaxed),
             batches_served: self.batches_served.load(Ordering::Relaxed),
             max_batch_requests: self.max_batch_requests.load(Ordering::Relaxed),
@@ -1176,11 +1134,7 @@ impl<M: ModelFamily> ExplainSession<M> {
         // merges.
         let fresh = Arc::new(match base {
             Some(base) => base.refilter_view(key.min_count),
-            None => SweepStructure::build_with_prefilter(
-                &self.index,
-                lattice_cfg,
-                self.prefilter.clone(),
-            ),
+            None => SweepStructure::build(&self.index, lattice_cfg),
         });
         let mut cache = lock_recover(&self.structure_cache);
         if let Some(raced) = cache.get_quiet(&key) {
@@ -1483,10 +1437,6 @@ impl<M: ModelFamily> ExplainSession<M> {
         let table = self.table.patch(&new_raw, removed);
         let coverage = CoverageCache::with_capacity_cap(self.coverage.cap());
         let index = PredicateIndex::build(&table, &coverage);
-        let prefilter = self
-            .prefilter
-            .as_ref()
-            .map(|p| Arc::new(SupportPrefilter::new(new_raw.n_rows(), p.sample_rows())));
 
         // Structure tier: re-anchor artifacts whose frontier held, drop the
         // rest. Keys stay as they are — they are integer min-counts, and a
@@ -1501,7 +1451,7 @@ impl<M: ModelFamily> ExplainSession<M> {
                 let artifact = cache
                     .get_quiet(&key)
                     .expect("key enumerated under this lock");
-                match artifact.patched(&index, &coverage, prefilter.clone()) {
+                match artifact.patched(&index, &coverage) {
                     Some(patched) => {
                         cache.insert(key, Arc::new(patched));
                         survived += 1;
@@ -1525,7 +1475,6 @@ impl<M: ModelFamily> ExplainSession<M> {
         self.table = table;
         self.index = index;
         self.coverage = coverage;
-        self.prefilter = prefilter;
         self.accuracy = gopher_models::train::accuracy(self.backend.model(), &self.test);
 
         self.updates_applied.fetch_add(1, Ordering::Relaxed);
@@ -1569,10 +1518,6 @@ impl<M: ModelFamily> ExplainSession<M> {
         let coverage = CoverageCache::with_capacity_cap(self.coverage.cap());
         let index = PredicateIndex::build(&table, &coverage);
         let accuracy = gopher_models::train::accuracy(backend.model(), &self.test);
-        let prefilter = self
-            .prefilter
-            .as_ref()
-            .map(|p| Arc::new(SupportPrefilter::new(train.n_rows(), p.sample_rows())));
         ExplainSession {
             train_raw: self.train_raw.clone(),
             encoder: self.encoder.clone(),
@@ -1587,7 +1532,6 @@ impl<M: ModelFamily> ExplainSession<M> {
             bias_cache: Mutex::new(HashMap::new()),
             sweep_cache: Mutex::new(LruCache::new(lock_recover(&self.sweep_cache).cap)),
             structure_cache: Mutex::new(LruCache::new(lock_recover(&self.structure_cache).cap)),
-            prefilter,
             requests_served: AtomicU64::new(0),
             batches_served: AtomicU64::new(0),
             max_batch_requests: AtomicU64::new(0),

@@ -1,32 +1,12 @@
-//! Packed bitset over training-row ids, with runtime-dispatched SIMD kernels.
+//! Packed bitset over training-row ids.
 //!
 //! The two hot kernels — fused intersection popcount ([`BitSet::and_count`])
-//! and materialized intersection ([`BitSet::and`]) — dispatch once per
-//! process to the fastest implementation the host supports: an AVX2 path on
-//! `x86_64` CPUs that report the feature at runtime, else the portable
-//! scalar path. Dispatch is observable via [`simd_backend`], overridable via
-//! `GOPHER_SIMD=scalar` (read once, before the first kernel call), and both
-//! paths are bit-identical by construction — the scalar kernels stay
-//! reachable as [`BitSet::and_count_scalar`] / [`BitSet::and_scalar`] so
-//! tests can pin the equivalence even on hosts that dispatch to AVX2.
+//! and materialized intersection ([`BitSet::and`]) — are portable word
+//! loops; the popcount is unrolled so the compiler keeps it pipelined.
 
-use std::sync::OnceLock;
-
-/// Word-slice kernel signatures the dispatcher selects between. Both slices
-/// (and `out`) always have equal length — callers operate on same-universe
-/// bitsets.
-type AndCountFn = fn(&[u64], &[u64]) -> usize;
-type AndIntoFn = fn(&[u64], &[u64], &mut [u64]);
-
-struct Kernels {
-    and_count: AndCountFn,
-    and_into: AndIntoFn,
-    name: &'static str,
-}
-
-/// Fused and+popcount over raw words: the portable reference kernel. The
-/// accumulate is unrolled four words wide into independent counters so the
-/// popcounts pipeline instead of serializing on one accumulator.
+/// Fused and+popcount over raw words. The accumulate is unrolled four words
+/// wide into independent counters so the popcounts pipeline instead of
+/// serializing on one accumulator.
 fn and_count_words(a: &[u64], b: &[u64]) -> usize {
     let mut acc = [0usize; 4];
     let mut ca = a.chunks_exact(4);
@@ -46,125 +26,11 @@ fn and_count_words(a: &[u64], b: &[u64]) -> usize {
     acc[0] + acc[1] + acc[2] + acc[3] + tail
 }
 
-/// Word-wise AND into `out`: the portable reference kernel.
+/// Word-wise AND into `out` (all three slices have equal length).
 fn and_into_words(a: &[u64], b: &[u64], out: &mut [u64]) {
     for i in 0..a.len() {
         out[i] = a[i] & b[i];
     }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    //! AVX2 variants of the word kernels. 256-bit strides (4 words), scalar
-    //! tail; popcount via the Mula nibble-LUT: per-byte counts from two
-    //! 16-entry shuffles, horizontally summed into four u64 lanes with
-    //! `_mm256_sad_epu8`. Each stride adds ≤ 64 per lane, so the u64
-    //! accumulator cannot overflow at any realistic universe size.
-
-    use std::arch::x86_64::*;
-
-    /// # Safety
-    /// Caller must ensure the host supports AVX2 (runtime-detected by the
-    /// dispatcher before either entry point is installed).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn and_count(a: &[u64], b: &[u64]) -> usize {
-        // Per-nibble popcounts, repeated across both 128-bit halves.
-        let lut = _mm256_setr_epi8(
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2,
-            3, 3, 4,
-        );
-        let low_mask = _mm256_set1_epi8(0x0f);
-        let zero = _mm256_setzero_si256();
-        let mut acc = zero;
-        let strides = a.len() / 4;
-        for i in 0..strides {
-            // SAFETY: i < a.len()/4, so words [i*4, i*4+4) are in bounds of
-            // both slices (callers pass equal-universe blocks, a.len() ==
-            // b.len()); loadu has no alignment requirement.
-            let va = unsafe { _mm256_loadu_si256(a.as_ptr().add(i * 4).cast()) };
-            let vb = unsafe { _mm256_loadu_si256(b.as_ptr().add(i * 4).cast()) };
-            let v = _mm256_and_si256(va, vb);
-            let lo = _mm256_shuffle_epi8(lut, _mm256_and_si256(v, low_mask));
-            let hi = _mm256_shuffle_epi8(lut, _mm256_and_si256(_mm256_srli_epi16(v, 4), low_mask));
-            let bytes = _mm256_add_epi8(lo, hi);
-            acc = _mm256_add_epi64(acc, _mm256_sad_epu8(bytes, zero));
-        }
-        let mut lanes = [0u64; 4];
-        // SAFETY: `lanes` is exactly 32 bytes, the width of one store.
-        unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc) };
-        let mut total = (lanes[0] + lanes[1] + lanes[2] + lanes[3]) as usize;
-        for i in strides * 4..a.len() {
-            total += (a[i] & b[i]).count_ones() as usize;
-        }
-        total
-    }
-
-    /// # Safety
-    /// Same contract as [`and_count`].
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn and_into(a: &[u64], b: &[u64], out: &mut [u64]) {
-        let strides = a.len() / 4;
-        for i in 0..strides {
-            // SAFETY: i < a.len()/4, so words [i*4, i*4+4) are in bounds of
-            // all three slices (callers pass equal-universe blocks);
-            // loadu/storeu have no alignment requirement.
-            unsafe {
-                let va = _mm256_loadu_si256(a.as_ptr().add(i * 4).cast());
-                let vb = _mm256_loadu_si256(b.as_ptr().add(i * 4).cast());
-                _mm256_storeu_si256(out.as_mut_ptr().add(i * 4).cast(), _mm256_and_si256(va, vb));
-            }
-        }
-        for i in strides * 4..a.len() {
-            out[i] = a[i] & b[i];
-        }
-    }
-}
-
-/// Safe trampoline installed only after runtime AVX2 detection succeeds.
-#[cfg(target_arch = "x86_64")]
-fn and_count_avx2(a: &[u64], b: &[u64]) -> usize {
-    // SAFETY: the dispatcher installs this fn pointer only when
-    // `is_x86_64_feature_detected!("avx2")` reported true on this host.
-    unsafe { avx2::and_count(a, b) }
-}
-
-/// Safe trampoline installed only after runtime AVX2 detection succeeds.
-#[cfg(target_arch = "x86_64")]
-fn and_into_avx2(a: &[u64], b: &[u64], out: &mut [u64]) {
-    // SAFETY: see `and_count_avx2`.
-    unsafe { avx2::and_into(a, b, out) }
-}
-
-/// Selects the kernel implementations once per process: AVX2 when the host
-/// is `x86_64`, reports the feature at runtime, and `GOPHER_SIMD` is not set
-/// to `scalar`; the portable scalar kernels otherwise.
-fn kernels() -> &'static Kernels {
-    static KERNELS: OnceLock<Kernels> = OnceLock::new();
-    KERNELS.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        {
-            let forced_scalar = std::env::var("GOPHER_SIMD").is_ok_and(|v| v == "scalar");
-            if !forced_scalar && is_x86_feature_detected!("avx2") {
-                return Kernels {
-                    and_count: and_count_avx2,
-                    and_into: and_into_avx2,
-                    name: "avx2",
-                };
-            }
-        }
-        Kernels {
-            and_count: and_count_words,
-            and_into: and_into_words,
-            name: "scalar",
-        }
-    })
-}
-
-/// Name of the kernel backend this process dispatched to: `"avx2"` or
-/// `"scalar"`. Decided once, at the first kernel call (or this call,
-/// whichever comes first); `GOPHER_SIMD=scalar` forces the scalar path.
-pub fn simd_backend() -> &'static str {
-    kernels().name
 }
 
 /// A fixed-capacity bitset over row indices `0..len`, packed into `u64`
@@ -245,29 +111,11 @@ impl BitSet {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// New set = self ∩ other. Runs the dispatched kernel (AVX2 where
-    /// available, scalar otherwise); [`BitSet::and_scalar`] is the
-    /// bit-identical portable reference.
+    /// New set = self ∩ other.
     ///
     /// # Panics
     /// If universe sizes differ.
     pub fn and(&self, other: &BitSet) -> BitSet {
-        assert_eq!(self.len, other.len, "bitset: universe mismatch");
-        let mut words = vec![0u64; self.words.len()];
-        (kernels().and_into)(&self.words, &other.words, &mut words);
-        BitSet {
-            words,
-            len: self.len,
-        }
-    }
-
-    /// Portable scalar reference for [`BitSet::and`], bypassing SIMD
-    /// dispatch. Kept public so equivalence tests cover the fallback kernel
-    /// even on hosts that dispatch to AVX2.
-    ///
-    /// # Panics
-    /// If universe sizes differ.
-    pub fn and_scalar(&self, other: &BitSet) -> BitSet {
         assert_eq!(self.len, other.len, "bitset: universe mismatch");
         let mut words = vec![0u64; self.words.len()];
         and_into_words(&self.words, &other.words, &mut words);
@@ -289,36 +137,13 @@ impl BitSet {
     /// This is the structural sweep's hot kernel: at realistic support
     /// thresholds most merge pairs *fail* the support check, so the lattice
     /// counts an intersection first and only materializes the AND for the
-    /// minority that pass. Runs the dispatched kernel (AVX2 where available,
-    /// scalar otherwise); [`BitSet::and_count_scalar`] is the bit-identical
-    /// portable reference.
+    /// minority that pass.
     ///
     /// # Panics
     /// If universe sizes differ.
     pub fn and_count(&self, other: &BitSet) -> usize {
         assert_eq!(self.len, other.len, "bitset: universe mismatch");
-        (kernels().and_count)(&self.words, &other.words)
-    }
-
-    /// Portable scalar reference for [`BitSet::and_count`], bypassing SIMD
-    /// dispatch. Kept public so equivalence tests cover the fallback kernel
-    /// even on hosts that dispatch to AVX2.
-    ///
-    /// # Panics
-    /// If universe sizes differ.
-    pub fn and_count_scalar(&self, other: &BitSet) -> usize {
-        assert_eq!(self.len, other.len, "bitset: universe mismatch");
         and_count_words(&self.words, &other.words)
-    }
-
-    /// `|self ∩ other|` restricted to the word range `[lo, hi)`, through the
-    /// dispatched kernel — the sampled-support prefilter's probe primitive
-    /// (block-contiguous samples keep it on the SIMD path).
-    ///
-    /// # Panics
-    /// If the range is out of bounds for either set's word array.
-    pub(crate) fn and_count_range(&self, other: &BitSet, lo: usize, hi: usize) -> usize {
-        (kernels().and_count)(&self.words[lo..hi], &other.words[lo..hi])
     }
 
     /// Order-preserving bit compaction: a new set over `n_new` rows holding
@@ -481,9 +306,7 @@ mod tests {
     }
 
     /// The fused kernel must agree with the materialized path across the
-    /// 4-word stride boundaries (dense sets so every word participates) —
-    /// and the dispatched kernels must agree with the scalar references at
-    /// every one of those lengths.
+    /// 4-word stride boundaries (dense sets so every word participates).
     #[test]
     fn and_count_covers_unroll_boundaries() {
         for len in [1usize, 63, 64, 65, 255, 256, 257, 320, 449] {
@@ -492,24 +315,14 @@ mod tests {
             let a = BitSet::from_indices(len, &a_idx);
             let b = BitSet::from_indices(len, &b_idx);
             assert_eq!(a.and_count(&b), a.and(&b).count(), "len={len}");
-            assert_eq!(a.and_count(&b), a.and_count_scalar(&b), "len={len}");
-            assert_eq!(a.and(&b), a.and_scalar(&b), "len={len}");
         }
     }
 
-    /// Whatever backend this host dispatched to, it must be one of the two
-    /// known kernels, the answer must be stable (dispatch happens once), and
-    /// saturated words must popcount exactly (the AVX2 nibble-LUT path sums
-    /// 64 per word — an off-by-anything shows up immediately at full
-    /// density).
+    /// Saturated words must popcount exactly: every word sums to 64, so an
+    /// off-by-anything in the unrolled accumulators or the tail shows up
+    /// immediately at full density.
     #[test]
     fn dispatched_backend_is_known_and_exact_on_dense_words() {
-        let backend = simd_backend();
-        assert!(
-            backend == "avx2" || backend == "scalar",
-            "unknown backend {backend:?}"
-        );
-        assert_eq!(simd_backend(), backend, "dispatch must be sticky");
         for len in [64usize, 256, 257, 1024, 100_003] {
             let all: Vec<u32> = (0..len as u32).collect();
             let a = BitSet::from_indices(len, &all);

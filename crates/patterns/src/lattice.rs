@@ -28,7 +28,7 @@ use crate::candidates::PredicateTable;
 use crate::coverage::CoverageCache;
 use crate::index::PredicateIndex;
 use crate::pattern::Pattern;
-use crate::structure::{min_count_for, MergeRecord, ParentHint, SweepStructure};
+use crate::structure::{min_count_for, MergeRecord, SweepStructure};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -415,24 +415,10 @@ fn propose_merges(
         let misses: Vec<usize> = (0..records.len())
             .filter(|&k| records[k].is_none())
             .collect();
-        // Exact parent counts (supports round-trip exactly at these
-        // magnitudes), one hint per frontier pattern, let the artifact's
-        // prefilter, when attached, skip doomed merges.
-        let n = structure.n_rows() as f64;
-        let hints: Vec<Vec<ParentHint>> = frontiers
-            .iter()
-            .map(|frontier| {
-                frontier
-                    .iter()
-                    .map(|c| structure.parent_hint(&c.coverage, (c.support * n).round() as usize))
-                    .collect()
-            })
-            .collect();
         let computed = gopher_par::par_map(threads, &misses, |_, &k| {
             let (ids, f, i, j) = first[k];
             let (a, b) = (&frontiers[f][i], &frontiers[f][j]);
-            let parents = Some((hints[f][i], hints[f][j]));
-            structure.compute_record_with(ids, cache, &a.coverage, &b.coverage, parents)
+            structure.compute_record(ids, cache, &a.coverage, &b.coverage)
         });
         for (k, record) in misses.into_iter().zip(computed) {
             structure.insert(first[k].0, record.clone());

@@ -19,6 +19,8 @@
 //! interestingness `U(φ) = R(φ)/Sup(φ)` and greedily keep those whose
 //! containment with every kept pattern stays below the threshold `c`.
 
+#![forbid(unsafe_code)]
+
 mod bitset;
 mod candidates;
 pub mod coverage;
@@ -29,11 +31,11 @@ mod predicate;
 pub mod structure;
 pub mod topk;
 
-pub use bitset::{simd_backend, BitSet};
+pub use bitset::BitSet;
 pub use candidates::{generate_predicates, PredicateTable};
 pub use coverage::{CoverageCache, CoverageCacheStats};
 pub use index::PredicateIndex;
 pub use lattice::{Candidate, LatticeConfig, LevelStats, ScoreFn, SearchStats};
 pub use pattern::Pattern;
 pub use predicate::{Op, PredValue, Predicate};
-pub use structure::{min_count_for, MergeRecord, ParentHint, SupportPrefilter, SweepStructure};
+pub use structure::{min_count_for, MergeRecord, SweepStructure};

@@ -22,310 +22,8 @@ use crate::coverage::CoverageCache;
 use crate::index::PredicateIndex;
 use crate::lattice::LatticeConfig;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-/// An admissible sampled-support prefilter for merge resolution.
-///
-/// Before paying an exact fused [`BitSet::and_count`] over every word of two
-/// parent coverages, the structural pass can probe a fixed sample of words
-/// and bound the full intersection from above. With `sa`, `sb`, `sab` the
-/// in-sample popcounts of parent A, parent B, and their AND, every
-/// intersection row outside the sample lies in both parents outside the
-/// sample, so
-///
-/// ```text
-/// |A ∩ B|  ≤  sab + min(|A| − sa, |B| − sb)
-/// ```
-///
-/// A merge is skipped **iff** this upper bound is already below the
-/// artifact's `min_count` — a sound proof that the exact count would fail
-/// the support check too, so skipping is *admissible*: no supported merge is
-/// ever skipped, and sweeps with the prefilter on are bit-identical to
-/// sweeps with it off. (Skipped merges are recorded with the bound as their
-/// count and `exact = false`; the bound stays below every threshold the
-/// record can be served at, so τ-monotone re-filtering classifies it
-/// correctly as well.)
-///
-/// Three things keep the probe cheap enough to pay for itself:
-///
-/// * **Block-contiguous samples.** The sample is a deterministic spread of
-///   contiguous word *blocks* (no RNG — the same session always probes the
-///   same words), so the probe streams whole cache lines and runs on the
-///   same dispatched SIMD kernel as the exact count, instead of gathering
-///   isolated words.
-/// * **Per-parent sampled counts.** `sa`/`sb` depend only on one parent, so
-///   callers compute them once per frontier pattern ([`ParentHint`], via
-///   [`SweepStructure::parent_hint`] — which also skips the pass entirely
-///   for parents that can never be a probed pair's smaller side) and the
-///   per-merge probe is the `sab` pass alone.
-/// * **Constant-time gates and an early-exit probe.** When the smaller
-///   parent clears `min_count` by more than the whole sample, or the
-///   out-of-sample slack alone reaches `min_count`, the bound *cannot*
-///   prove doom; past that, an independence estimate filters out probes
-///   that almost certainly would not skip. Gated-out merges go straight to
-///   the exact path without reading a bitset — which never changes
-///   results, only costs. Probes that do run bail out the moment their
-///   partial `sab` already guarantees the bound clears `min_count`, so
-///   failed probes stop after a few blocks (see
-///   [`SupportPrefilter::check`]).
-///
-/// The bound's power scales with the sampled *fraction*: a merge is only
-/// provably doomed once `f = sample_rows/n_rows` exceeds roughly
-/// `(min(|A|,|B|) − min_count) / (min(|A|,|B|) − |A∩B|)`. Doomed merges
-/// concentrate where the smaller parent hugs the support threshold, so a
-/// sample of about a quarter of the rows catches most of them; a few
-/// thousand rows out of a million proves nothing.
-///
-/// The probe/skip counters are process-wide totals shared (via `Arc`)
-/// between an artifact and every re-filtered view derived from it.
-#[derive(Debug)]
-pub struct SupportPrefilter {
-    /// Sampled word ranges `[lo, hi)`, disjoint and strictly increasing,
-    /// all within `0..n_rows.div_ceil(64)`.
-    blocks: Vec<(usize, usize)>,
-    /// Total sampled words (sum of block lengths).
-    sample_words: usize,
-    /// Universe size the prefilter was built for (the plausibility
-    /// estimate needs the larger parent's density).
-    n_rows: usize,
-    /// Merge resolutions that ran the sampled probe (gated-out resolutions
-    /// — where the gate proved the probe could not skip — are not counted).
-    probes: AtomicU64,
-    /// Probes whose upper bound proved the merge unsupported.
-    skips: AtomicU64,
-}
-
-/// Words per sampled block: 128 words = 8192 rows, a 1 KiB contiguous
-/// stream. Long enough that the hardware prefetcher streams each block
-/// like a sequential scan (short scattered blocks degrade the sampled
-/// passes to latency-bound reads at 1M-row bitsets), short enough that a
-/// quarter-universe sample still splits into tens of blocks spread across
-/// the row range at SQF scale.
-const PREFILTER_BLOCK_WORDS: usize = 128;
-
-/// Margin on the independence-estimate gate in [`SupportPrefilter::check`]:
-/// probe only when the predicted bound is under `margin × min_count`.
-/// Estimates above that rarely turn into skips, and a probe that does not
-/// skip is pure overhead. Correlated predicates can beat the estimate by
-/// more than this, so the margin is generous rather than tight.
-const PREFILTER_EST_MARGIN: f64 = 1.5;
-
-/// Margin on [`SupportPrefilter::hint_pays_off`]: pay a parent's sampled
-/// pass only when `count·(1−f)` — the slack its pairs will carry under
-/// near-proportional sampling — is under `margin × min_count`, i.e. when
-/// the slack gate in [`SupportPrefilter::check`] has a realistic chance of
-/// letting its pairs through.
-const PREFILTER_HINT_MARGIN: f64 = 1.5;
-
-/// A structural parent's exact member count paired with its count inside a
-/// prefilter's sample — computed once per frontier pattern (see
-/// [`SweepStructure::parent_hint`]) and reused across every merge the
-/// pattern participates in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParentHint {
-    /// Exact member count of the parent's coverage.
-    pub count: usize,
-    /// Members inside the prefilter's sampled blocks. May undercount (it is
-    /// 0 when no prefilter is attached, and when the parent is supported
-    /// comfortably enough that the sampled pass cannot pay off — see
-    /// [`SweepStructure::parent_hint`]); undercounting only loosens the
-    /// still-admissible bound.
-    pub sampled: usize,
-}
-
-impl SupportPrefilter {
-    /// A prefilter over a universe of `n_rows` rows sampling roughly
-    /// `sample_rows` of them (rounded up to whole 64-row words, clamped to
-    /// the universe) as evenly spread contiguous blocks. `sample_rows` of
-    /// zero still samples one word — gate construction on the knob instead
-    /// of passing zero.
-    pub fn new(n_rows: usize, sample_rows: usize) -> Self {
-        let n_words = n_rows.div_ceil(64).max(1);
-        let want = sample_rows.div_ceil(64).clamp(1, n_words);
-        let n_blocks = want.div_ceil(PREFILTER_BLOCK_WORDS);
-        // Spread `n_blocks` blocks totalling exactly `want` words across the
-        // word array: block `i` gets its even share of the sampled words,
-        // offset by its even share of the `n_words − want` unsampled gap.
-        // Consecutive `lo`s differ by ≥ the earlier block's length, so the
-        // blocks are disjoint and the last ends within bounds.
-        let gap = n_words - want;
-        let mut blocks = Vec::with_capacity(n_blocks);
-        let mut placed = 0usize;
-        for i in 0..n_blocks {
-            let len = want * (i + 1) / n_blocks - want * i / n_blocks;
-            let lo = gap * i / n_blocks + placed;
-            blocks.push((lo, lo + len));
-            placed += len;
-        }
-        Self {
-            blocks,
-            sample_words: want,
-            n_rows,
-            probes: AtomicU64::new(0),
-            skips: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of rows the sample actually spans (whole words × 64; this is
-    /// the effective value of the `sample_rows` knob after rounding).
-    pub fn sample_rows(&self) -> usize {
-        self.sample_words * 64
-    }
-
-    /// A set's member count inside the sampled blocks — the `sampled` half
-    /// of a [`ParentHint`]. One pass over `sample_words` words; callers
-    /// compute it once per parent, not per merge.
-    ///
-    /// # Panics
-    /// If the set's universe is smaller than the one the prefilter was
-    /// built for.
-    pub fn sampled_count(&self, s: &BitSet) -> usize {
-        // `x & x = x`, so the fused AND-popcount kernel against itself is a
-        // pure popcount of the blocks — on the dispatched SIMD path, unlike
-        // a scalar `count_ones` fold.
-        self.blocks
-            .iter()
-            .map(|&(lo, hi)| s.and_count_range(s, lo, hi))
-            .sum()
-    }
-
-    /// An upper bound on `a.and_count(b)`: the exact in-sample intersection
-    /// plus the best case outside the sample. Every intersection row outside
-    /// the sample lies in both parents outside the sample, so with `sa`,
-    /// `sb`, `sab` the in-sample popcounts,
-    ///
-    /// ```text
-    /// |A ∩ B|  ≤  sab + min(|A| − sa, |B| − sb)
-    /// ```
-    ///
-    /// The hints **must** carry the exact counts of `a` and `b` themselves;
-    /// an overcounted `count` or overcounted `sampled` breaks the bound. An
-    /// *under*counted `sampled` (down to 0) only loosens it — which
-    /// [`SweepStructure::parent_hint`] exploits to skip the sampled pass for
-    /// parents that can never be a probed pair's smaller side.
-    ///
-    /// # Panics
-    /// If the bitsets' universes are smaller than the one the prefilter was
-    /// built for, or a hint's `sampled` exceeds its `count`.
-    pub fn upper_bound(&self, a: &BitSet, ha: ParentHint, b: &BitSet, hb: ParentHint) -> usize {
-        let sab: usize = self
-            .blocks
-            .iter()
-            .map(|&(lo, hi)| a.and_count_range(b, lo, hi))
-            .sum();
-        sab + (ha.count - ha.sampled).min(hb.count - hb.sampled)
-    }
-
-    /// Decides one merge: `Some(bound)` when the sampled probe proves the
-    /// merge unsupported (`bound < min_count`), `None` when the exact count
-    /// must run.
-    ///
-    /// Three constant-time gates run before any bitset is read (a gated-out
-    /// resolution is not counted as a probe). None of them can change which
-    /// merges are skipped versus computed exactly — declining a probe only
-    /// routes the merge to the exact path, so results stay bit-identical —
-    /// they only shed probe cost:
-    ///
-    /// 1. When the smaller parent clears `min_count` by at least
-    ///    `sample_rows`, the bound **cannot** fall below it.
-    /// 2. When the out-of-sample slack `min(|A|−sa, |B|−sb)` alone reaches
-    ///    `min_count`, likewise — even `sab = 0` could not prove doom.
-    /// 3. Otherwise an independence estimate of the probe's outcome —
-    ///    `sab ≈ s_small · (|big| / n)` — predicts the bound; when even a
-    ///    generous margin under that prediction clears `min_count`, the
-    ///    probe almost certainly would not skip, so it is not paid. (This
-    ///    gate is off for full-universe samples, where the probe *is* the
-    ///    exact count and skipping everything unsupported is guaranteed.)
-    ///
-    /// The probe itself early-exits: scanning sampled blocks only ever
-    /// grows `sab`, so the moment the partial `sab` reaches
-    /// `min_count − slack` the final bound provably clears `min_count` and
-    /// the remaining blocks are not read. Failed probes — the majority —
-    /// therefore cost a few blocks, not the whole sample; only probes that
-    /// actually skip scan every block.
-    pub fn check(
-        &self,
-        a: &BitSet,
-        ha: ParentHint,
-        b: &BitSet,
-        hb: ParentHint,
-        min_count: usize,
-    ) -> Option<usize> {
-        let (small, big) = if ha.count <= hb.count {
-            (ha, hb)
-        } else {
-            (hb, ha)
-        };
-        if small.count >= min_count + self.sample_rows() {
-            return None;
-        }
-        let slack = (ha.count - ha.sampled).min(hb.count - hb.sampled);
-        if slack >= min_count {
-            return None;
-        }
-        if self.sample_rows() < self.n_rows {
-            let est_sab = small.sampled as f64 * (big.count as f64 / self.n_rows.max(1) as f64);
-            if est_sab + slack as f64 >= PREFILTER_EST_MARGIN * min_count as f64 {
-                return None;
-            }
-        }
-        let need = min_count - slack; // > 0, so a completed scan means skip
-        let mut sab = 0usize;
-        for &(lo, hi) in &self.blocks {
-            sab += a.and_count_range(b, lo, hi);
-            if sab >= need {
-                self.note(false);
-                return None;
-            }
-        }
-        self.note(true);
-        Some(sab + slack)
-    }
-
-    /// Whether a parent with this exact `count` is worth a sampled pass:
-    /// can a pair it is the smaller side of realistically clear the slack
-    /// gate in [`SupportPrefilter::check`] (`count − sampled < min_count`)?
-    ///
-    /// The sound necessary condition is only `count < min_count +
-    /// sample_rows`, but with evenly spread blocks `sampled ≈ count · f`,
-    /// so the slack lands near `count·(1−f)` — parents where that is
-    /// comfortably past `min_count` will be slack-gated out anyway, and
-    /// their pass is pure overhead. Declining leaves the hint's `sampled`
-    /// at 0, which is always admissible ([`ParentHint`]); the only cost is
-    /// a vanishingly unlikely missed skip from a parent whose coverage
-    /// concentrates unusually hard inside the sample.
-    pub(crate) fn hint_pays_off(&self, count: usize, min_count: usize) -> bool {
-        if count >= min_count + self.sample_rows() {
-            return false;
-        }
-        if self.sample_rows() >= self.n_rows {
-            return true;
-        }
-        let f = self.sample_rows() as f64 / self.n_rows as f64;
-        count as f64 * (1.0 - f) < PREFILTER_HINT_MARGIN * min_count as f64
-    }
-
-    /// Records one consultation; `skipped` marks whether the bound proved
-    /// the merge unsupported.
-    fn note(&self, skipped: bool) {
-        self.probes.fetch_add(1, Ordering::Relaxed);
-        if skipped {
-            self.skips.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Total merge resolutions that consulted the prefilter.
-    pub fn probes(&self) -> u64 {
-        self.probes.load(Ordering::Relaxed)
-    }
-
-    /// Total consultations that skipped the exact count.
-    pub fn skips(&self) -> u64 {
-        self.skips.load(Ordering::Relaxed)
-    }
-}
 
 /// A supported single-predicate pattern (the structural part of level 1).
 #[derive(Debug, Clone)]
@@ -345,14 +43,8 @@ pub struct StructSingle {
 pub struct MergeRecord {
     /// Rows covered; `None` iff `count` is below the artifact's `min_count`.
     pub coverage: Option<Arc<BitSet>>,
-    /// Number of rows the merged pattern covers. When `exact` is false this
-    /// is a prefilter upper bound that already proved the pattern
-    /// unsupported — still below `min_count`, so support classification is
-    /// unaffected at this and every tighter threshold.
+    /// Number of rows the merged pattern covers.
     pub count: usize,
-    /// True when `count` is the exact intersection size; false when it is
-    /// the admissible upper bound of a prefilter-skipped merge.
-    pub exact: bool,
 }
 
 /// The reusable structural artifact of a sweep: supported level-1 patterns
@@ -366,9 +58,6 @@ pub struct SweepStructure {
     /// Wall-clock cost of building the level-1 structural pass, charged into
     /// every scorer's level-1 duration (mirrors how a solo run pays it).
     build_time: Duration,
-    /// Admissible sampled-support prefilter consulted (only) by *hinted*
-    /// merge resolution; `None` leaves every merge on the exact path.
-    prefilter: Option<Arc<SupportPrefilter>>,
 }
 
 impl SweepStructure {
@@ -382,23 +71,6 @@ impl SweepStructure {
     /// search, enforced here because sessions build artifacts straight from
     /// request parameters.
     pub fn build(index: &PredicateIndex, config: &LatticeConfig) -> Self {
-        Self::build_with_prefilter(index, config, None)
-    }
-
-    /// [`SweepStructure::build`] with an optional sampled-support prefilter
-    /// attached. The prefilter only changes *how fast* unsupported merges
-    /// are classified (hinted resolution may skip the exact count when the
-    /// sampled upper bound already fails `min_count`); it never changes
-    /// which merges are supported, their coverages, or their exact counts —
-    /// see [`SupportPrefilter`] for the admissibility argument.
-    ///
-    /// # Panics
-    /// Same contract as [`SweepStructure::build`].
-    pub fn build_with_prefilter(
-        index: &PredicateIndex,
-        config: &LatticeConfig,
-        prefilter: Option<Arc<SupportPrefilter>>,
-    ) -> Self {
         assert!(
             (0.0..1.0).contains(&config.support_threshold),
             "support threshold must be in [0, 1)"
@@ -426,13 +98,7 @@ impl SweepStructure {
             min_count,
             n_rows: n,
             build_time: t0.elapsed(),
-            prefilter,
         }
-    }
-
-    /// The attached sampled-support prefilter, if any.
-    pub fn prefilter(&self) -> Option<&Arc<SupportPrefilter>> {
-        self.prefilter.as_ref()
     }
 
     /// The supported single-predicate patterns, in predicate-id order.
@@ -500,47 +166,10 @@ impl SweepStructure {
         a: &BitSet,
         b: &BitSet,
     ) -> MergeRecord {
-        self.resolve_with(ids, cache, a, b, None)
-    }
-
-    /// Bundles a parent's exact member count with its in-sample count for
-    /// the attached prefilter — computed once per frontier pattern and
-    /// reused across every merge the pattern participates in.
-    ///
-    /// The sampled half is 0 when no prefilter is attached, and *also* when
-    /// the parent is supported comfortably enough that its pairs would be
-    /// gated out of probing regardless (`SupportPrefilter::hint_pays_off`
-    /// — pairs probe only when their smaller side's out-of-sample slack can
-    /// fall under `min_count`). Undercounting `sampled` only ever loosens
-    /// the (admissible) bound, so the shortcut trades a vanishingly
-    /// unlikely missed skip for a sampled pass saved on most of the
-    /// frontier.
-    pub fn parent_hint(&self, coverage: &BitSet, count: usize) -> ParentHint {
-        let sampled = match &self.prefilter {
-            Some(pf) if pf.hint_pays_off(count, self.min_count) => pf.sampled_count(coverage),
-            _ => 0,
-        };
-        ParentHint { count, sampled }
-    }
-
-    /// [`SweepStructure::resolve`] with the parents' exact and sampled
-    /// member counts as hints (see [`SweepStructure::parent_hint`]). A
-    /// hinted miss may consult the attached prefilter (when one is attached)
-    /// and skip the exact intersection for merges the sampled upper bound
-    /// already proves unsupported; an unhinted call (`None`) always takes
-    /// the exact path.
-    pub fn resolve_with(
-        &self,
-        ids: &[u16],
-        cache: &CoverageCache,
-        a: &BitSet,
-        b: &BitSet,
-        parents: Option<(ParentHint, ParentHint)>,
-    ) -> MergeRecord {
         if let Some(hit) = self.lookup(ids) {
             return hit;
         }
-        let record = self.compute_record_with(ids, cache, a, b, parents);
+        let record = self.compute_record(ids, cache, a, b);
         self.insert(ids, record.clone());
         record
     }
@@ -564,55 +193,22 @@ impl SweepStructure {
         a: &BitSet,
         b: &BitSet,
     ) -> MergeRecord {
-        self.compute_record_with(ids, cache, a, b, None)
-    }
-
-    /// [`SweepStructure::compute_record`] with the parents' exact and
-    /// sampled member counts as hints. When a prefilter is attached *and*
-    /// the hints are present, a cache-missing merge is first bounded from
-    /// above on the sampled blocks; if the bound already fails `min_count`
-    /// the record is written with `count = bound, exact = false` and the
-    /// exact intersection is never run. The skip is admissible — the bound
-    /// can only over-count — so supported merges always reach the exact
-    /// path and the sweep's results are bit-identical with or without it.
-    pub fn compute_record_with(
-        &self,
-        ids: &[u16],
-        cache: &CoverageCache,
-        a: &BitSet,
-        b: &BitSet,
-        parents: Option<(ParentHint, ParentHint)>,
-    ) -> MergeRecord {
         if let Some(coverage) = cache.peek(ids) {
             let count = coverage.count();
             return MergeRecord {
                 coverage: (count >= self.min_count).then_some(coverage),
                 count,
-                exact: true,
             };
-        }
-        if let (Some(pf), Some((ha, hb))) = (&self.prefilter, parents) {
-            if let Some(bound) = pf.check(a, ha, b, hb, self.min_count) {
-                return MergeRecord {
-                    coverage: None,
-                    count: bound,
-                    exact: false,
-                };
-            }
         }
         let count = a.and_count(b);
         let coverage =
             (count >= self.min_count).then(|| cache.get_or_insert_with(ids, || a.and(b)));
-        MergeRecord {
-            coverage,
-            count,
-            exact: true,
-        }
+        MergeRecord { coverage, count }
     }
 
-    /// Snapshot of every resolved merge (key and record). Built for audits:
-    /// the prefilter admissibility test re-checks each `exact = false`
-    /// record against the exact intersection.
+    /// Snapshot of every resolved merge (key and record): what
+    /// [`SweepStructure::refilter_view`] re-filters, and what audits re-check
+    /// against fresh intersections.
     pub fn merge_snapshot(&self) -> Vec<(Box<[u16]>, MergeRecord)> {
         self.lock()
             .iter()
@@ -638,23 +234,18 @@ impl SweepStructure {
     /// A surviving artifact is returned with:
     /// * singles re-read from the patched index (fresh coverages/counts,
     ///   identical filter to a cold [`SweepStructure::build`]);
-    /// * every *exact, materialized* merge record re-intersected from the
-    ///   patched predicate coverages (routed through `cache` exactly like a
-    ///   cold resolve, shedding the coverage when the fresh count falls
-    ///   below `min_count` — precisely the record a cold sweep would write);
-    /// * count-only and prefilter-bounded records dropped — their stale
-    ///   counts are cheaper to lazily re-resolve (bit-identically) than to
-    ///   eagerly re-intersect across the mostly-unsupported pair space.
+    /// * every *materialized* merge record re-intersected from the patched
+    ///   predicate coverages (routed through `cache` exactly like a cold
+    ///   resolve, shedding the coverage when the fresh count falls below
+    ///   `min_count` — precisely the record a cold sweep would write);
+    /// * count-only records dropped — their stale counts are cheaper to
+    ///   lazily re-resolve (bit-identically) than to eagerly re-intersect
+    ///   across the mostly-unsupported pair space.
     ///
     /// The bounded re-check therefore costs `O(predicates)` count
     /// comparisons plus one fused AND per *supported* resolved merge — never
     /// a full sweep.
-    pub fn patched(
-        &self,
-        index: &PredicateIndex,
-        cache: &CoverageCache,
-        prefilter: Option<Arc<SupportPrefilter>>,
-    ) -> Option<SweepStructure> {
+    pub fn patched(&self, index: &PredicateIndex, cache: &CoverageCache) -> Option<SweepStructure> {
         // Frontier-flip test. Entries and singles are both in table order,
         // so the supported-id sequences compare positionally.
         let new_frontier: Vec<u16> = index
@@ -694,7 +285,7 @@ impl SweepStructure {
         let source = self.lock();
         let mut merges = HashMap::with_capacity(source.len());
         for (ids, record) in source.iter() {
-            if !record.exact || record.coverage.is_none() {
+            if record.coverage.is_none() {
                 continue;
             }
             // These records were all supported before the delta, so the
@@ -716,14 +307,7 @@ impl SweepStructure {
             let count = fresh.count();
             let coverage =
                 (count >= self.min_count).then(|| cache.get_or_insert_with(ids, || fresh));
-            merges.insert(
-                ids.clone(),
-                MergeRecord {
-                    coverage,
-                    count,
-                    exact: true,
-                },
-            );
+            merges.insert(ids.clone(), MergeRecord { coverage, count });
         }
         Some(SweepStructure {
             singles,
@@ -731,7 +315,6 @@ impl SweepStructure {
             min_count: self.min_count,
             n_rows: index.n_rows(),
             build_time: self.build_time,
-            prefilter,
         })
     }
 
@@ -794,7 +377,6 @@ impl SweepStructure {
                             None
                         },
                         count: r.count,
-                        exact: r.exact,
                     },
                 )
             })
@@ -805,10 +387,6 @@ impl SweepStructure {
             min_count,
             n_rows: self.n_rows,
             build_time: t0.elapsed(),
-            // Views share the source's prefilter (and its counters): an
-            // inexact record's bound is below the source threshold, hence
-            // below this tighter one too, so it still classifies correctly.
-            prefilter: self.prefilter.clone(),
         }
     }
 }
@@ -949,7 +527,6 @@ mod tests {
             for (ids, r) in view.merge_snapshot() {
                 let source = structure.lookup(&ids).expect("view key missing in source");
                 assert_eq!(r.count, source.count);
-                assert_eq!(r.exact, source.exact);
                 assert_eq!(
                     r.coverage.is_some(),
                     r.count >= tighter && source.coverage.is_some()
@@ -1002,144 +579,6 @@ mod tests {
         }
     }
 
-    /// The sampled bound must never under-count (admissibility), and hinted
-    /// resolution must agree with the exact path on every supported merge —
-    /// skipping only merges whose true count fails the threshold.
-    #[test]
-    fn prefilter_skips_are_admissible_and_results_identical() {
-        let (cache, index, config) = setup(400, 0.25);
-        let exact = SweepStructure::build(&index, &config);
-        let pf = Arc::new(SupportPrefilter::new(index.n_rows(), 64));
-        let filtered = SweepStructure::build_with_prefilter(&index, &config, Some(Arc::clone(&pf)));
-        let pf_cache = CoverageCache::new();
-        let entries = index.entries();
-        let mut expected_probes = 0u64;
-        for i in 0..entries.len().min(10) {
-            for j in (i + 1)..entries.len().min(10) {
-                let (a, b) = (&entries[i], &entries[j]);
-                let ids = [a.id, b.id];
-                let truth = exact.resolve(&ids, &cache, &a.coverage, &b.coverage);
-                let ha = filtered.parent_hint(&a.coverage, a.count);
-                let hb = filtered.parent_hint(&b.coverage, b.count);
-                let hinted = filtered.resolve_with(
-                    &ids,
-                    &pf_cache,
-                    &a.coverage,
-                    &b.coverage,
-                    Some((ha, hb)),
-                );
-                // The bound can only over-count.
-                assert!(
-                    pf.upper_bound(&a.coverage, ha, &b.coverage, hb) >= truth.count,
-                    "bound under-counted for {ids:?}"
-                );
-                // Only pairs past all three gates run the sampled probe:
-                // past gates 1–2 the bound provably clears min_count, and
-                // past the independence-estimate gate a skip is too unlikely
-                // to pay for the probe. Declined probes still resolve
-                // exactly, so gating is invisible in the results.
-                let (small, big) = if ha.count <= hb.count {
-                    (ha, hb)
-                } else {
-                    (hb, ha)
-                };
-                let slack = (ha.count - ha.sampled).min(hb.count - hb.sampled);
-                let est = small.sampled as f64 * (big.count as f64 / index.n_rows() as f64)
-                    + slack as f64;
-                let gated_in = small.count < filtered.min_count() + pf.sample_rows()
-                    && slack < filtered.min_count()
-                    && est < PREFILTER_EST_MARGIN * filtered.min_count() as f64;
-                expected_probes += u64::from(gated_in);
-                if hinted.exact {
-                    assert_eq!(hinted.count, truth.count);
-                    assert_eq!(hinted.coverage.is_some(), truth.coverage.is_some());
-                } else {
-                    // Skipped: the true count must genuinely fail support,
-                    // and the recorded bound must fail it too.
-                    assert!(gated_in, "a gated-out pair cannot be skipped");
-                    assert!(truth.count < filtered.min_count());
-                    assert!(hinted.count < filtered.min_count());
-                    assert!(hinted.count >= truth.count, "recorded bound under-counts");
-                    assert!(hinted.coverage.is_none());
-                }
-            }
-        }
-        assert_eq!(
-            pf.probes(),
-            expected_probes,
-            "every cache-missing pair inside the gate probes exactly once"
-        );
-        assert!(pf.skips() <= pf.probes());
-        // Unhinted resolution never consults the prefilter.
-        let before = pf.probes();
-        let (a, b) = (&entries[0], &entries[11]);
-        let _ = filtered.resolve(&[a.id, b.id], &pf_cache, &a.coverage, &b.coverage);
-        assert_eq!(pf.probes(), before);
-    }
-
-    /// A full-universe sample makes the bound exact: everything unsupported
-    /// is skipped, and the recorded bound equals the true count.
-    #[test]
-    fn full_sample_prefilter_bound_is_exact() {
-        let (cache, index, config) = setup(300, 0.4);
-        let n = index.n_rows();
-        let pf = Arc::new(SupportPrefilter::new(n, n));
-        assert!(pf.sample_rows() >= n);
-        let filtered = SweepStructure::build_with_prefilter(&index, &config, Some(Arc::clone(&pf)));
-        let entries = index.entries();
-        for i in 0..entries.len().min(6) {
-            for j in (i + 1)..entries.len().min(6) {
-                let (a, b) = (&entries[i], &entries[j]);
-                let truth = a.coverage.and_count(&b.coverage);
-                let record = filtered.resolve_with(
-                    &[a.id, b.id],
-                    &cache,
-                    &a.coverage,
-                    &b.coverage,
-                    Some((
-                        filtered.parent_hint(&a.coverage, a.count),
-                        filtered.parent_hint(&b.coverage, b.count),
-                    )),
-                );
-                assert_eq!(record.count, truth);
-                assert_eq!(record.exact, truth >= filtered.min_count());
-            }
-        }
-    }
-
-    /// Re-filtered views share the source's prefilter and keep inexact
-    /// records classified as unsupported.
-    #[test]
-    fn refilter_view_inherits_the_prefilter() {
-        let (cache, index, config) = setup(400, 0.3);
-        let pf = Arc::new(SupportPrefilter::new(index.n_rows(), 64));
-        let loose = SweepStructure::build_with_prefilter(&index, &config, Some(Arc::clone(&pf)));
-        let entries = index.entries();
-        for i in 0..6 {
-            let (a, b) = (&entries[i], &entries[i + 1]);
-            let _ = loose.resolve_with(
-                &[a.id, b.id],
-                &cache,
-                &a.coverage,
-                &b.coverage,
-                Some((
-                    loose.parent_hint(&a.coverage, a.count),
-                    loose.parent_hint(&b.coverage, b.count),
-                )),
-            );
-        }
-        let view = loose.refilter_view(loose.min_count() + 10);
-        assert!(Arc::ptr_eq(view.prefilter().unwrap(), &pf));
-        for (ids, r) in view.merge_snapshot() {
-            let src = loose.lookup(&ids).unwrap();
-            assert_eq!(r.count, src.count);
-            assert_eq!(r.exact, src.exact);
-            if !r.exact {
-                assert!(r.count < view.min_count());
-            }
-        }
-    }
-
     /// A small delta that flips no single across the support frontier must
     /// yield a surviving artifact whose singles and re-patched merges agree
     /// exactly with fresh resolution over the post-delta index.
@@ -1171,7 +610,7 @@ mod tests {
         let new_index = PredicateIndex::build(&new_table, &new_cache);
 
         let patched = structure
-            .patched(&new_index, &new_cache, None)
+            .patched(&new_index, &new_cache)
             .expect("a 7-row delta must not flip a min-count-40 frontier here");
         assert_eq!(patched.min_count(), structure.min_count());
         assert_eq!(patched.n_rows(), new_data.n_rows());
@@ -1204,7 +643,6 @@ mod tests {
             let truth = patched.compute_record(ids, &new_cache, &a.coverage, &b.coverage);
             let record = patched.resolve(ids, &new_cache, &a.coverage, &b.coverage);
             assert_eq!(record.count, truth.count);
-            assert!(record.exact);
             assert_eq!(record.coverage.is_some(), truth.coverage.is_some());
             if let (Some(r), Some(t)) = (&record.coverage, &truth.coverage) {
                 assert_eq!(**r, **t);
@@ -1247,7 +685,7 @@ mod tests {
         let new_cache = CoverageCache::new();
         let new_index = PredicateIndex::build(&new_table, &new_cache);
         assert!(
-            structure.patched(&new_index, &new_cache, None).is_none(),
+            structure.patched(&new_index, &new_cache).is_none(),
             "a flipped frontier must invalidate"
         );
     }

@@ -252,12 +252,6 @@ pub fn session_stats_json(stats: &SessionStats) -> Json {
             "coverage_inserts_refused",
             Json::num(stats.coverage_inserts_refused as f64),
         ),
-        (
-            "prefilter_sample_rows",
-            Json::num(stats.prefilter_sample_rows as f64),
-        ),
-        ("prefilter_probes", Json::num(stats.prefilter_probes as f64)),
-        ("prefilter_skips", Json::num(stats.prefilter_skips as f64)),
         ("updates_applied", Json::num(stats.updates_applied as f64)),
         (
             "artifacts_survived",

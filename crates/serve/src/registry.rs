@@ -158,8 +158,6 @@ pub struct SessionConfig {
     pub l2: f64,
     /// Worker threads (0 = auto).
     pub threads: usize,
-    /// Sampled-support prefilter rows (0 = off).
-    pub prefilter_sample: usize,
     /// Scored-sweep cache cap override.
     pub sweep_cache_cap: Option<usize>,
     /// Structure cache cap override.
@@ -170,7 +168,7 @@ pub struct SessionConfig {
 
 /// The JSON fields `POST /sessions` understands. Unknown keys are hard
 /// errors — a typo'd knob must not silently fall back to a default.
-pub const SESSION_FIELDS: [&str; 15] = [
+pub const SESSION_FIELDS: [&str; 14] = [
     "name",
     "generator",
     "rows",
@@ -182,7 +180,6 @@ pub const SESSION_FIELDS: [&str; 15] = [
     "test_fraction",
     "l2",
     "threads",
-    "prefilter_sample",
     "sweep_cache_cap",
     "structure_cache_cap",
     "coverage_cache_cap",
@@ -320,7 +317,6 @@ impl SessionConfig {
             test_fraction,
             l2,
             threads: get_count("threads")?.unwrap_or(0),
-            prefilter_sample: get_count("prefilter_sample")?.unwrap_or(0),
             sweep_cache_cap: get_count("sweep_cache_cap")?,
             structure_cache_cap: get_count("structure_cache_cap")?,
             coverage_cache_cap: get_count("coverage_cache_cap")?,
@@ -544,9 +540,7 @@ pub fn build_session(config: &SessionConfig) -> Result<(AnySession, usize), Stri
             test.n_rows()
         ));
     }
-    let mut builder = SessionBuilder::new()
-        .threads(config.threads)
-        .prefilter_sample(config.prefilter_sample);
+    let mut builder = SessionBuilder::new().threads(config.threads);
     if let Some(cap) = config.sweep_cache_cap {
         builder = builder.sweep_cache_cap(cap);
     }

@@ -69,7 +69,7 @@ fn make_scorer<'a>(
 }
 
 /// Runs one staged multi-sweep with fresh cache/index/artifact and returns
-/// each scorer's results.
+/// each scorer's results plus the artifact, for auditing.
 fn run_sweep(
     table: &PredicateTable,
     config: &LatticeConfig,
@@ -77,7 +77,7 @@ fn run_sweep(
     labels: &[u8],
     privileged: &[bool],
     threads: usize,
-) -> (Vec<(Vec<Candidate>, SearchStats)>, usize) {
+) -> (Vec<(Vec<Candidate>, SearchStats)>, SweepStructure) {
     let cache = CoverageCache::new();
     let index = PredicateIndex::build(table, &cache);
     let structure = SweepStructure::build(&index, config);
@@ -86,14 +86,26 @@ fn run_sweep(
         .map(|&k| Box::new(make_scorer(k, labels, privileged)) as ScoreFn<'_>)
         .collect();
     let results = compute_candidates_multi(table, &scorers, config, &cache, &structure, threads);
-    (results, structure.merges_resolved())
+    (results, structure)
+}
+
+/// A merged pattern's coverage recomputed from scratch by intersecting its
+/// predicates' table coverages — the audit oracle.
+fn exact_coverage(table: &PredicateTable, ids: &[u16]) -> BitSet {
+    let mut cov = table.coverage(ids[0]).clone();
+    for &id in &ids[1..] {
+        cov = cov.and(table.coverage(id));
+    }
+    cov
 }
 
 proptest! {
     /// The acceptance property: the structural phase at `threads = 4` is
     /// bit-identical to `threads = 1` — candidates, coverage bits, supports,
     /// responsibilities, stats counts, and per-scorer result order — across
-    /// random structural configurations and scorer mixes.
+    /// random structural configurations and scorer mixes; and every merge
+    /// record either run resolved is exact (audited against from-scratch
+    /// intersections).
     #[test]
     fn structural_phase_is_thread_count_invariant(
         support_choice in 0usize..3,
@@ -122,15 +134,32 @@ proptest! {
             max_level_candidates: cap,
         };
         let _cpu = CPU_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let (serial, resolved_1) =
+        let (serial, structure_1) =
             run_sweep(table, &config, &kinds, labels, &privileged, 1);
-        let (parallel, resolved_4) =
+        let (parallel, structure_4) =
             run_sweep(table, &config, &kinds, labels, &privileged, 4);
 
         prop_assert_eq!(serial.len(), parallel.len());
         // One level pipeline at every thread count: both resolve exactly
         // the merges the scorers' frontiers generate.
-        prop_assert_eq!(resolved_4, resolved_1);
+        prop_assert_eq!(structure_4.merges_resolved(), structure_1.merges_resolved());
+        // Record audit: each count is the exact intersection size, and the
+        // coverage is kept iff the merge is supported, holding exactly
+        // those bits.
+        for structure in [&structure_1, &structure_4] {
+            for (ids, record) in structure.merge_snapshot() {
+                let truth = exact_coverage(table, &ids);
+                prop_assert!(record.count == truth.count(), "count of {:?}", ids);
+                prop_assert!(
+                    record.coverage.is_some() == (record.count >= structure.min_count()),
+                    "coverage presence of {:?}",
+                    ids
+                );
+                if let Some(coverage) = &record.coverage {
+                    prop_assert!(**coverage == truth, "coverage bits of {:?}", ids);
+                }
+            }
+        }
         for ((sc, ss), (pc, ps)) in serial.iter().zip(&parallel) {
             prop_assert_eq!(sc.len(), pc.len());
             for (a, b) in sc.iter().zip(pc) {

@@ -1,26 +1,23 @@
 //! Serving-throughput benchmark: the `gopher serve` daemon under concurrent
-//! HTTP load, micro-batching on vs off.
+//! HTTP load.
 //!
-//! Two identically configured servers answer the same workload — four
-//! persistent clients spraying mixed-metric explains across two tenant
-//! sessions — differing only in the batch window (the daemon's 2 ms default
-//! vs `0`, which disables coalescing). Both tenants run with
-//! `sweep_cache_cap: 0`, so every request pays its lattice sweep and the
-//! batched arm's saving is structural sharing, not scored-cache hits.
+//! One daemon answers a mixed workload: four persistent keep-alive clients
+//! spraying mixed-metric explains across two tenant sessions. Both tenants
+//! run with `sweep_cache_cap: 0`, so no request is answered from the scored
+//! cache — each one either runs its lattice sweep or, when another client is
+//! already sweeping the same question, waits for that sweep (single-flight).
 //!
-//! The acceptance verdict is counter-based, not wall-clock: after the load,
-//! the batched arm's sessions must report `batches_formed` strictly below
-//! `requests_served` (coalescing happened) while the solo arm's are equal
-//! (it never batched). Wall-clock medians of paired rounds are printed for
-//! the record; on shared or single-core containers they are noise-dominated,
-//! so they inform `BENCH_baseline.json` rather than gate.
+//! After the load the bench prints the tenants' sweep counters:
+//! `sweep_misses` counts the sweeps actually run, `sweep_hits` the requests
+//! answered from another client's in-flight sweep. Round times are the
+//! record for `BENCH_baseline.json`; on shared or small containers they are
+//! noise-dominated, so they inform rather than gate.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gopher_json::Json;
 use gopher_serve::client::{request_once, Conn};
 use gopher_serve::{ServeConfig, Server};
 use std::net::SocketAddr;
-use std::time::{Duration, Instant};
 
 const CLIENTS: usize = 4;
 const REQUESTS_PER_CLIENT: usize = 8;
@@ -32,11 +29,10 @@ const METRICS: [&str; 4] = [
     "average-odds",
 ];
 
-/// Boots a daemon with the given batch window and registers both tenants
-/// (German generator, sweep retention off so every explain really sweeps).
-fn boot(window: Duration) -> Server {
+/// Boots the daemon and registers both tenants (German generator, sweep
+/// retention off so every explain really sweeps or shares a sweep).
+fn boot() -> Server {
     let server = Server::start(ServeConfig {
-        batch_window: window,
         workers: CLIENTS,
         ..Default::default()
     })
@@ -74,10 +70,9 @@ fn round(addr: SocketAddr) {
     });
 }
 
-/// Cumulative (requests_served, batches_formed) over both tenants.
-fn traffic_counters(addr: SocketAddr) -> (u64, u64) {
-    let mut requests = 0;
-    let mut batches = 0;
+/// Cumulative (requests_served, sweep_misses, sweep_hits) over both tenants.
+fn sweep_counters(addr: SocketAddr) -> (u64, u64, u64) {
+    let mut totals = (0, 0, 0);
     for tenant in TENANTS {
         let stats =
             request_once(addr, "GET", &format!("/sessions/{tenant}/stats"), None).expect("stats");
@@ -89,70 +84,29 @@ fn traffic_counters(addr: SocketAddr) -> (u64, u64) {
                 .unwrap_or_else(|| panic!("stats missing {name}: {}", stats.body))
                 as u64
         };
-        requests += field("requests_served");
-        batches += field("batches_formed");
+        totals.0 += field("requests_served");
+        totals.1 += field("sweep_misses");
+        totals.2 += field("sweep_hits");
     }
-    (requests, batches)
+    totals
 }
 
 fn bench_serve_qps(c: &mut Criterion) {
-    let solo = boot(Duration::ZERO);
-    let batched = boot(Duration::from_millis(2));
-
+    let server = boot();
     let mut group = c.benchmark_group("serve_qps_german_300");
     group.sample_size(10);
-    group.bench_function("round_32req_4clients_window_0", |b| {
-        b.iter(|| round(solo.addr()));
-    });
-    group.bench_function("round_32req_4clients_window_2ms", |b| {
-        b.iter(|| round(batched.addr()));
+    group.bench_function("round_32req_4clients", |b| {
+        b.iter(|| round(server.addr()));
     });
     group.finish();
 
-    // Paired rounds in alternating order: the wall-clock record for the
-    // baseline file, robust to drift on a shared container.
-    let mut solo_times = Vec::new();
-    let mut batched_times = Vec::new();
-    for i in 0..6 {
-        let order: [(&Server, &mut Vec<Duration>); 2] = if i % 2 == 0 {
-            [(&solo, &mut solo_times), (&batched, &mut batched_times)]
-        } else {
-            [(&batched, &mut batched_times), (&solo, &mut solo_times)]
-        };
-        for (server, times) in order {
-            let start = Instant::now();
-            round(server.addr());
-            times.push(start.elapsed());
-        }
-    }
-    solo_times.sort();
-    batched_times.sort();
-    let total = (CLIENTS * REQUESTS_PER_CLIENT) as f64;
-    let qps = |median: Duration| total / median.as_secs_f64();
+    // Every request counts exactly one sweep lookup: a miss when it ran the
+    // sweep, a hit when it shared another client's.
+    let (requests, misses, hits) = sweep_counters(server.addr());
+    assert_eq!(misses + hits, requests, "one lookup per request");
     println!(
-        "serve_qps paired medians: solo {:?} ({:.0} qps), batched {:?} ({:.0} qps)",
-        solo_times[3],
-        qps(solo_times[3]),
-        batched_times[3],
-        qps(batched_times[3]),
-    );
-
-    // The batching verdict lives in the counters: the solo arm never formed
-    // a multi-request batch, the batched arm must have.
-    let (solo_requests, solo_batches) = traffic_counters(solo.addr());
-    assert_eq!(
-        solo_requests, solo_batches,
-        "window 0 must run every request solo"
-    );
-    let (batched_requests, batched_batches) = traffic_counters(batched.addr());
-    assert!(
-        batched_batches < batched_requests,
-        "the 2 ms window must coalesce under 4-client load \
-         ({batched_batches} batches for {batched_requests} requests)"
-    );
-    println!(
-        "serve_qps counters: solo {solo_requests} requests = {solo_batches} batches; \
-         batched {batched_requests} requests in {batched_batches} batches"
+        "serve_qps counters: {requests} requests, {misses} sweeps run, \
+         {hits} answered from another client's in-flight sweep"
     );
 }
 

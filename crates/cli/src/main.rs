@@ -14,8 +14,7 @@
 //!   entry point, where model training and influence precomputation are paid
 //!   once for the whole batch;
 //! * `gopher serve` — the same serving surface over HTTP: a multi-session
-//!   daemon with an LRU session registry and micro-batched explain calls
-//!   (see `gopher_serve`).
+//!   daemon with an LRU session registry (see `gopher_serve`).
 //!
 //! Run `gopher --help` for the full flag reference.
 
@@ -54,7 +53,7 @@ SUBCOMMANDS:
     query      answer a JSON array of explain requests against one shared
                session (implies --json); see --requests
     serve      HTTP daemon: named sessions from CSV uploads or generators,
-               LRU registry, micro-batched explain calls; see SERVE OPTIONS
+               LRU registry; see SERVE OPTIONS
     update     apply a training-data delta to a live session and compare the
                incremental path against a cold rebuild; see UPDATE OPTIONS
 
@@ -113,11 +112,6 @@ SERVE OPTIONS:
     --addr <HOST>           address to bind [127.0.0.1]
     --port <N>              port to bind; 0 = OS-assigned, printed on the
                             `listening on http://...` line [7979]
-    --batch-window-ms <MS>  micro-batch collection window: concurrent
-                            explain calls against one session within this
-                            window coalesce into one explain_batch; 0
-                            disables coalescing [2]
-    --max-batch <N>         most requests one micro-batch may coalesce [16]
     --session-cap <N>       sessions retained before LRU eviction [8]
     --workers <N>           connection-handling threads; 0 = auto [0]
     --max-body-bytes <N>    largest accepted request body (413 past it)
@@ -130,7 +124,7 @@ EXAMPLES:
     gopher report --data sqf --k 5 --support 0.1
     echo '[{\"metric\":\"statistical-parity\"},{\"metric\":\"equal-opportunity\"}]' \\
         | gopher query --requests - --data german
-    gopher serve --port 7979 --batch-window-ms 2
+    gopher serve --port 7979
     gopher update --data german --rows 10000 --delta-remove 1 --delta-add 1
 ";
 
@@ -185,8 +179,6 @@ struct Opts {
     delta_add: usize,
     addr: String,
     port: u16,
-    batch_window_ms: u64,
-    max_batch: usize,
     session_cap: usize,
     workers: usize,
     max_body_bytes: usize,
@@ -219,8 +211,6 @@ impl Default for Opts {
             delta_add: 1,
             addr: "127.0.0.1".into(),
             port: 7979,
-            batch_window_ms: 2,
-            max_batch: 16,
             session_cap: 8,
             workers: 0,
             max_body_bytes: json::DEFAULT_MAX_BYTES,
@@ -281,10 +271,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, UsageError> {
             "--estimator" => estimator_name = value("--estimator")?.clone(),
             "--addr" => opts.addr = value("--addr")?.clone(),
             "--port" => opts.port = parse_num(value("--port")?, "--port")?,
-            "--batch-window-ms" => {
-                opts.batch_window_ms = parse_num(value("--batch-window-ms")?, "--batch-window-ms")?
-            }
-            "--max-batch" => opts.max_batch = parse_num(value("--max-batch")?, "--max-batch")?,
             "--session-cap" => {
                 opts.session_cap = parse_num(value("--session-cap")?, "--session-cap")?
             }
@@ -676,15 +662,13 @@ fn session_stats_json(stats: &gopher_core::SessionStats) -> Json {
 // ------------------------------------------------------------------ serve
 
 /// Runs the HTTP daemon until a signal or `POST /shutdown` asks it to
-/// drain: in-flight requests (including forming micro-batches) complete,
-/// then the workers park and we return.
+/// drain: in-flight requests complete, then the workers park and we
+/// return.
 fn serve(opts: &Opts) -> Result<(), UsageError> {
     gopher_serve::signals::install();
     let config = ServeConfig {
         addr: opts.addr.clone(),
         port: opts.port,
-        batch_window: std::time::Duration::from_millis(opts.batch_window_ms),
-        max_batch: opts.max_batch,
         session_cap: opts.session_cap,
         workers: opts.workers,
         max_body_bytes: opts.max_body_bytes,

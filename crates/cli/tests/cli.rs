@@ -442,8 +442,9 @@ fn threads_flag_does_not_change_results() {
 }
 
 /// End-to-end smoke of the `serve` subcommand: boot the real binary on an
-/// ephemeral port, create a session, coalesce three concurrent explains,
-/// check the stats surface, and shut down gracefully over HTTP.
+/// ephemeral port, create a session, answer three concurrent identical
+/// explains from one sweep, check the stats surface, and shut down
+/// gracefully over HTTP.
 #[test]
 fn serve_boots_answers_and_drains() {
     use gopher_serve::client::request_once;
@@ -460,7 +461,7 @@ fn serve_boots_answers_and_drains() {
     }
 
     /// Response body minus the per-request timing fields, which legitimately
-    /// differ between members of the same batch.
+    /// differ between callers sharing one sweep.
     fn stripped(body: &str) -> Json {
         let mut json = json::parse(body.trim()).expect("explain body must be JSON");
         if let Json::Obj(ref mut fields) = json {
@@ -472,15 +473,7 @@ fn serve_boots_answers_and_drains() {
 
     let mut child = KillOnDrop(
         Command::new(env!("CARGO_BIN_EXE_gopher"))
-            .args([
-                "serve",
-                "--port",
-                "0",
-                "--batch-window-ms",
-                "150",
-                "--workers",
-                "4",
-            ])
+            .args(["serve", "--port", "0", "--workers", "4"])
             .stdout(std::process::Stdio::piped())
             .spawn()
             .expect("failed to spawn gopher serve"),
@@ -523,7 +516,7 @@ fn serve_boots_answers_and_drains() {
         assert_eq!(answer.status, 200, "{}", answer.body);
     }
     // Identical concurrent requests: every client must read the same answer
-    // (timing fields aside — those are per-request even within a batch).
+    // (timing fields aside — those are per-request even on a shared sweep).
     assert!(answers
         .windows(2)
         .all(|w| stripped(&w[0].body) == stripped(&w[1].body)));
@@ -531,18 +524,13 @@ fn serve_boots_answers_and_drains() {
     let stats = request_once(addr.as_str(), "GET", "/sessions/smoke/stats", None).unwrap();
     assert_eq!(stats.status, 200);
     let stats_json = json::parse(stats.body.trim()).unwrap();
-    let requests = stats_json
-        .get("requests_served")
-        .and_then(Json::as_f64)
-        .unwrap();
-    let batches = stats_json
-        .get("batches_formed")
-        .and_then(Json::as_f64)
-        .unwrap();
-    assert_eq!(requests, 3.0);
-    assert!(
-        batches < requests,
-        "3 concurrent explains must coalesce (batches_formed {batches})"
+    let counter = |name: &str| stats_json.get(name).and_then(Json::as_f64).unwrap();
+    assert_eq!(counter("requests_served"), 3.0);
+    assert_eq!(
+        counter("sweep_misses"),
+        1.0,
+        "3 identical explains must share one sweep: {}",
+        stats.body
     );
 
     let ack = request_once(addr.as_str(), "POST", "/shutdown", None).unwrap();

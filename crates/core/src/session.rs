@@ -14,7 +14,9 @@
 //!   like against the same session, including batched multi-metric queries
 //!   via [`ExplainSession::explain_batch`], which shares one lattice sweep
 //!   (structural enumeration + coverage intersection) across requests and
-//!   scores every request's candidates in one parallel pass per level.
+//!   scores every request's candidates in one parallel pass per level;
+//! * concurrent callers asking the same question share one sweep too: the
+//!   first claims it, the rest wait for its result (single-flight).
 //!
 //! Results are **bit-identical** to cold [`Gopher`](crate::Gopher) runs with
 //! the equivalent [`GopherConfig`](crate::GopherConfig): the session only
@@ -56,10 +58,10 @@ use gopher_patterns::{
     generate_predicates, lattice, min_count_for, topk, BitSet, Candidate, CoverageCache,
     LatticeConfig, PredicateIndex, PredicateTable, ScoreFn, SearchStats, SweepStructure,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 // Session caches lock via `gopher_par::lock_recover`: every cache only ever
@@ -234,10 +236,9 @@ impl SessionBuilder {
             coverage,
             bias_cache: Mutex::new(HashMap::new()),
             sweep_cache: Mutex::new(LruCache::new(self.sweep_cache_cap)),
+            flights: Mutex::new(HashMap::new()),
             structure_cache: Mutex::new(LruCache::new(self.structure_cache_cap)),
             requests_served: AtomicU64::new(0),
-            batches_served: AtomicU64::new(0),
-            max_batch_requests: AtomicU64::new(0),
             updates_applied: AtomicU64::new(0),
             artifacts_survived: AtomicU64::new(0),
             artifacts_invalidated: AtomicU64::new(0),
@@ -355,7 +356,8 @@ pub struct ExplainResponse {
     /// [`Gopher`](crate::Gopher) run with the equivalent config produces.
     pub report: ExplanationReport,
     /// Wall-clock time this request cost the session, including the lattice
-    /// sweep when this request was the first in its batch to need it. A
+    /// sweep when this request was the first in its batch to need it, or
+    /// the wait when another caller was already computing that sweep. A
     /// repeat of a cached request (or a batch peer sharing a sweep) reports
     /// only its own selection and ground-truth time — near zero with ground
     /// truth off.
@@ -502,6 +504,63 @@ struct SweepResult {
     duration: Duration,
 }
 
+/// One scored sweep being computed. The caller that claimed its key runs
+/// it; every caller asking for the key meanwhile waits here for the result
+/// instead of sweeping again.
+#[derive(Default)]
+struct Flight {
+    /// `None` while the owner sweeps, then the sweep — or `Some(None)` when
+    /// the owner unwound before finishing.
+    outcome: Mutex<Option<Option<Arc<SweepResult>>>>,
+    settled: Condvar,
+}
+
+impl Flight {
+    fn settle(&self, sweep: Option<Arc<SweepResult>>) {
+        *lock_recover(&self.outcome) = Some(sweep);
+        self.settled.notify_all();
+    }
+
+    /// Blocks until the owner settles: its sweep, or `None` if it unwound
+    /// (the waiter then sweeps the key itself).
+    fn wait(&self) -> Option<Arc<SweepResult>> {
+        let outcome = self
+            .settled
+            .wait_while(lock_recover(&self.outcome), |outcome| outcome.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        outcome.clone().flatten()
+    }
+}
+
+/// The sweep keys one [`ExplainSession::explain_batch`] call claimed.
+/// Dropping it — on return, or while unwinding from a panicked sweep —
+/// settles every claim still open as abandoned, so no waiter hangs.
+struct Claims<'s> {
+    flights: &'s Mutex<HashMap<SweepKey, Arc<Flight>>>,
+    owned: Vec<(SweepKey, Arc<Flight>)>,
+}
+
+impl Claims<'_> {
+    /// Hands a claimed key's finished sweep to everyone waiting on it.
+    fn land(&self, key: &SweepKey, sweep: &Arc<SweepResult>) {
+        if let Some(flight) = lock_recover(self.flights).remove(key) {
+            flight.settle(Some(Arc::clone(sweep)));
+        }
+    }
+}
+
+impl Drop for Claims<'_> {
+    fn drop(&mut self) {
+        let mut flights = lock_recover(self.flights);
+        for (key, flight) in &self.owned {
+            if flights.get(key).is_some_and(|f| Arc::ptr_eq(f, flight)) {
+                flights.remove(key);
+                flight.settle(None);
+            }
+        }
+    }
+}
+
 /// LRU-bounded map with hit/miss/eviction counters, backing both cache
 /// tiers: scored sweeps ([`SweepKey`] → [`SweepResult`]) and structural
 /// artifacts ([`StructuralKey`] → [`SweepStructure`]). The counters are the
@@ -541,9 +600,9 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     }
 
     /// Counter bumps for callers that drive lookups through
-    /// [`Self::get_quiet`] plus their own matching logic (the structure
-    /// tier's range-capable path): classification — exact hit, range serve,
-    /// or miss — happens outside, the tallies live here.
+    /// [`Self::get_quiet`] plus their own matching logic (the scored tier's
+    /// single-flight path, the structure tier's range-capable path):
+    /// classification happens outside, the tallies live here.
     fn note_hit(&mut self) {
         self.hits += 1;
     }
@@ -561,24 +620,8 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         self.entries.keys()
     }
 
-    /// Looks `key` up, counting a hit or miss and refreshing recency.
-    fn lookup(&mut self, key: &K) -> Option<V> {
-        self.tick += 1;
-        match self.entries.get_mut(key) {
-            Some(slot) => {
-                slot.last_used = self.tick;
-                self.hits += 1;
-                Some(slot.value.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Like [`Self::lookup`] but without touching the hit/miss counters:
-    /// used when re-reading a key the caller already counted.
+    /// Looks `key` up, refreshing its recency but not the hit/miss
+    /// counters: callers classify the lookup and count it themselves.
     fn get_quiet(&mut self, key: &K) -> Option<V> {
         self.tick += 1;
         let tick = self.tick;
@@ -715,7 +758,9 @@ pub struct SessionStats {
     pub sweep_entries: usize,
     /// Capacity bound on retained scored sweeps (LRU past this).
     pub sweep_cache_cap: usize,
-    /// Requests answered from a cached scored sweep.
+    /// Requests answered from a cached scored sweep, from another caller's
+    /// sweep of the same key still in flight, or from an earlier request of
+    /// the same batch.
     pub sweep_hits: u64,
     /// Requests that had to run (or re-run) their scored sweep.
     pub sweep_misses: u64,
@@ -750,12 +795,6 @@ pub struct SessionStats {
     /// through [`ExplainSession::explain_batch`]). Registry-facing: the
     /// per-session traffic counter a serving deployment watches.
     pub requests_served: u64,
-    /// `explain_batch` invocations. `batches_served < requests_served`
-    /// means callers were coalesced — the serving daemon's micro-batching
-    /// win, measured at the layer where the sweeps actually run.
-    pub batches_served: u64,
-    /// Largest single batch answered so far.
-    pub max_batch_requests: u64,
     /// Data deltas applied via [`ExplainSession::update`].
     pub updates_applied: u64,
     /// Structural artifacts that survived updates via the frontier-flip
@@ -800,6 +839,9 @@ pub struct ExplainSession<M: ModelFamily> {
     bias_cache: Mutex<HashMap<FairnessMetric, BiasPrecomp>>,
     /// Tier 2: finished scored sweeps, keyed by structural × scoring.
     sweep_cache: Mutex<LruCache<SweepKey, Arc<SweepResult>>>,
+    /// Scored sweeps some caller is computing right now. A caller holding
+    /// both locks takes `sweep_cache` first.
+    flights: Mutex<HashMap<SweepKey, Arc<Flight>>>,
     /// Tier 1: structural artifacts, keyed by structural config alone and
     /// reused across metrics, estimators, and bias evaluations.
     structure_cache: Mutex<LruCache<StructuralKey, Arc<SweepStructure>>>,
@@ -807,12 +849,6 @@ pub struct ExplainSession<M: ModelFamily> {
     /// point funnels through [`Self::explain_batch`]). Registry-facing: a
     /// serving deployment's per-session traffic counter.
     requests_served: AtomicU64,
-    /// Number of [`Self::explain_batch`] invocations. The gap between this
-    /// and [`Self::requests_served`] is exactly what batching amortized:
-    /// `batches < requests` means concurrent callers were coalesced.
-    batches_served: AtomicU64,
-    /// Largest single batch answered so far.
-    max_batch_requests: AtomicU64,
     /// Data deltas applied via [`Self::update`].
     updates_applied: AtomicU64,
     /// Structural artifacts carried across updates by the frontier check.
@@ -910,8 +946,6 @@ impl<M: ModelFamily> ExplainSession<M> {
             coverage_misses: coverage.misses,
             coverage_inserts_refused: coverage.inserts_refused,
             requests_served: self.requests_served.load(Ordering::Relaxed),
-            batches_served: self.batches_served.load(Ordering::Relaxed),
-            max_batch_requests: self.max_batch_requests.load(Ordering::Relaxed),
             updates_applied: self.updates_applied.load(Ordering::Relaxed),
             artifacts_survived: self.artifacts_survived.load(Ordering::Relaxed),
             artifacts_invalidated: self.artifacts_invalidated.load(Ordering::Relaxed),
@@ -953,6 +987,9 @@ impl<M: ModelFamily> ExplainSession<M> {
     ///   worker;
     /// * requests with identical scoring too (differing only in k,
     ///   containment, or ground-truth flags) share the sweep *result*;
+    /// * a sweep another caller is already computing is **not** computed
+    ///   again: this call waits for that caller's result (single-flight, at
+    ///   any sweep-cache cap), after it has finished its own sweeps;
     /// * all sweeps consult the session's coverage cache, so later batches
     ///   and queries skip intersections any earlier query materialized;
     /// * ground-truth retrains for each answer's top-k fan out per pattern.
@@ -960,32 +997,49 @@ impl<M: ModelFamily> ExplainSession<M> {
     /// Responses come back in request order, each with content identical to
     /// a cold run of that request alone — at any thread count.
     pub fn explain_batch(&self, requests: &[ExplainRequest]) -> Vec<ExplainResponse> {
-        if !requests.is_empty() {
-            self.requests_served
-                .fetch_add(requests.len() as u64, Ordering::Relaxed);
-            self.batches_served.fetch_add(1, Ordering::Relaxed);
-            self.max_batch_requests
-                .fetch_max(requests.len() as u64, Ordering::Relaxed);
-        }
+        self.requests_served
+            .fetch_add(requests.len() as u64, Ordering::Relaxed);
         let n_rows = self.table.n_rows();
         let keys: Vec<SweepKey> = requests.iter().map(|r| SweepKey::of(r, n_rows)).collect();
 
-        // Find sweeps not yet cached, grouped by structural lattice config
-        // (first-seen order keeps runs deterministic). This is also where
-        // the hit/miss counters are charged — once per request.
+        // Resolve every request's sweep under the cache lock, charging the
+        // hit/miss counters once per request: cached, or in flight for
+        // another caller (waited on below), or an earlier request of this
+        // batch already claimed it — a hit; otherwise a miss, and this batch
+        // claims the key. Each ready sweep carries the time to charge to
+        // the first request answered from it (see `query_time`).
+        let mut ready: HashMap<SweepKey, (Arc<SweepResult>, Duration)> = HashMap::new();
+        let mut waits: Vec<(SweepKey, &ExplainRequest, Arc<Flight>)> = Vec::new();
         let mut missing: Vec<(SweepKey, &ExplainRequest)> = Vec::new();
+        let mut claims = Claims {
+            flights: &self.flights,
+            owned: Vec::new(),
+        };
         {
             let mut cache = lock_recover(&self.sweep_cache);
+            let mut flights = lock_recover(&self.flights);
             for (key, req) in keys.iter().zip(requests) {
-                if cache.lookup(key).is_none() && !missing.iter().any(|(k, _)| k == key) {
+                if let Some(sweep) = cache.get_quiet(key) {
+                    cache.note_hit();
+                    ready.insert(key.clone(), (sweep, Duration::ZERO));
+                } else if let Some(flight) = flights.get(key) {
+                    cache.note_hit();
+                    let ours = missing.iter().any(|(k, _)| k == key);
+                    if !ours && !waits.iter().any(|(k, ..)| k == key) {
+                        waits.push((key.clone(), req, Arc::clone(flight)));
+                    }
+                } else {
+                    cache.note_miss();
+                    let flight = Arc::new(Flight::default());
+                    flights.insert(key.clone(), Arc::clone(&flight));
+                    claims.owned.push((key.clone(), flight));
                     missing.push((key.clone(), req));
                 }
             }
         }
-        // Freshly-swept keys: their sweep cost is charged to the first
-        // request in the batch that needed them (see `query_time`).
-        let mut fresh: HashSet<SweepKey> = missing.iter().map(|(k, _)| k.clone()).collect();
 
+        // Claimed sweeps, grouped by structural lattice config (first-seen
+        // order keeps runs deterministic).
         struct Group<'r> {
             structural: StructuralKey,
             lattice: LatticeConfig,
@@ -1026,65 +1080,56 @@ impl<M: ModelFamily> ExplainSession<M> {
         // Distinct structural groups are independent sweeps: fan them out,
         // splitting the thread budget between the group level and each
         // group's level pipeline so nesting can't oversubscribe to
-        // ~threads² live workers. Fresh sweeps are handed back directly
-        // (and cached subject to the LRU bound) so over-cap batches still
-        // answer without recomputation.
+        // ~threads² live workers. Each group hands its sweeps to their
+        // waiters as soon as it finishes; this batch keeps them too, so it
+        // answers without a second lookup even past the LRU cap.
         let outer = self.threads.min(structural_groups.len()).max(1);
         let inner = (self.threads / outer).max(1);
         let group_results = gopher_par::par_map(outer, &structural_groups, |_, group| {
             let structure = group.structure.as_ref().expect("resolved above");
-            self.run_sweeps_with(&group.lattice, &group.members, inner, structure)
+            let sweeps = self.run_sweeps(&group.lattice, &group.members, inner, structure);
+            for (key, sweep) in &sweeps {
+                claims.land(key, sweep);
+            }
+            sweeps
         });
-        let mut batch_sweeps: HashMap<SweepKey, Arc<SweepResult>> = HashMap::new();
         for (key, sweep) in group_results.into_iter().flatten() {
-            batch_sweeps.insert(key, sweep);
+            let duration = sweep.duration;
+            ready.insert(key, (sweep, duration));
+        }
+
+        // Only now, with every claim of this batch landed, wait on other
+        // callers' flights: a batch never blocks while holding a claim, so
+        // crossing batches cannot deadlock. A flight whose owner unwound is
+        // swept here instead.
+        for (key, req, flight) in waits {
+            let t_wait = Instant::now();
+            let sweep = flight.wait().unwrap_or_else(|| {
+                let structure = self.structure_for(&req.lattice);
+                self.run_sweeps(
+                    &req.lattice,
+                    &[(key.clone(), req)],
+                    self.threads,
+                    &structure,
+                )
+                .pop()
+                .expect("one member in, one sweep out")
+                .1
+            });
+            ready.insert(key, (sweep, t_wait.elapsed()));
         }
 
         keys.iter()
             .zip(requests)
             .map(|(key, req)| {
-                // The `let` matters: it drops the cache guard before the
-                // recompute path below re-enters `run_sweeps` (which takes
-                // the same lock to store its result).
-                let cached = match batch_sweeps.get(key) {
-                    Some(sweep) => Some(Arc::clone(sweep)),
-                    None => lock_recover(&self.sweep_cache).get_quiet(key),
-                };
-                let sweep = match cached {
-                    Some(sweep) => sweep,
-                    // The key was cached when the batch started, but this is
-                    // a second lock acquisition: a concurrent batch (or this
-                    // batch's own inserts) may have LRU-evicted it since.
-                    // Recompute instead of panicking.
-                    None => {
-                        let recomputed = self
-                            .run_sweeps(&req.lattice, &[(key.clone(), req)])
-                            .pop()
-                            .expect("one member in, one sweep out")
-                            .1;
-                        // The rerun is this request's own cost.
-                        fresh.insert(key.clone());
-                        recomputed
-                    }
-                };
-                let response = self.answer(&sweep, req, fresh.remove(key));
+                let (sweep, charge) = ready.get_mut(key).expect("every key resolved above");
+                let response = self.answer(sweep, req, std::mem::take(charge));
                 // Feed the latency histogram from the duration the response
                 // already carries — no extra clock reads on the scored path.
                 self.latency.record(response.query_time);
                 response
             })
             .collect()
-    }
-
-    /// [`Self::run_sweeps_with`] using the session's full thread budget
-    /// (the path for single-group work, e.g. the eviction fallback).
-    fn run_sweeps(
-        &self,
-        lattice_cfg: &LatticeConfig,
-        members: &[(SweepKey, &ExplainRequest)],
-    ) -> Vec<(SweepKey, Arc<SweepResult>)> {
-        let structure = self.structure_for(lattice_cfg);
-        self.run_sweeps_with(lattice_cfg, members, self.threads, &structure)
     }
 
     /// The structural artifact for one lattice configuration, through the
@@ -1152,7 +1197,7 @@ impl<M: ModelFamily> ExplainSession<M> {
     /// `threads` workers (the batched path splits the session budget
     /// between concurrent groups and their pipelines). Results are cached
     /// subject to the LRU bound and returned for this batch.
-    fn run_sweeps_with(
+    fn run_sweeps(
         &self,
         lattice_cfg: &LatticeConfig,
         members: &[(SweepKey, &ExplainRequest)],
@@ -1196,14 +1241,15 @@ impl<M: ModelFamily> ExplainSession<M> {
         fresh_sweeps
     }
 
-    /// Builds the response for one request from its sweep. `charge_sweep` is
-    /// set for the first request of the batch that needed a fresh sweep, so
-    /// its `query_time` carries the sweep's cost.
+    /// Builds the response for one request from its sweep. `charge` is the
+    /// time spent getting that sweep on this request's behalf — the sweep
+    /// itself, or the wait for another caller's — and lands in its
+    /// `query_time`.
     fn answer(
         &self,
         sweep: &SweepResult,
         req: &ExplainRequest,
-        charge_sweep: bool,
+        charge: Duration,
     ) -> ExplainResponse {
         let t_query = Instant::now();
         let precomp = self.bias_precomp(req.metric);
@@ -1275,14 +1321,10 @@ impl<M: ModelFamily> ExplainSession<M> {
             stats: sweep.stats.clone(),
             search_time,
         };
-        let mut query_time = t_query.elapsed();
-        if charge_sweep {
-            query_time += sweep.duration;
-        }
         ExplainResponse {
             request: req.clone(),
             report,
-            query_time,
+            query_time: t_query.elapsed() + charge,
         }
     }
 
@@ -1531,10 +1573,9 @@ impl<M: ModelFamily> ExplainSession<M> {
             coverage,
             bias_cache: Mutex::new(HashMap::new()),
             sweep_cache: Mutex::new(LruCache::new(lock_recover(&self.sweep_cache).cap)),
+            flights: Mutex::new(HashMap::new()),
             structure_cache: Mutex::new(LruCache::new(lock_recover(&self.structure_cache).cap)),
             requests_served: AtomicU64::new(0),
-            batches_served: AtomicU64::new(0),
-            max_batch_requests: AtomicU64::new(0),
             updates_applied: AtomicU64::new(0),
             artifacts_survived: AtomicU64::new(0),
             artifacts_invalidated: AtomicU64::new(0),
@@ -1637,7 +1678,8 @@ mod tests {
     }
 
     /// A logistic regression that panics on demand inside `predict_proba` —
-    /// the hook used to poison a session cache mutex mid-computation.
+    /// the hook used to poison a session cache mutex mid-computation. Arming
+    /// it panics the next call only.
     #[derive(Clone)]
     struct PanickyModel {
         inner: LogisticRegression,
@@ -1650,7 +1692,7 @@ mod tests {
         }
         fn predict_proba(&self, x: &[f64]) -> f64 {
             assert!(
-                !self.armed.load(std::sync::atomic::Ordering::Relaxed),
+                !self.armed.swap(false, std::sync::atomic::Ordering::Relaxed),
                 "injected query panic"
             );
             self.inner.predict_proba(x)
@@ -1746,10 +1788,11 @@ mod tests {
         builder.fit(|cols| LogisticRegression::new(cols, 1e-3), &train, &test)
     }
 
-    /// Satellite regression: a sweep that was cached when the batch started
-    /// can be LRU-evicted before the batch re-reads it (here forced with a
-    /// cap of 1). The old code panicked on `expect("sweep cached before
-    /// this batch")`; it must now recompute and answer bit-identically.
+    /// Satellite regression: a sweep cached when the batch starts can be
+    /// LRU-evicted by the batch's own inserts before its request is
+    /// answered (here forced with a cap of 1). An early version panicked on
+    /// `expect("sweep cached before this batch")`; the batch must answer
+    /// bit-identically.
     #[test]
     fn eviction_mid_batch_recomputes_instead_of_panicking() {
         let req_a = ExplainRequest::default().with_ground_truth(false);
@@ -1759,8 +1802,8 @@ mod tests {
 
         let s = session_with(500, 46, SessionBuilder::new().sweep_cache_cap(1));
         let solo_a = s.explain(&req_a); // caches sweep A (the only slot)
-                                        // Batch: B misses and sweeps fresh → inserting B evicts A; the
-                                        // second lock window then finds A gone and must fall back.
+                                        // Batch: B misses and sweeps fresh, and inserting B evicts A
+                                        // before A's request is answered.
         let batch = s.explain_batch(&[req_b.clone(), req_a.clone()]);
         assert_eq!(batch.len(), 2);
         assert_reports_equal(&batch[1].report, &solo_a.report);
@@ -1981,27 +2024,126 @@ mod tests {
     }
 
     /// Registry-facing traffic counters: every entry point funnels through
-    /// `explain_batch`, so requests/batches/max-batch tally exactly — the
-    /// serving daemon reads the batching win straight off these.
+    /// `explain_batch`, so `requests_served` tallies exactly, and a sweep
+    /// miss is charged only to the request that runs the sweep — a key
+    /// repeated within a batch rides on its first occurrence as a hit.
     #[test]
-    fn request_and_batch_counters_tally() {
+    fn requests_served_tallies_every_entry_point() {
         let s = session(400, 54);
         let req = ExplainRequest::default().with_ground_truth(false);
+        let eo = req.clone().with_metric(FairnessMetric::EqualOpportunity);
         assert_eq!(s.stats().requests_served, 0);
-        assert_eq!(s.stats().batches_served, 0);
 
         let _ = s.explain(&req);
-        let _ = s.explain_batch(&[
-            req.clone(),
-            req.clone().with_metric(FairnessMetric::EqualOpportunity),
-            req.clone().with_k(1),
-        ]);
+        let _ = s.explain_batch(&[req.clone(), eo.clone(), eo.with_k(1)]);
         let _ = s.explain_batch(&[]);
 
         let stats = s.stats();
         assert_eq!(stats.requests_served, 4, "1 solo + 3 batched");
-        assert_eq!(stats.batches_served, 2, "empty batches are not counted");
-        assert_eq!(stats.max_batch_requests, 3);
+        assert_eq!((stats.sweep_misses, stats.sweep_hits), (2, 2));
+    }
+
+    /// Blocks until `s` has counted `n` sweep lookups (hits plus misses).
+    fn wait_for_lookups<M: ModelFamily>(s: &ExplainSession<M>, n: u64) {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        loop {
+            let stats = s.stats();
+            if stats.sweep_hits + stats.sweep_misses == n {
+                return;
+            }
+            assert!(Instant::now() < deadline, "lookup {n} never counted");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Single-flight: a caller asking for a sweep another caller is still
+    /// computing waits for that result instead of sweeping again — even at
+    /// sweep-cache cap 0, where the result never reaches the LRU. Caller A
+    /// is held inside its sweep (blocked on the bias cache this test locks)
+    /// until caller B's lookup has been counted.
+    #[test]
+    fn concurrent_callers_share_one_in_flight_sweep() {
+        let s = session_with(400, 55, SessionBuilder::new().sweep_cache_cap(0));
+        let req = ExplainRequest::default().with_ground_truth(false);
+        let (a, b) = std::thread::scope(|scope| {
+            let hold = lock_recover(&s.bias_cache);
+            let a = scope.spawn(|| s.explain(&req));
+            wait_for_lookups(&s, 1);
+            let b = scope.spawn(|| s.explain(&req));
+            wait_for_lookups(&s, 2);
+            drop(hold);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        let stats = s.stats();
+        assert_eq!(
+            stats.sweep_misses, 1,
+            "one sweep for two callers: {stats:?}"
+        );
+        assert_eq!(stats.sweep_hits, 1);
+        assert_eq!(stats.sweep_entries, 0, "cap 0 retains nothing");
+        assert_reports_equal(&a.report, &b.report);
+        assert_reports_equal(&a.report, &session(400, 55).explain(&req).report);
+    }
+
+    /// A caller waiting on a sweep whose owner panics is not left hanging:
+    /// the owner's claim is released as it unwinds, and the waiter sweeps
+    /// the key itself and answers like a clean session.
+    #[test]
+    fn waiter_of_a_panicked_sweep_sweeps_it_itself() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let mut rng = Rng::new(57);
+        let (train, test) = german(400, 57).train_test_split(0.3, &mut rng);
+        let encoded = gopher_data::Encoder::fit(&train).transform(&train);
+        let mut inner = LogisticRegression::new(encoded.n_cols(), 1e-3);
+        gopher_models::train::fit_default(&mut inner, &encoded);
+        let armed = Arc::new(AtomicBool::new(false));
+        let model = PanickyModel {
+            inner,
+            armed: Arc::clone(&armed),
+        };
+        let s = SessionBuilder::new()
+            .sweep_cache_cap(0)
+            .build(model, &train, &test);
+        let req = ExplainRequest::default().with_ground_truth(false);
+        let (owner, waiter) = std::thread::scope(|scope| {
+            let hold = lock_recover(&s.bias_cache);
+            armed.store(true, Ordering::Relaxed);
+            let owner = scope.spawn(|| s.explain(&req));
+            wait_for_lookups(&s, 1);
+            let waiter = scope.spawn(|| s.explain(&req));
+            wait_for_lookups(&s, 2);
+            drop(hold);
+            (owner.join(), waiter.join())
+        });
+        assert!(owner.is_err(), "the armed owner must panic");
+        let waiter = waiter.expect("the waiter must answer");
+        let clean = session_with(400, 57, SessionBuilder::new());
+        assert_reports_equal(&waiter.report, &clean.explain(&req).report);
+        assert_eq!(s.stats().sweep_misses, 1, "the waiter was counted a hit");
+    }
+
+    /// Two batches asking for the same two sweeps in opposite orders, at
+    /// sweep-cache cap 0 so every round sweeps afresh: either may find the
+    /// other's claims in flight, and neither may hang or answer differently
+    /// from a solo run.
+    #[test]
+    fn crossing_batches_finish_and_match_solo_answers() {
+        let k1 = ExplainRequest::default().with_ground_truth(false);
+        let k2 = k1.clone().with_metric(FairnessMetric::EqualOpportunity);
+        let reference = session(300, 56);
+        let solo = [reference.explain(&k1), reference.explain(&k2)];
+        let s = session_with(300, 56, SessionBuilder::new().sweep_cache_cap(0));
+        for _ in 0..20 {
+            let (forward, backward) = std::thread::scope(|scope| {
+                let forward = scope.spawn(|| s.explain_batch(&[k1.clone(), k2.clone()]));
+                let backward = scope.spawn(|| s.explain_batch(&[k2.clone(), k1.clone()]));
+                (forward.join().unwrap(), backward.join().unwrap())
+            });
+            assert_reports_equal(&forward[0].report, &solo[0].report);
+            assert_reports_equal(&forward[1].report, &solo[1].report);
+            assert_reports_equal(&backward[0].report, &solo[1].report);
+            assert_reports_equal(&backward[1].report, &solo[0].report);
+        }
     }
 
     /// Drift-aware variant of [`assert_reports_equal`] for comparing an

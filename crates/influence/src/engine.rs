@@ -217,8 +217,8 @@ impl<M: Differentiable> InfluenceEngine<M> {
     /// 1. patches its damped mean Hessian exactly at the current parameters
     ///    (`S_new = S_old − Σ h_removed + Σ h_added`, `O(|Δ| p²)`),
     /// 2. patches the Cholesky factor with one rank-1 update/downdate per
-    ///    delta row (via [`Model::hessian_rank_one`]) and verifies it against
-    ///    the patched Hessian with a residual probe,
+    ///    delta row (via [`Differentiable::hessian_rank_one`]) and verifies
+    ///    it against the patched Hessian with a residual probe,
     /// 3. warm-retrains by quasi-Newton steps through the patched factor
     ///    until the true gradient norm on `new_train` meets the Newton
     ///    trainer's tolerance, and

@@ -210,18 +210,12 @@ pub fn explain_response_json(response: &ExplainResponse) -> Json {
 /// The `session_stats` / `GET .../stats` block: every cache-layer counter a
 /// serving deployment watches, straight from
 /// [`ExplainSession::stats`](gopher_core::ExplainSession::stats), plus the
-/// traffic counters that prove (or disprove) micro-batching:
-/// `batches_formed < requests_served` means concurrent callers were
-/// coalesced.
+/// traffic counters. Concurrent callers asking one question share its
+/// sweep, so `sweep_misses` counts the sweeps actually run.
 pub fn session_stats_json(stats: &SessionStats) -> Json {
     Json::obj([
         ("threads", Json::num(stats.threads as f64)),
         ("requests_served", Json::num(stats.requests_served as f64)),
-        ("batches_formed", Json::num(stats.batches_served as f64)),
-        (
-            "max_batch_requests",
-            Json::num(stats.max_batch_requests as f64),
-        ),
         ("sweep_entries", Json::num(stats.sweep_entries as f64)),
         ("sweep_cache_cap", Json::num(stats.sweep_cache_cap as f64)),
         ("sweep_hits", Json::num(stats.sweep_hits as f64)),

@@ -24,10 +24,14 @@ pub struct Conn {
 }
 
 impl Conn {
-    /// Connects to the server.
+    /// Connects to the server, with Nagle's algorithm off: each request
+    /// goes out in one write, which Nagle could still hold for the
+    /// server's delayed ACK.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Conn> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         Ok(Conn {
-            stream: TcpStream::connect(addr)?,
+            stream,
             buf: Vec::new(),
         })
     }
@@ -41,12 +45,11 @@ impl Conn {
         body: Option<&str>,
     ) -> io::Result<Response> {
         let body = body.unwrap_or("");
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: gopher\r\nContent-Length: {}\r\n\r\n",
+        let message = format!(
+            "{method} {path} HTTP/1.1\r\nHost: gopher\r\nContent-Length: {}\r\n\r\n{body}",
             body.len()
         );
-        self.stream.write_all(head.as_bytes())?;
-        self.stream.write_all(body.as_bytes())?;
+        self.stream.write_all(message.as_bytes())?;
         self.stream.flush()?;
         self.read_response()
     }

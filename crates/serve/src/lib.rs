@@ -11,17 +11,11 @@
 //! * [`registry`] — named sessions built from CSV uploads or the built-in
 //!   generators, LRU-bounded; every session is shared `Arc`-style so
 //!   eviction never interrupts an in-flight query;
-//! * [`batcher`] — the killer feature: concurrent `POST .../explain`
-//!   requests against one session are coalesced into a single
-//!   [`ExplainSession::explain_batch`](gopher_core::ExplainSession::explain_batch)
-//!   call, where the lattice sweep and its score passes amortize across the
-//!   whole batch (and the structure cache turns same-shape peers into one
-//!   sweep);
 //! * [`api`] — the JSON wire codecs, shared with the `gopher query`
 //!   subcommand so the HTTP surface and the CLI speak byte-identical
 //!   request and response shapes;
 //! * [`server`] — the accept loop, worker pool, routing, and graceful
-//!   drain ([`Server::trigger_shutdown`] stops accepting, in-flight batches
+//!   drain ([`Server::trigger_shutdown`] stops accepting, in-flight requests
 //!   finish, [`Server::join`] returns when the last worker parks);
 //! * [`client`] — a tiny blocking client used by the CLI smoke tests and
 //!   the `serve_qps` load bench.
@@ -29,14 +23,12 @@
 //! Start at [`Server::start`] with a [`ServeConfig`].
 
 pub mod api;
-pub mod batcher;
 pub mod client;
 pub mod http;
 pub mod registry;
 pub mod server;
 pub mod signals;
 
-pub use batcher::Batcher;
 pub use registry::{
     build_session, AnySession, SessionConfig, SessionRegistry, UpdateSpec, UPDATE_FIELDS,
 };

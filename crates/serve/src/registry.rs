@@ -9,7 +9,6 @@
 //! only drops the registry's reference — queries already holding the
 //! session finish unharmed.
 
-use crate::batcher::Batcher;
 use gopher_core::{
     ExplainRequest, ExplainResponse, ExplainSession, SessionBuilder, SessionStats, UpdateReport,
 };
@@ -39,14 +38,14 @@ pub enum AnySession {
 }
 
 impl AnySession {
-    /// Answers a batch of requests; the whole point of the serving daemon is
-    /// funneling concurrent HTTP callers into as few of these as possible.
-    pub fn explain_batch(&self, requests: &[ExplainRequest]) -> Vec<ExplainResponse> {
+    /// Answers one request (see [`ExplainSession::explain`]). Concurrent
+    /// callers asking the same question share one sweep inside the session.
+    pub fn explain(&self, request: &ExplainRequest) -> ExplainResponse {
         match self {
-            Self::Lr(s) => s.explain_batch(requests),
-            Self::Svm(s) => s.explain_batch(requests),
-            Self::Mlp(s) => s.explain_batch(requests),
-            Self::Forest(s) => s.explain_batch(requests),
+            Self::Lr(s) => s.explain(request),
+            Self::Svm(s) => s.explain(request),
+            Self::Mlp(s) => s.explain(request),
+            Self::Forest(s) => s.explain(request),
         }
     }
 
@@ -576,14 +575,13 @@ pub fn build_session(config: &SessionConfig) -> Result<(AnySession, usize), Stri
     Ok((session, rows))
 }
 
-/// One registered session: the erased session, its per-session
-/// micro-batcher, and the listing metadata.
+/// One registered session: the erased session and the listing metadata.
 ///
 /// The session sits behind an `RwLock` so `POST .../update` can take `&mut`
 /// while every read path (explain, stats, listings) shares read guards.
-/// Queries hold the read lock only for the duration of one batch; an update
-/// waits for in-flight batches, applies, and the next query sees the new
-/// data.
+/// Queries hold the read lock only for the duration of one request; an
+/// update waits for in-flight requests, applies, and the next query sees
+/// the new data.
 pub struct SessionEntry {
     /// Registry key.
     pub name: String,
@@ -599,8 +597,6 @@ pub struct SessionEntry {
     pub config: SessionConfig,
     /// The session itself (write-locked only by updates).
     pub session: RwLock<AnySession>,
-    /// Coalesces concurrent explain calls against this session.
-    pub batcher: Batcher,
 }
 
 struct Inner {

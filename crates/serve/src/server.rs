@@ -4,7 +4,7 @@
 //! POST   /sessions                 create a session (CSV upload or generator)
 //! GET    /sessions                 list registered sessions
 //! GET    /sessions/{name}/stats    cache + traffic counters for one session
-//! POST   /sessions/{name}/explain  answer one explain request (micro-batched)
+//! POST   /sessions/{name}/explain  answer one explain request
 //! POST   /sessions/{name}/update   apply a training-data delta in place
 //! DELETE /sessions/{name}          drop a session
 //! GET    /healthz                  liveness + registry occupancy
@@ -15,12 +15,11 @@
 //! fixed worker pool over a channel; each worker owns its connection for the
 //! keep-alive duration, polling the shutdown flag on a 500 ms read timeout.
 //! Shutdown ([`Server::trigger_shutdown`], `POST /shutdown`, or a signal
-//! wired by the CLI) stops the accept loop, lets every in-flight request —
-//! including a forming micro-batch — complete and flush, then parks the
-//! workers; [`Server::join`] returns once the last one is done.
+//! wired by the CLI) stops the accept loop, lets every in-flight request
+//! complete and flush, then parks the workers; [`Server::join`] returns
+//! once the last one is done.
 
 use crate::api;
-use crate::batcher::Batcher;
 use crate::http::{self, HttpConn, HttpError, Request};
 use crate::registry::{build_session, SessionConfig, SessionEntry, SessionRegistry, UpdateSpec};
 use gopher_core::ExplainRequest;
@@ -43,11 +42,6 @@ pub struct ServeConfig {
     /// Port to bind (`0` = let the OS pick; read it back from
     /// [`Server::addr`]).
     pub port: u16,
-    /// Micro-batch collection window. `0` disables coalescing — every
-    /// explain call runs solo.
-    pub batch_window: Duration,
-    /// Most requests one micro-batch may coalesce (leader included).
-    pub max_batch: usize,
     /// Registry retention bound: past this many sessions the least recently
     /// used one is evicted.
     pub session_cap: usize,
@@ -64,8 +58,6 @@ impl Default for ServeConfig {
         Self {
             addr: "127.0.0.1".into(),
             port: 0,
-            batch_window: Duration::from_millis(2),
-            max_batch: 16,
             session_cap: 8,
             workers: 0,
             max_body_bytes: gopher_json::DEFAULT_MAX_BYTES,
@@ -396,7 +388,6 @@ fn create_session(state: &ServerState, request: &Request) -> (u16, Json) {
         rows,
         config: config.clone(),
         session: std::sync::RwLock::new(session),
-        batcher: Batcher::new(state.config.batch_window, state.config.max_batch),
     });
     if let Err(e) = state.registry.insert(entry) {
         return (409, error_json(&e));
@@ -436,8 +427,8 @@ fn session_stats(state: &ServerState, name: &str) -> (u16, Json) {
 /// inline CSV for CSV-backed ones). Everything is validated *before* the
 /// write lock is taken — bad indices, schema mismatches, and empty deltas
 /// are `400`s and never touch the session. The update itself runs under the
-/// session's write lock: in-flight explain batches finish first, the next
-/// query answers over the new data.
+/// session's write lock: in-flight explains finish first, the next query
+/// answers over the new data.
 fn update_session(state: &ServerState, name: &str, request: &Request) -> (u16, Json) {
     let Some(entry) = state.registry.get(name) else {
         return (404, error_json(&format!("no session named {name:?}")));
@@ -504,8 +495,6 @@ fn explain(state: &ServerState, name: &str, request: &Request) -> (u16, Json) {
         Ok(r) => r,
         Err(e) => return (400, error_json(&e)),
     };
-    match entry.batcher.explain(&entry.session, explain_request) {
-        Ok(response) => (200, api::explain_response_json(&response)),
-        Err(e) => (500, error_json(&e)),
-    }
+    let response = read_recover(&entry.session).explain(&explain_request);
+    (200, api::explain_response_json(&response))
 }

@@ -1,13 +1,14 @@
 //! End-to-end tests for the `gopher serve` daemon: HTTP answers must be
-//! bit-identical to in-process sessions, concurrent callers must coalesce,
-//! error paths must map to the right status codes, and shutdown must drain.
+//! bit-identical to in-process sessions, concurrent callers asking one
+//! question must share its sweep, error paths must map to the right status
+//! codes, and shutdown must drain.
 
 use gopher_json::Json;
 use gopher_serve::client::{request_once, Conn};
 use gopher_serve::server::default_request;
 use gopher_serve::{api, build_session, ServeConfig, SessionConfig};
 use std::net::SocketAddr;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn start(config: ServeConfig) -> (gopher_serve::Server, SocketAddr) {
     let server = gopher_serve::Server::start(config).expect("bind an ephemeral port");
@@ -40,7 +41,6 @@ fn german_300_config() -> SessionConfig {
 #[test]
 fn http_answers_are_bit_identical_to_in_process_sessions() {
     let (server, addr) = start(ServeConfig {
-        batch_window: Duration::from_millis(1),
         workers: 4,
         ..ServeConfig::default()
     });
@@ -68,7 +68,7 @@ fn http_answers_are_bit_identical_to_in_process_sessions() {
             .unwrap();
         assert_eq!(over_http.status, 200, "{}", over_http.body);
         let request = api::parse_explain_request(&parse(body), &default_request(), 1.0).unwrap();
-        let in_process = reference.explain_batch(&[request]).pop().unwrap();
+        let in_process = reference.explain(&request);
         let expected = format!("{}", api::explain_response_json(&in_process));
         assert_eq!(
             stripped(&over_http.body),
@@ -88,13 +88,6 @@ fn http_answers_are_bit_identical_to_in_process_sessions() {
             .unwrap()
             >= 3.0
     );
-    assert!(
-        stats_json
-            .get("batches_formed")
-            .and_then(Json::as_f64)
-            .unwrap()
-            >= 1.0
-    );
     assert_eq!(
         stats_json.get("name").and_then(Json::as_str),
         Some("german")
@@ -105,11 +98,8 @@ fn http_answers_are_bit_identical_to_in_process_sessions() {
 }
 
 #[test]
-fn concurrent_explains_coalesce_into_fewer_batches() {
+fn concurrent_explains_share_one_sweep_per_question() {
     let (server, addr) = start(ServeConfig {
-        // A wide window so all the spawned clients land inside it even on a
-        // loaded CI box; correctness elsewhere never depends on this.
-        batch_window: Duration::from_millis(200),
         workers: 6,
         ..ServeConfig::default()
     });
@@ -138,17 +128,17 @@ fn concurrent_explains_coalesce_into_fewer_batches() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    // Every coalesced answer is bit-identical to a sequential in-process run
-    // of the same request.
+    // Every concurrent answer is bit-identical to a sequential in-process
+    // run of the same request.
     let (reference, _rows) = build_session(&german_300_config()).unwrap();
     for (i, body) in &answers {
         let request =
             api::parse_explain_request(&parse(bodies[*i]), &default_request(), 1.0).unwrap();
-        let expected = reference.explain_batch(&[request]).pop().unwrap();
+        let expected = reference.explain(&request);
         assert_eq!(
             stripped(body),
             stripped(&format!("{}", api::explain_response_json(&expected))),
-            "batched answer {i} diverged from the sequential reference"
+            "concurrent answer {i} diverged from the sequential reference"
         );
     }
 
@@ -157,18 +147,12 @@ fn concurrent_explains_coalesce_into_fewer_batches() {
             .unwrap()
             .body,
     );
-    let requests = stats.get("requests_served").and_then(Json::as_f64).unwrap();
-    let batches = stats.get("batches_formed").and_then(Json::as_f64).unwrap();
-    let max_batch = stats
-        .get("max_batch_requests")
-        .and_then(Json::as_f64)
-        .unwrap();
-    assert_eq!(requests, 4.0);
-    assert!(
-        batches < requests,
-        "4 concurrent requests must form fewer than 4 batches (got {batches})"
-    );
-    assert!(max_batch >= 2.0, "at least one batch must have coalesced");
+    let counter = |name: &str| stats.get(name).and_then(Json::as_f64).unwrap();
+    assert_eq!(counter("requests_served"), 4.0);
+    // Three distinct questions: the repeated one is answered from the
+    // first's sweep, whether it arrived while that sweep ran or after.
+    assert_eq!(counter("sweep_misses"), 3.0, "{stats:?}");
+    assert_eq!(counter("sweep_hits"), 1.0, "{stats:?}");
 
     server.trigger_shutdown();
     server.join();
@@ -177,7 +161,6 @@ fn concurrent_explains_coalesce_into_fewer_batches() {
 #[test]
 fn csv_uploads_work_and_errors_carry_line_numbers() {
     let (server, addr) = start(ServeConfig {
-        batch_window: Duration::ZERO,
         workers: 2,
         ..ServeConfig::default()
     });
@@ -236,7 +219,6 @@ fn csv_uploads_work_and_errors_carry_line_numbers() {
 #[test]
 fn protocol_errors_map_to_the_right_statuses() {
     let (server, addr) = start(ServeConfig {
-        batch_window: Duration::ZERO,
         workers: 2,
         max_body_bytes: 4096,
         ..ServeConfig::default()
@@ -303,25 +285,43 @@ fn protocol_errors_map_to_the_right_statuses() {
 #[test]
 fn shutdown_drains_in_flight_requests() {
     let (server, addr) = start(ServeConfig {
-        batch_window: Duration::from_millis(150),
         workers: 4,
         ..ServeConfig::default()
     });
-    let created = request_once(addr, "POST", "/sessions", Some(GERMAN_300)).unwrap();
+    let created = request_once(
+        addr,
+        "POST",
+        "/sessions",
+        Some(r#"{"name":"german", "generator":"german", "rows":3000, "seed":7}"#),
+    )
+    .unwrap();
     assert_eq!(created.status, 201, "{}", created.body);
 
-    // Launch a request whose micro-batch window is still open when the
-    // shutdown lands; it must be answered, not dropped.
+    // Launch a slow request — a low-support sweep plus a ground-truth
+    // retrain per answer — and land the shutdown once the session has
+    // started answering it; it must be answered, not dropped.
     let in_flight = std::thread::spawn(move || {
         request_once(
             addr,
             "POST",
             "/sessions/german/explain",
-            Some(r#"{"metric":"equal-opportunity", "support":0.02}"#),
+            Some(r#"{"metric":"equal-opportunity", "support":0.01, "k":5, "ground_truth":true}"#),
         )
         .unwrap()
     });
-    std::thread::sleep(Duration::from_millis(40));
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let stats = parse(
+            &request_once(addr, "GET", "/sessions/german/stats", None)
+                .unwrap()
+                .body,
+        );
+        if stats.get("requests_served").and_then(Json::as_f64) == Some(1.0) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "the explain never started");
+        std::thread::sleep(Duration::from_millis(2));
+    }
     let ack = request_once(addr, "POST", "/shutdown", None).unwrap();
     assert_eq!(ack.status, 200);
 
@@ -338,7 +338,6 @@ fn shutdown_drains_in_flight_requests() {
 #[test]
 fn update_endpoint_patches_the_session_and_matches_an_in_process_delta() {
     let (server, addr) = start(ServeConfig {
-        batch_window: Duration::ZERO,
         workers: 2,
         ..ServeConfig::default()
     });
@@ -398,7 +397,7 @@ fn update_endpoint_patches_the_session_and_matches_an_in_process_delta() {
     let over_http = request_once(addr, "POST", "/sessions/german/explain", Some(body)).unwrap();
     assert_eq!(over_http.status, 200, "{}", over_http.body);
     let request = api::parse_explain_request(&parse(body), &default_request(), 1.0).unwrap();
-    let in_process = reference.explain_batch(&[request]).pop().unwrap();
+    let in_process = reference.explain(&request);
     assert_eq!(
         stripped(&over_http.body),
         stripped(&format!("{}", api::explain_response_json(&in_process))),
@@ -423,7 +422,6 @@ fn update_endpoint_patches_the_session_and_matches_an_in_process_delta() {
 #[test]
 fn update_endpoint_rejects_bad_deltas_with_400s() {
     let (server, addr) = start(ServeConfig {
-        batch_window: Duration::ZERO,
         workers: 2,
         ..ServeConfig::default()
     });
@@ -476,7 +474,6 @@ fn update_endpoint_rejects_bad_deltas_with_400s() {
 #[test]
 fn registry_eviction_under_live_traffic_never_panics() {
     let (server, addr) = start(ServeConfig {
-        batch_window: Duration::from_millis(1),
         workers: 6,
         session_cap: 2,
         ..ServeConfig::default()

@@ -15,7 +15,7 @@
 //!   estimators, tree unlearning);
 //! * [`gopher_patterns`] — predicates, lattice search, top-k selection;
 //! * [`gopher_serve`] — the `gopher serve` HTTP daemon: session registry,
-//!   micro-batching, wire codecs (start at [`gopher_serve::Server`]);
+//!   wire codecs (start at [`gopher_serve::Server`]);
 //! * [`gopher_json`] — the dependency-free JSON codec the CLI and daemon
 //!   share;
 //! * [`gopher_linalg`] / [`gopher_prng`] — numeric substrate.

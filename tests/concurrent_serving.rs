@@ -15,10 +15,8 @@ use gopher_json::Json;
 use gopher_models::LogisticRegression;
 use gopher_prng::Rng;
 use gopher_serve::api;
-use gopher_serve::batcher::Batcher;
 use gopher_serve::registry::{build_session, SessionConfig, SessionEntry, SessionRegistry};
 use std::sync::Arc;
-use std::time::Duration;
 
 const DATA_SEED: u64 = 2207;
 
@@ -105,11 +103,12 @@ fn hammered_session_matches_sequential_bit_for_bit() {
     }
 }
 
-/// The micro-batcher is transparent: funneling the workload through a
-/// coalescing [`Batcher`] from many threads changes nothing about the
-/// answers, and the session-level counters prove batches actually formed.
+/// Single-flight is transparent: two concurrent callers per question, all
+/// at once against one session, get exactly the solo answers, and each
+/// distinct question is swept once — a caller that finds its question in
+/// flight waits for that sweep instead of running its own.
 #[test]
-fn batched_answers_match_solo_answers() {
+fn concurrent_callers_match_solo_answers() {
     let requests = workload();
     let reference = session(320);
     let expected: Vec<Json> = requests
@@ -117,22 +116,21 @@ fn batched_answers_match_solo_answers() {
         .map(|r| canonical(&reference.explain(r)))
         .collect();
 
-    let shared = std::sync::RwLock::new(gopher_serve::AnySession::Lr(session(320)));
-    let batcher = Batcher::new(Duration::from_millis(100), 16);
+    let shared = session(320);
     std::thread::scope(|scope| {
         let handles: Vec<_> = requests
             .iter()
             .enumerate()
+            .flat_map(|pair| [pair, pair])
             .map(|(i, request)| {
                 let shared = &shared;
-                let batcher = &batcher;
                 let expected = &expected;
                 scope.spawn(move || {
-                    let response = batcher.explain(shared, request.clone()).unwrap();
+                    let response = shared.explain(request);
                     assert_eq!(
                         canonical(&response),
                         expected[i],
-                        "batched answer {i} diverged"
+                        "concurrent answer {i} diverged"
                     );
                 })
             })
@@ -141,14 +139,14 @@ fn batched_answers_match_solo_answers() {
             h.join().unwrap();
         }
     });
-    let stats = gopher_par::read_recover(&shared).stats();
-    assert_eq!(stats.requests_served, requests.len() as u64);
-    assert!(
-        stats.batches_served < stats.requests_served,
-        "coalescing must form fewer batches than requests ({} vs {})",
-        stats.batches_served,
-        stats.requests_served
+    let stats = shared.stats();
+    assert_eq!(stats.requests_served, 2 * requests.len() as u64);
+    assert_eq!(
+        stats.sweep_misses,
+        requests.len() as u64,
+        "one sweep per distinct question: {stats:?}"
     );
+    assert_eq!(stats.sweep_hits, requests.len() as u64);
 }
 
 /// LRU eviction racing live lookups and inserts: nothing panics, lookups
@@ -173,11 +171,13 @@ fn registry_eviction_mid_traffic_is_panic_free() {
             rows,
             config: config.clone(),
             session: std::sync::RwLock::new(session),
-            batcher: Batcher::new(Duration::ZERO, 4),
         })
     };
     registry.insert(entry("keep")).unwrap();
 
+    // The churn starts once the first lookup has landed, so traffic is live
+    // when eviction begins however the threads are scheduled.
+    let (first_lookup, traffic_live) = std::sync::mpsc::channel();
     std::thread::scope(|scope| {
         let lookups = {
             let registry = registry.clone();
@@ -188,8 +188,11 @@ fn registry_eviction_mid_traffic_is_panic_free() {
                     if let Some(entry) = registry.get("keep") {
                         // Hold the Arc across real work: eviction during
                         // this call must not be able to hurt us.
-                        let _ = entry.batcher.explain(&entry.session, request.clone());
+                        let _ = gopher_par::read_recover(&entry.session).explain(&request);
                         served += 1;
+                        if served == 1 {
+                            first_lookup.send(()).unwrap();
+                        }
                     }
                 }
                 served
@@ -198,6 +201,7 @@ fn registry_eviction_mid_traffic_is_panic_free() {
         let churn = {
             let registry = registry.clone();
             scope.spawn(move || {
+                traffic_live.recv().unwrap();
                 for i in 0..6 {
                     registry.insert(entry(&format!("churn-{i}"))).unwrap();
                 }

@@ -4,8 +4,7 @@
 //! level the merge enumeration and resolution and an influence-scored
 //! (second-order) score pass — on German and Adult at 10k rows, with the
 //! level pipeline on 1 vs 4 workers. Every iteration builds a fresh
-//! coverage cache, index, and structural artifact, so each sample is
-//! genuinely cold (nothing is amortized across iterations, unlike the
+//! coverage cache and index, so each sample is genuinely cold (nothing is amortized across iterations, unlike the
 //! session benches). The 4-thread arm scales with the host's cores; on a
 //! 1-core container the arms converge, showing the pipeline adds no
 //! overhead over one worker.
@@ -15,9 +14,7 @@ use gopher_bench::workloads::{prepare, train_lr, DatasetKind};
 use gopher_fairness::FairnessMetric;
 use gopher_influence::{BiasEval, BiasInfluence, Estimator, InfluenceConfig, InfluenceEngine};
 use gopher_patterns::lattice::compute_candidates_multi;
-use gopher_patterns::{
-    generate_predicates, CoverageCache, LatticeConfig, PredicateIndex, ScoreFn, SweepStructure,
-};
+use gopher_patterns::{generate_predicates, CoverageCache, LatticeConfig, PredicateIndex, ScoreFn};
 
 fn bench_cold_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("cold_sweep_10k");
@@ -43,7 +40,6 @@ fn bench_cold_sweep(c: &mut Criterion) {
                     b.iter(|| {
                         let cache = CoverageCache::new();
                         let index = PredicateIndex::build(&table, &cache);
-                        let structure = SweepStructure::build(&index, &config);
                         let score = |cov: &gopher_patterns::BitSet| {
                             let rows = cov.to_indices();
                             bi.responsibility(
@@ -54,9 +50,7 @@ fn bench_cold_sweep(c: &mut Criterion) {
                             )
                         };
                         let scorers: Vec<ScoreFn<'_>> = vec![Box::new(score)];
-                        compute_candidates_multi(
-                            &table, &scorers, &config, &cache, &structure, threads,
-                        )
+                        compute_candidates_multi(&table, &scorers, &config, &cache, &index, threads)
                     });
                 },
             );

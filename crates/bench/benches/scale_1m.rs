@@ -5,8 +5,8 @@
 //! Two families of arms:
 //!
 //! * **`scale_sqf_{100k,500k,1m}/cold_sweep`** — one cold staged sweep per
-//!   iteration (fresh coverage cache and structural artifact over a
-//!   prebuilt predicate index) over synthetic SQF at 100k/500k/1M rows,
+//!   iteration (fresh coverage cache over a prebuilt predicate index) over
+//!   synthetic SQF at 100k/500k/1M rows,
 //!   support τ = 0.1, depth 3, responsibility pruning off, one cheap
 //!   count-based scorer so the structural merge pass (an exact fused
 //!   `and_count` per merge) dominates the measurement.
@@ -25,7 +25,6 @@ use gopher_influence::Estimator;
 use gopher_patterns::lattice::{compute_candidates_multi, LatticeConfig};
 use gopher_patterns::{
     generate_predicates, BitSet, CoverageCache, PredicateIndex, PredicateTable, ScoreFn,
-    SweepStructure,
 };
 
 /// (rows, label, timed samples) — samples shrink as the sweeps grow.
@@ -45,18 +44,17 @@ fn config() -> LatticeConfig {
 }
 
 /// One cold staged sweep over a prebuilt predicate index: fresh coverage
-/// cache and structural artifact per call, one cheap scorer. The index
+/// cache per call, one cheap scorer. The index
 /// (predicate materialization — data prep) is built once per size outside
 /// the timed region, so the measurement is the structural merge pass plus
 /// scoring. Returns the number of candidates scored.
 fn cold_sweep(table: &PredicateTable, index: &PredicateIndex, n_rows: usize) -> usize {
     let cache = CoverageCache::new();
-    let structure = SweepStructure::build(index, &config());
     // Density scoring: one popcount per candidate, so merge resolution
     // dominates the arm instead of a per-row scoring loop.
     let scorer = |cov: &BitSet| cov.count() as f64 / n_rows as f64;
     let scorers: Vec<ScoreFn<'_>> = vec![Box::new(scorer)];
-    let mut results = compute_candidates_multi(table, &scorers, &config(), &cache, &structure, 1);
+    let mut results = compute_candidates_multi(table, &scorers, &config(), &cache, index, 1);
     let (_, stats) = results.pop().expect("one scorer in, one result out");
     stats.total_scored
 }
@@ -87,7 +85,6 @@ fn bench_session_second_order(c: &mut Criterion) {
     // level's report times its structural phase apart from scoring at any
     // thread count.
     let session = SessionBuilder::new()
-        .structure_cache_cap(0)
         .sweep_cache_cap(0)
         .coverage_cache_cap(0)
         .threads(2)

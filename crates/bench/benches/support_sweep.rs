@@ -1,27 +1,26 @@
-//! Support-threshold sweep benchmark: the τ-monotone structure cache.
+//! Support-threshold sweep benchmark: τ sweeps over a warm coverage cache.
 //!
 //! The support threshold τ is the single most-swept lattice knob (`repro
 //! --experiment table7`, any analyst tuning min-support). Support counts are
-//! monotone, so an artifact built at a loose τ contains everything a tighter
-//! τ' needs — the session's range-capable structure cache serves τ' by
-//! *re-filtering*, never re-intersecting. Three arms over German at 10k
-//! rows, all driving `ExplainSession` (statistical parity, first-order
-//! estimator, depth 3, ground truth off):
+//! monotone, so the coverages a loose τ materialized cover every merge a
+//! tighter τ' supports: a tighter sweep over the session's coverage cache
+//! still counts its failed merges, but materializes nothing. Three arms over
+//! German at 10k rows, all driving `ExplainSession` (statistical parity,
+//! first-order estimator, depth 3, ground truth off):
 //!
-//! * **`cold_per_tau`** — every retention knob at zero (structure, scored
-//!   sweep, *and* coverage caches), so each τ' ∈ {0.05, 0.1, 0.2} pays its
-//!   full structural pass every time: the pre-range-cache behavior.
-//! * **`range_served_per_tau`** — scored-sweep retention off (each query
-//!   re-scores, so the measured path is real sweep work, not a tier-2
-//!   memo), structure + coverage caches on, primed with one τ = 0.02 sweep:
-//!   each τ' is range-served, materializing zero intersections.
+//! * **`cold_per_tau`** — scored-sweep and coverage retention at zero, so
+//!   each τ' ∈ {0.05, 0.1, 0.2} intersects every supported merge again.
+//! * **`coverage_served_per_tau`** — scored-sweep retention off (each query
+//!   re-scores, so the measured path is real sweep work, not a memo), the
+//!   coverage cache on and primed with one τ = 0.02 sweep: each τ' reads
+//!   its supported coverages from the cache and adds no coverage miss.
 //! * **`warm_full_caches`** — all caches on, all four τ values primed: the
 //!   analyst's repeat loop, answered from the scored tier (near-free; this
 //!   is the arm the ≥5× acceptance criterion compares against `cold_per_tau`).
 //!
-//! The cold−range gap isolates what re-filtering saves (the structural
-//! pass); the cold−warm gap is the whole τ-sweep workload going near-free
-//! after one pass, which is the feature's end-to-end claim.
+//! The cold−coverage gap is what the warm coverage cache saves (small under
+//! cheap first-order scoring); the cold−warm gap is the whole τ-sweep
+//! workload going near-free after one pass.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gopher_bench::workloads::{prepare, train_lr, DatasetKind};
@@ -55,28 +54,28 @@ fn bench_support_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("support_sweep_german_10k");
     group.sample_size(10);
 
-    // Arm 1: nothing retained — every τ rebuilds its structural pass.
+    // Arm 1: nothing retained — every τ intersects its merges again.
     let cold = SessionBuilder::new()
-        .structure_cache_cap(0)
         .sweep_cache_cap(0)
         .coverage_cache_cap(0)
         .build(model.clone(), &p.train_raw, &p.test_raw);
     group.bench_function("cold_per_tau", |b| b.iter(|| explain_taus(&cold, &TAUS)));
 
-    // Arm 2: structure cache on, scored retention off; primed at the loose
-    // τ, so every timed sweep is range-served and intersects nothing.
-    let range =
+    // Arm 2: coverage cache on, scored retention off; primed at the loose
+    // τ, so every timed sweep reads its supported coverages from the cache.
+    let served =
         SessionBuilder::new()
             .sweep_cache_cap(0)
             .build(model.clone(), &p.train_raw, &p.test_raw);
-    explain_taus(&range, &[TAU_PRIME]);
-    group.bench_function("range_served_per_tau", |b| {
-        b.iter(|| explain_taus(&range, &TAUS))
+    explain_taus(&served, &[TAU_PRIME]);
+    let primed = served.stats();
+    group.bench_function("coverage_served_per_tau", |b| {
+        b.iter(|| explain_taus(&served, &TAUS))
     });
-    let stats = range.stats();
-    assert!(
-        stats.structure_range_hits >= 1,
-        "the range arm must exercise the τ-monotone path: {stats:?}"
+    let stats = served.stats();
+    assert_eq!(
+        stats.coverage_misses, primed.coverage_misses,
+        "the timed τ ladder must materialize no coverage: {stats:?}"
     );
 
     // Arm 3: everything on — the repeat τ-sweep loop hits the scored tier.

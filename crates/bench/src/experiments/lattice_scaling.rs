@@ -15,12 +15,10 @@ use gopher_prng::Rng;
 /// support-threshold sweep over the same session.
 ///
 /// Runs through [`gopher_core::ExplainSession`] (not the raw lattice API)
-/// on purpose: the
-/// per-level numbers come from one staged sweep, and the τ-sweep section
-/// exercises the session's **τ-monotone structure cache** — after the
-/// loosest τ builds its artifact, every tighter τ is served by re-filtering
-/// (`structure_range_hits` counts the serves), which is what makes sweeping
-/// min-support near-free for an analyst.
+/// on purpose: the per-level numbers come from one staged sweep, and the
+/// τ-sweep section shows the session's coverage cache at work — after the
+/// loosest τ materializes its supported merges, every tighter τ reads them
+/// back instead of intersecting again (its coverage misses read 0).
 pub fn table7(n_rows: usize, max_level: usize, seed: u64) -> String {
     let p = prepare(DatasetKind::German, n_rows, seed);
     let model = train_lr(&p);
@@ -68,43 +66,30 @@ pub fn table7(n_rows: usize, max_level: usize, seed: u64) -> String {
         stats.total_scored
     ));
 
-    // The analyst's min-support sweep, loosest τ first: 0.02 builds a fresh
-    // artifact, 0.05 repeats the request above verbatim (answered from the
-    // scored sweep tier — it never reaches the structure cache), and the
-    // tighter thresholds are range-served by re-filtering — zero coverage
-    // intersections after the first pass.
+    // The analyst's min-support sweep, loosest τ first: 0.02 materializes
+    // its supported merges, 0.05 repeats the request above verbatim
+    // (answered from the scored sweep tier), and the tighter thresholds
+    // read their coverages back from the cache — zero new intersections
+    // after the first pass.
     out.push_str(&format!(
         "\n== Support-threshold sweep (same session, depth {max_level}) ==\n\n"
     ));
-    let mut sweep = TextTable::new(&["τ", "Query", "#candidates", "Structure artifact"]);
+    let mut sweep = TextTable::new(&["τ", "Query", "#candidates", "Coverage misses"]);
     for tau in [0.02, 0.05, 0.1, 0.2] {
-        let before = session.stats();
+        let before = session.stats().coverage_misses;
         let r = session.explain(&request_at(tau));
-        let after = session.stats();
-        let path = if after.structure_range_hits > before.structure_range_hits {
-            "range-served (re-filtered)"
-        } else if after.structure_hits > before.structure_hits {
-            "cached (exact)"
-        } else if after.structure_misses > before.structure_misses {
-            "built"
-        } else {
-            "scored-cache hit"
-        };
         sweep.row_owned(vec![
             format!("{tau:.2}"),
             fmt_duration(r.query_time),
             r.report.stats.total_kept().to_string(),
-            path.to_string(),
+            (session.stats().coverage_misses - before).to_string(),
         ]);
     }
     out.push_str(&sweep.render());
     let final_stats = session.stats();
     out.push_str(&format!(
-        "\nstructure cache: {} built, {} exact hits, {} range-served of {} entries\n",
-        final_stats.structure_misses,
-        final_stats.structure_hits,
-        final_stats.structure_range_hits,
-        final_stats.structure_entries,
+        "\ncoverage cache: {} entries, {} hits, {} misses\n",
+        final_stats.cached_coverages, final_stats.coverage_hits, final_stats.coverage_misses,
     ));
     out
 }
@@ -244,10 +229,9 @@ mod tests {
                 .count()
                 >= 2
         );
-        // The τ sweep must exercise the range-capable structure cache: the
-        // thresholds above the primed artifacts are served by re-filtering.
+        // The τ sweep reports each threshold's coverage misses.
         assert!(report.contains("Support-threshold sweep"));
-        assert!(report.contains("range-served"));
+        assert!(report.contains("Coverage misses"));
     }
 
     #[test]

@@ -97,8 +97,7 @@ EXPLAIN/QUERY OPTIONS:
                             Omitted fields fall back to the flags above.
     --stats                 (query) wrap the output as {\"responses\": [...],
                             \"session_stats\": {...}} with the session's cache
-                            counters: scored-sweep, structure (the
-                            metric-independent tier), and coverage
+                            counters: scored-sweep and coverage
                             hit/miss/eviction rates
 
 UPDATE OPTIONS:
@@ -472,7 +471,7 @@ fn exec<M: ModelFamily>(
             }
             let mut session = fit_session(opts, train, test, &make_model);
             let request = base_request(opts);
-            // Warm the structural tier so the delta has artifacts to patch.
+            // Warm the session so the delta has cached work to discard.
             session.explain(&request);
             let mut removal_rng = Rng::new(opts.seed ^ 0x517c_c1b7);
             let removed = removal_rng.sample_indices(train.n_rows(), opts.delta_remove);
@@ -558,10 +557,6 @@ fn update_json(
     );
     fields.insert("fell_back".into(), Json::Bool(report.engine.fell_back()));
     fields.insert(
-        "artifacts_survived".into(),
-        Json::num(report.artifacts_survived as f64),
-    );
-    fields.insert(
         "artifacts_invalidated".into(),
         Json::num(report.artifacts_invalidated as f64),
     );
@@ -595,8 +590,7 @@ fn render_update_text(report: &Json) -> String {
     };
     let _ = writeln!(
         out,
-        "engine path: {path} · caches: {} survived, {} invalidated",
-        get_f("artifacts_survived"),
+        "engine path: {path} · merged coverages discarded: {}",
         get_f("artifacts_invalidated"),
     );
     let _ = writeln!(

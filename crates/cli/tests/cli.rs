@@ -179,9 +179,9 @@ fn query_answers_batched_requests_from_one_session() {
 
 /// `query --stats` wraps the responses with the session's cache counters.
 /// A batch mixing four metrics over one structural configuration must show
-/// the two-tier split: four scored-sweep misses but a single structure
-/// fetch — the whole batch shares one multi-scorer sweep, so pattern
-/// enumeration and coverage intersection ran once for all four metrics.
+/// four scored-sweep misses but no coverage-cache hit — the whole batch
+/// shares one multi-scorer sweep, so each merged coverage was intersected
+/// once for all four metrics (four separate sweeps would re-read them).
 #[test]
 fn query_stats_block_shows_cross_metric_structure_reuse() {
     let dir = std::env::temp_dir().join(format!("gopher-stats-{}", std::process::id()));
@@ -219,25 +219,19 @@ fn query_stats_block_shows_cross_metric_structure_reuse() {
     assert_eq!(counter("threads"), 4.0);
     assert_eq!(counter("sweep_misses"), 4.0, "four distinct scoring keys");
     assert_eq!(
-        counter("structure_misses"),
-        1.0,
-        "one structural key: the batch shares one artifact fetch"
-    );
-    assert_eq!(counter("structure_entries"), 1.0);
-    assert_eq!(
-        counter("structure_range_hits"),
+        counter("coverage_hits"),
         0.0,
-        "one τ, no range serves"
+        "one structural key: the batch resolves each merge once"
     );
     assert!(counter("cached_coverages") > 0.0);
     assert_eq!(counter("coverage_inserts_refused"), 0.0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The τ-monotone serve end to end (the CI smoke step's offline twin): a
-/// two-τ batch over one session builds exactly one structural artifact —
-/// the loosest — and range-serves the tighter threshold by re-filtering,
-/// reported by the `--stats` block as a `structure_range_hits` count.
+/// A two-τ batch end to end (the CI smoke step's offline twin): two
+/// structural keys, so two scored sweeps, which run concurrently over one
+/// coverage cache (how many coverages each reuses depends on their
+/// interleaving, so only the sweep counters are pinned).
 #[test]
 fn query_stats_block_shows_tau_range_serving() {
     let dir = std::env::temp_dir().join(format!("gopher-taus-{}", std::process::id()));
@@ -260,10 +254,9 @@ fn query_stats_block_shows_tau_range_serving() {
     assert_eq!(responses.len(), 2);
     let stats = out.get("session_stats").expect("--stats adds the block");
     let counter = |k: &str| stats.get(k).and_then(Json::as_f64).unwrap();
-    assert_eq!(counter("structure_misses"), 1.0, "only τ = 0.02 builds");
-    assert_eq!(counter("structure_range_hits"), 1.0, "τ = 0.05 re-filters");
-    assert_eq!(counter("structure_entries"), 2.0, "the view is retained");
     assert_eq!(counter("sweep_misses"), 2.0, "distinct structural keys");
+    assert_eq!(counter("sweep_hits"), 0.0);
+    assert!(counter("cached_coverages") > 0.0);
     std::fs::remove_dir_all(&dir).ok();
 }
 

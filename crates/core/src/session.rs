@@ -56,7 +56,7 @@ use gopher_influence::{
 use gopher_models::Differentiable;
 use gopher_patterns::{
     generate_predicates, lattice, min_count_for, topk, BitSet, Candidate, CoverageCache,
-    LatticeConfig, PredicateIndex, PredicateTable, ScoreFn, SearchStats, SweepStructure,
+    LatticeConfig, PredicateIndex, PredicateTable, ScoreFn, SearchStats,
 };
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -112,7 +112,6 @@ pub struct SessionBuilder {
     influence: InfluenceConfig,
     threads: usize,
     sweep_cache_cap: usize,
-    structure_cache_cap: usize,
     coverage_cache_cap: usize,
 }
 
@@ -125,15 +124,13 @@ impl Default for SessionBuilder {
 impl SessionBuilder {
     /// Default session options (4 quantile bins per numeric feature,
     /// default influence-engine parameters, automatic thread count,
-    /// 256-entry scored sweep cache, 64-entry structure cache,
-    /// 2¹⁸-entry coverage cache).
+    /// 256-entry scored sweep cache, 2¹⁸-entry coverage cache).
     pub fn new() -> Self {
         Self {
             max_bins: 4,
             influence: InfluenceConfig::default(),
             threads: 0,
             sweep_cache_cap: SWEEP_CACHE_CAP,
-            structure_cache_cap: STRUCTURE_CACHE_CAP,
             coverage_cache_cap: gopher_patterns::coverage::DEFAULT_COVERAGE_CACHE_CAP,
         }
     }
@@ -173,23 +170,12 @@ impl SessionBuilder {
         self
     }
 
-    /// Retention bound of the structure cache (the metric-independent
-    /// structural artifact per `(τ, depth, pruning)` configuration —
-    /// per-level candidates with shared coverages and supports). Past the
-    /// cap the least-recently-used artifact is evicted; `0` disables
-    /// retention (every sweep rebuilds its structural phase).
-    #[must_use]
-    pub fn structure_cache_cap(mut self, cap: usize) -> Self {
-        self.structure_cache_cap = cap;
-        self
-    }
-
     /// Retention bound of the coverage cache (materialized pattern coverage
-    /// bitsets shared across sweeps), in entries. Past the cap fresh
-    /// coverages are still computed and returned but not retained; `0`
-    /// disables retention entirely (every sweep re-intersects — the
-    /// *cold-path* configuration the `support_sweep` bench measures
-    /// against).
+    /// bitsets shared across sweeps — the session's structural memo), in
+    /// entries. Past the cap fresh coverages are still computed and
+    /// returned but not retained; `0` disables retention entirely (every
+    /// sweep re-intersects — the *cold-path* configuration the
+    /// `support_sweep` bench measures against).
     #[must_use]
     pub fn coverage_cache_cap(mut self, cap: usize) -> Self {
         self.coverage_cache_cap = cap;
@@ -237,11 +223,8 @@ impl SessionBuilder {
             bias_cache: Mutex::new(HashMap::new()),
             sweep_cache: Mutex::new(LruCache::new(self.sweep_cache_cap)),
             flights: Mutex::new(HashMap::new()),
-            structure_cache: Mutex::new(LruCache::new(self.structure_cache_cap)),
             requests_served: AtomicU64::new(0),
             updates_applied: AtomicU64::new(0),
-            artifacts_survived: AtomicU64::new(0),
-            artifacts_invalidated: AtomicU64::new(0),
             factor_fallbacks: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
         }
@@ -365,7 +348,7 @@ pub struct ExplainResponse {
 }
 
 /// What one [`ExplainSession::update`] did: the delta's shape, the
-/// influence-engine path taken, and how the structural cache fared.
+/// influence-engine path taken, and how much structural work it discarded.
 #[derive(Debug, Clone)]
 pub struct UpdateReport {
     /// Rows removed from the training set.
@@ -378,27 +361,26 @@ pub struct UpdateReport {
     /// whether the engine fell back to a full rebuild, and the warm-retrain
     /// diagnostics.
     pub engine: EngineUpdateReport,
-    /// Structural artifacts re-anchored in place by the frontier check.
-    pub artifacts_survived: usize,
-    /// Structural artifacts invalidated (level-1 frontier flipped).
+    /// Merged-pattern coverages the delta discarded: every coverage the
+    /// session had materialized for a pattern of two or more predicates
+    /// ranges over the old rows, so the update drops them all (later
+    /// sweeps re-intersect what they need).
     pub artifacts_invalidated: usize,
     /// Wall-clock cost of applying the delta end to end.
     pub update_time: Duration,
 }
 
 /// Hashable identity of the *structural* half of a lattice sweep: the
-/// parameters candidate enumeration depends on, none of the scoring. Two
-/// requests with the same `StructuralKey` share one [`SweepStructure`]
-/// artifact — pattern enumeration, coverage intersection, and support
-/// counting run once across all their metrics, estimators, and bias-evals.
+/// parameters candidate enumeration depends on, none of the scoring.
+/// Claimed requests with the same `StructuralKey` run as one multi-scorer
+/// sweep — pattern enumeration and support counting run once across all
+/// their metrics, estimators, and bias-evals.
 ///
 /// The support threshold enters as the **integer count** `⌈τ·n⌉` a pattern
 /// must clear, not τ's bit pattern: the sweep never consults τ except
 /// through that count, so any two thresholds with the same `min_count`
 /// (including the `-0.0`/`0.0` pair, whose `f64::to_bits` differ) are the
-/// *same* structural configuration and share one artifact. The integer key
-/// is also what makes the cache range-capable — see
-/// [`StructuralKey::serves`].
+/// *same* structural configuration.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct StructuralKey {
     min_count: usize,
@@ -416,18 +398,6 @@ impl StructuralKey {
             max_level_candidates: lattice.max_level_candidates,
         }
     }
-
-    /// True when an artifact cached under `self` can serve a request keyed
-    /// by `req` through [`SweepStructure::refilter_view`]: identical
-    /// depth/pruning knobs and a looser-or-equal support count. Support is
-    /// anti-monotone, so the looser artifact's singles and merge records
-    /// are a superset of everything the tighter sweep can reach.
-    fn serves(&self, req: &StructuralKey) -> bool {
-        self.max_predicates == req.max_predicates
-            && self.prune_by_responsibility == req.prune_by_responsibility
-            && self.max_level_candidates == req.max_level_candidates
-            && self.min_count <= req.min_count
-    }
 }
 
 /// Hashable identity of the *scoring* half of a sweep: the metric ×
@@ -441,8 +411,9 @@ struct ScoringKey {
 
 /// Full identity of a scored sweep: structural part + scoring part. Two
 /// requests with the same `SweepKey` share one scored `compute_candidates`
-/// result exactly; requests agreeing only on the structural part still
-/// share the structural artifact (the cheaper tier to miss).
+/// result exactly; requests agreeing only on the structural part share a
+/// sweep's enumeration when claimed together, and the coverage cache
+/// always.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct SweepKey {
     structural: StructuralKey,
@@ -487,12 +458,6 @@ fn estimator_key(e: Estimator) -> (u8, u64) {
 /// retention is bounded: past the cap, the least-recently-used sweep is
 /// evicted (tunable via [`SessionBuilder::sweep_cache_cap`]).
 const SWEEP_CACHE_CAP: usize = 256;
-
-/// Default cap on retained structural artifacts. One artifact exists per
-/// structural configuration (support τ × depth × pruning), which an analyst
-/// turns far less often than metrics or estimators (tunable via
-/// [`SessionBuilder::structure_cache_cap`]).
-const STRUCTURE_CACHE_CAP: usize = 64;
 
 /// A finished scored lattice sweep, cached per [`SweepKey`] for the
 /// session's lifetime (candidates are pure functions of the trained model).
@@ -561,9 +526,8 @@ impl Drop for Claims<'_> {
     }
 }
 
-/// LRU-bounded map with hit/miss/eviction counters, backing both cache
-/// tiers: scored sweeps ([`SweepKey`] → [`SweepResult`]) and structural
-/// artifacts ([`StructuralKey`] → [`SweepStructure`]). The counters are the
+/// LRU-bounded map with hit/miss/eviction counters, backing the scored
+/// sweep cache ([`SweepKey`] → [`SweepResult`]). The counters are the
 /// serving deployment's observability surface — see
 /// [`ExplainSession::stats`].
 struct LruCache<K, V> {
@@ -574,10 +538,6 @@ struct LruCache<K, V> {
     cap: usize,
     hits: u64,
     misses: u64,
-    /// Lookups answered by *re-filtering* a differently-keyed entry rather
-    /// than an exact match — the structure tier's τ-monotone serve. Always
-    /// zero on the scored tier (scored sweeps have no range semantics).
-    range_hits: u64,
     evictions: u64,
 }
 
@@ -594,30 +554,19 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
             cap,
             hits: 0,
             misses: 0,
-            range_hits: 0,
             evictions: 0,
         }
     }
 
     /// Counter bumps for callers that drive lookups through
-    /// [`Self::get_quiet`] plus their own matching logic (the scored tier's
-    /// single-flight path, the structure tier's range-capable path):
-    /// classification happens outside, the tallies live here.
+    /// [`Self::get_quiet`] plus their own matching logic (the single-flight
+    /// path): classification happens outside, the tallies live here.
     fn note_hit(&mut self) {
         self.hits += 1;
     }
 
     fn note_miss(&mut self) {
         self.misses += 1;
-    }
-
-    fn note_range_hit(&mut self) {
-        self.range_hits += 1;
-    }
-
-    /// Iterates the cached keys (no recency or counter side effects).
-    fn keys(&self) -> impl Iterator<Item = &K> {
-        self.entries.keys()
     }
 
     /// Looks `key` up, refreshing its recency but not the hit/miss
@@ -747,9 +696,9 @@ impl LatencyHistogram {
     }
 }
 
-/// Counters a serving deployment watches: effectiveness of all three cache
-/// layers (scored sweeps, structural artifacts, coverage bitsets) and the
-/// session's parallelism. Snapshot via [`ExplainSession::stats`].
+/// Counters a serving deployment watches: effectiveness of both cache
+/// layers (scored sweeps, coverage bitsets) and the session's parallelism.
+/// Snapshot via [`ExplainSession::stats`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionStats {
     /// Worker threads the session fans batched queries across.
@@ -766,22 +715,6 @@ pub struct SessionStats {
     pub sweep_misses: u64,
     /// Scored sweeps evicted to respect the cap.
     pub sweep_evictions: u64,
-    /// Structural artifacts currently retained (one per structural config).
-    pub structure_entries: usize,
-    /// Capacity bound on retained structural artifacts.
-    pub structure_cache_cap: usize,
-    /// Sweeps that reused a cached structural artifact — pattern
-    /// enumeration, coverage intersection, and support counting skipped.
-    pub structure_hits: u64,
-    /// Sweeps served by **re-filtering** an artifact cached at a looser
-    /// support threshold (same depth/pruning): the τ-monotone range path.
-    /// No coverage is intersected or materialized on this path — singles
-    /// and merge records are filtered against the tighter count.
-    pub structure_range_hits: u64,
-    /// Sweeps that had to build (or rebuild) their structural artifact.
-    pub structure_misses: u64,
-    /// Structural artifacts evicted to respect the cap.
-    pub structure_evictions: u64,
     /// Materialized pattern coverages shared across sweeps.
     pub cached_coverages: usize,
     /// Coverage-cache lookups answered without intersecting.
@@ -797,12 +730,6 @@ pub struct SessionStats {
     pub requests_served: u64,
     /// Data deltas applied via [`ExplainSession::update`].
     pub updates_applied: u64,
-    /// Structural artifacts that survived updates via the frontier-flip
-    /// check (re-anchored in place instead of rebuilt).
-    pub artifacts_survived: u64,
-    /// Structural artifacts dropped by updates because a level-1 single
-    /// crossed the support frontier.
-    pub artifacts_invalidated: u64,
     /// Updates whose influence-engine delta fell back — a refactorization
     /// after a failed factor patch, or a full engine rebuild (drift bound,
     /// warm-retrain stall, non-analytic model). Fallbacks trade the speedup
@@ -837,24 +764,17 @@ pub struct ExplainSession<M: ModelFamily> {
     threads: usize,
     coverage: CoverageCache,
     bias_cache: Mutex<HashMap<FairnessMetric, BiasPrecomp>>,
-    /// Tier 2: finished scored sweeps, keyed by structural × scoring.
+    /// Finished scored sweeps, keyed by structural × scoring.
     sweep_cache: Mutex<LruCache<SweepKey, Arc<SweepResult>>>,
     /// Scored sweeps some caller is computing right now. A caller holding
     /// both locks takes `sweep_cache` first.
     flights: Mutex<HashMap<SweepKey, Arc<Flight>>>,
-    /// Tier 1: structural artifacts, keyed by structural config alone and
-    /// reused across metrics, estimators, and bias evaluations.
-    structure_cache: Mutex<LruCache<StructuralKey, Arc<SweepStructure>>>,
     /// Total [`ExplainRequest`]s this session has answered (every entry
     /// point funnels through [`Self::explain_batch`]). Registry-facing: a
     /// serving deployment's per-session traffic counter.
     requests_served: AtomicU64,
     /// Data deltas applied via [`Self::update`].
     updates_applied: AtomicU64,
-    /// Structural artifacts carried across updates by the frontier check.
-    artifacts_survived: AtomicU64,
-    /// Structural artifacts dropped by updates (frontier flip).
-    artifacts_invalidated: AtomicU64,
     /// Updates whose engine delta refactored or fully rebuilt.
     factor_fallbacks: AtomicU64,
     /// Per-request explain latency, fed from each response's `query_time`.
@@ -920,14 +840,11 @@ impl<M: ModelFamily> ExplainSession<M> {
     }
 
     /// Snapshot of the session's serving counters: hits, misses, and
-    /// evictions of the scored sweep cache, the structure cache, and the
-    /// coverage cache, plus retained entries and the thread count.
+    /// evictions of the scored sweep cache and the coverage cache, plus
+    /// retained entries and the thread count.
     pub fn stats(&self) -> SessionStats {
         let coverage = self.coverage.stats();
-        // No query path ever holds both cache locks at once, so taking both
-        // here cannot deadlock against a running batch.
         let sweep = lock_recover(&self.sweep_cache);
-        let structure = lock_recover(&self.structure_cache);
         SessionStats {
             threads: self.threads,
             sweep_entries: sweep.entries.len(),
@@ -935,20 +852,12 @@ impl<M: ModelFamily> ExplainSession<M> {
             sweep_hits: sweep.hits,
             sweep_misses: sweep.misses,
             sweep_evictions: sweep.evictions,
-            structure_entries: structure.entries.len(),
-            structure_cache_cap: structure.cap,
-            structure_hits: structure.hits,
-            structure_range_hits: structure.range_hits,
-            structure_misses: structure.misses,
-            structure_evictions: structure.evictions,
             cached_coverages: coverage.entries,
             coverage_hits: coverage.hits,
             coverage_misses: coverage.misses,
             coverage_inserts_refused: coverage.inserts_refused,
             requests_served: self.requests_served.load(Ordering::Relaxed),
             updates_applied: self.updates_applied.load(Ordering::Relaxed),
-            artifacts_survived: self.artifacts_survived.load(Ordering::Relaxed),
-            artifacts_invalidated: self.artifacts_invalidated.load(Ordering::Relaxed),
             factor_fallbacks: self.factor_fallbacks.load(Ordering::Relaxed),
             explain_p50_us: self.latency.quantile_upper_us(0.50),
             explain_p99_us: self.latency.quantile_upper_us(0.99),
@@ -1044,7 +953,6 @@ impl<M: ModelFamily> ExplainSession<M> {
             structural: StructuralKey,
             lattice: LatticeConfig,
             members: Vec<(SweepKey, &'r ExplainRequest)>,
-            structure: Option<Arc<SweepStructure>>,
         }
         let mut structural_groups: Vec<Group<'_>> = Vec::new();
         for (key, req) in missing {
@@ -1058,23 +966,8 @@ impl<M: ModelFamily> ExplainSession<M> {
                     structural,
                     lattice: req.lattice.clone(),
                     members: vec![(key, req)],
-                    structure: None,
                 }),
             }
-        }
-
-        // Resolve each group's structural artifact up front, loosest support
-        // count first (stable on ties, so equal-count groups keep first-seen
-        // order): a batch mixing τ = 0.02 and τ = 0.05 must let the tighter
-        // group range-serve off the looser artifact deterministically, which
-        // the concurrent group fan-out below could not guarantee. Artifacts
-        // are level-1 filters — cheap; the expensive merge resolution still
-        // happens inside the (parallel) sweeps.
-        let mut resolve_order: Vec<usize> = (0..structural_groups.len()).collect();
-        resolve_order.sort_by_key(|&i| structural_groups[i].structural.min_count);
-        for i in resolve_order {
-            let structure = self.structure_for(&structural_groups[i].lattice);
-            structural_groups[i].structure = Some(structure);
         }
 
         // Distinct structural groups are independent sweeps: fan them out,
@@ -1086,8 +979,7 @@ impl<M: ModelFamily> ExplainSession<M> {
         let outer = self.threads.min(structural_groups.len()).max(1);
         let inner = (self.threads / outer).max(1);
         let group_results = gopher_par::par_map(outer, &structural_groups, |_, group| {
-            let structure = group.structure.as_ref().expect("resolved above");
-            let sweeps = self.run_sweeps(&group.lattice, &group.members, inner, structure);
+            let sweeps = self.run_sweeps(&group.lattice, &group.members, inner);
             for (key, sweep) in &sweeps {
                 claims.land(key, sweep);
             }
@@ -1105,16 +997,10 @@ impl<M: ModelFamily> ExplainSession<M> {
         for (key, req, flight) in waits {
             let t_wait = Instant::now();
             let sweep = flight.wait().unwrap_or_else(|| {
-                let structure = self.structure_for(&req.lattice);
-                self.run_sweeps(
-                    &req.lattice,
-                    &[(key.clone(), req)],
-                    self.threads,
-                    &structure,
-                )
-                .pop()
-                .expect("one member in, one sweep out")
-                .1
+                self.run_sweeps(&req.lattice, &[(key.clone(), req)], self.threads)
+                    .pop()
+                    .expect("one member in, one sweep out")
+                    .1
             });
             ready.insert(key, (sweep, t_wait.elapsed()));
         }
@@ -1132,77 +1018,17 @@ impl<M: ModelFamily> ExplainSession<M> {
             .collect()
     }
 
-    /// The structural artifact for one lattice configuration, through the
-    /// **range-capable** structure cache:
-    ///
-    /// * an exact hit returns the shared [`SweepStructure`] as-is;
-    /// * otherwise, support counts being anti-monotone, any artifact cached
-    ///   over the *same depth/pruning knobs at a looser (≤) support count*
-    ///   already contains every single and merge record this request can
-    ///   reach — the tightest such artifact is served through
-    ///   [`SweepStructure::refilter_view`] (a filter, zero intersections)
-    ///   and the view is cached under this request's own key so repeats
-    ///   exact-hit it;
-    /// * a genuine miss builds a fresh artifact from the session's
-    ///   predicate index.
-    ///
-    /// Everything is retained subject to the LRU bound.
-    fn structure_for(&self, lattice_cfg: &LatticeConfig) -> Arc<SweepStructure> {
-        let key = StructuralKey::of(lattice_cfg, self.table.n_rows());
-        let base = {
-            let mut cache = lock_recover(&self.structure_cache);
-            if let Some(hit) = cache.get_quiet(&key) {
-                cache.note_hit();
-                return hit;
-            }
-            // τ-monotone range lookup. The tightest qualifying source wins:
-            // it has the least content to re-filter, and any qualifying
-            // artifact yields bit-identical sweeps.
-            let source = cache
-                .keys()
-                .filter(|k| k.serves(&key))
-                .max_by_key(|k| k.min_count)
-                .cloned();
-            match source {
-                Some(src) => {
-                    cache.note_range_hit();
-                    Some(cache.get_quiet(&src).expect("key scanned under this lock"))
-                }
-                None => {
-                    cache.note_miss();
-                    None
-                }
-            }
-        };
-        // Build or re-filter outside the lock; on a race, keep the first
-        // artifact so concurrent queries keep sharing one set of resolved
-        // merges.
-        let fresh = Arc::new(match base {
-            Some(base) => base.refilter_view(key.min_count),
-            None => SweepStructure::build(&self.index, lattice_cfg),
-        });
-        let mut cache = lock_recover(&self.structure_cache);
-        if let Some(raced) = cache.get_quiet(&key) {
-            return raced;
-        }
-        cache.insert(key, Arc::clone(&fresh));
-        fresh
-    }
-
     /// Runs one multi-scorer sweep for all `members` (same structural
-    /// lattice config, distinct scoring) against an already-resolved
-    /// `structure` (callers fetch it via [`Self::structure_for`] — the
-    /// batch path resolves all its groups' artifacts up front, in
-    /// loosest-τ-first order), running the level pipeline on up to
-    /// `threads` workers (the batched path splits the session budget
-    /// between concurrent groups and their pipelines). Results are cached
-    /// subject to the LRU bound and returned for this batch.
+    /// lattice config, distinct scoring) over the session's predicate index
+    /// and coverage cache, running the level pipeline on up to `threads`
+    /// workers (the batched path splits the session budget between
+    /// concurrent groups and their pipelines). Results are cached subject to
+    /// the LRU bound and returned for this batch.
     fn run_sweeps(
         &self,
         lattice_cfg: &LatticeConfig,
         members: &[(SweepKey, &ExplainRequest)],
         threads: usize,
-        structure: &Arc<SweepStructure>,
     ) -> Vec<(SweepKey, Arc<SweepResult>)> {
         let scorers: Vec<ScoreFn<'_>> = members
             .iter()
@@ -1223,7 +1049,7 @@ impl<M: ModelFamily> ExplainSession<M> {
             &scorers,
             lattice_cfg,
             &self.coverage,
-            structure,
+            &self.index,
             threads,
         );
         let mut fresh_sweeps = Vec::with_capacity(members.len());
@@ -1421,10 +1247,10 @@ impl<M: ModelFamily> ExplainSession<M> {
     ///   trainer's tolerance;
     /// * **predicate coverages** are bitset-patched (prefix-sum remap +
     ///   matching only the appended rows), bit-identical to re-evaluating
-    ///   the frozen predicates;
-    /// * **structural artifacts** survive when their level-1 support
-    ///   frontier provably did not flip, re-anchored onto the new coverages;
-    ///   flipped ones are dropped for lazy rebuild;
+    ///   the frozen predicates, and indexed into a fresh coverage cache;
+    ///   merged-pattern coverages range over the old rows and are dropped
+    ///   (counted in [`UpdateReport::artifacts_invalidated`]), so later
+    ///   sweeps re-intersect what they need;
     /// * **scored sweeps and bias gradients** are invalidated wholesale
     ///   (they depend on the model's parameters, which moved).
     ///
@@ -1475,37 +1301,12 @@ impl<M: ModelFamily> ExplainSession<M> {
         // Coverage layer: prefix-sum bitset patch over the frozen predicate
         // set, then a fresh index + coverage cache over the new universe
         // (old cached merge coverages range over the old row space and can
-        // never be served again).
+        // never be served again). The old index filled its cache first, so
+        // every entry past the index's own is a merged-pattern coverage.
         let table = self.table.patch(&new_raw, removed);
+        let invalidated = self.coverage.len().saturating_sub(self.index.len());
         let coverage = CoverageCache::with_capacity_cap(self.coverage.cap());
         let index = PredicateIndex::build(&table, &coverage);
-
-        // Structure tier: re-anchor artifacts whose frontier held, drop the
-        // rest. Keys stay as they are — they are integer min-counts, and a
-        // surviving artifact still answers them (and τ-monotone range
-        // lookups) exactly.
-        let (survived, invalidated) = {
-            let mut cache = lock_recover(&self.structure_cache);
-            let keys: Vec<StructuralKey> = cache.keys().cloned().collect();
-            let mut survived = 0usize;
-            let mut invalidated = 0usize;
-            for key in keys {
-                let artifact = cache
-                    .get_quiet(&key)
-                    .expect("key enumerated under this lock");
-                match artifact.patched(&index, &coverage) {
-                    Some(patched) => {
-                        cache.insert(key, Arc::new(patched));
-                        survived += 1;
-                    }
-                    None => {
-                        cache.entries.remove(&key);
-                        invalidated += 1;
-                    }
-                }
-            }
-            (survived, invalidated)
-        };
 
         // Scored sweeps and bias gradients are functions of the parameters,
         // which just moved: invalid wholesale.
@@ -1520,10 +1321,6 @@ impl<M: ModelFamily> ExplainSession<M> {
         self.accuracy = gopher_models::train::accuracy(self.backend.model(), &self.test);
 
         self.updates_applied.fetch_add(1, Ordering::Relaxed);
-        self.artifacts_survived
-            .fetch_add(survived as u64, Ordering::Relaxed);
-        self.artifacts_invalidated
-            .fetch_add(invalidated as u64, Ordering::Relaxed);
         if engine.fell_back() {
             self.factor_fallbacks.fetch_add(1, Ordering::Relaxed);
         }
@@ -1533,7 +1330,6 @@ impl<M: ModelFamily> ExplainSession<M> {
             rows_added: added.n_rows(),
             n_rows: self.train_raw.n_rows(),
             engine,
-            artifacts_survived: survived,
             artifacts_invalidated: invalidated,
             update_time: t0.elapsed(),
         }
@@ -1574,11 +1370,8 @@ impl<M: ModelFamily> ExplainSession<M> {
             bias_cache: Mutex::new(HashMap::new()),
             sweep_cache: Mutex::new(LruCache::new(lock_recover(&self.sweep_cache).cap)),
             flights: Mutex::new(HashMap::new()),
-            structure_cache: Mutex::new(LruCache::new(lock_recover(&self.structure_cache).cap)),
             requests_served: AtomicU64::new(0),
             updates_applied: AtomicU64::new(0),
-            artifacts_survived: AtomicU64::new(0),
-            artifacts_invalidated: AtomicU64::new(0),
             factor_fallbacks: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
         }
@@ -1846,9 +1639,7 @@ mod tests {
         let initial = s.stats();
         assert_eq!(initial.threads, 3);
         assert_eq!(initial.sweep_cache_cap, SWEEP_CACHE_CAP);
-        assert_eq!(initial.structure_cache_cap, STRUCTURE_CACHE_CAP);
         assert_eq!((initial.sweep_hits, initial.sweep_misses), (0, 0));
-        assert_eq!((initial.structure_hits, initial.structure_misses), (0, 0));
         // The predicate index materializes every singleton at build.
         assert!(initial.cached_coverages > 0);
         assert!(initial.coverage_misses > 0);
@@ -1857,30 +1648,31 @@ mod tests {
         let cold = s.stats();
         assert_eq!(cold.sweep_misses, 1);
         assert_eq!(cold.sweep_entries, 1);
-        assert_eq!(cold.structure_misses, 1);
-        assert_eq!(cold.structure_entries, 1);
         assert!(cold.cached_coverages > initial.cached_coverages);
+        assert!(cold.coverage_misses > initial.coverage_misses);
         let _ = s.explain(&req);
         let warm = s.stats();
         assert_eq!(warm.sweep_hits, cold.sweep_hits + 1);
         assert_eq!(warm.sweep_misses, cold.sweep_misses);
-        // A scored-cache hit never reaches the structure tier.
-        assert_eq!(warm.structure_hits, cold.structure_hits);
-        assert_eq!(warm.structure_misses, cold.structure_misses);
+        // A scored-cache hit never reaches the coverage cache.
+        assert_eq!(
+            (warm.coverage_hits, warm.coverage_misses),
+            (cold.coverage_hits, cold.coverage_misses)
+        );
     }
 
-    /// The two-tier split's whole point: a second metric over the same
-    /// structural knobs misses the scored tier but hits the structure tier —
-    /// pattern enumeration and coverage intersection run once for both.
+    /// A second metric over the same structural knobs misses the scored
+    /// tier but reuses the coverages the first sweep materialized: both
+    /// walk the same level-2 merges, so every supported one is a cache hit
+    /// the second time. A tighter τ reuses them too; a looser τ reaches
+    /// merges no earlier sweep supported and materializes them.
     #[test]
-    fn second_metric_hits_the_structure_cache() {
+    fn second_metric_reuses_the_coverage_cache() {
         let s = session(500, 50);
         let _ = s.explain(&ExplainRequest::default().with_ground_truth(false));
         let after_first = s.stats();
-        assert_eq!(
-            (after_first.structure_misses, after_first.structure_hits),
-            (1, 0)
-        );
+        assert_eq!(after_first.sweep_misses, 1);
+        assert_eq!(after_first.coverage_hits, 0, "a cold sweep reuses nothing");
         let _ = s.explain(
             &ExplainRequest::default()
                 .with_metric(FairnessMetric::EqualOpportunity)
@@ -1888,31 +1680,23 @@ mod tests {
         );
         let after_second = s.stats();
         assert_eq!(after_second.sweep_misses, 2, "distinct scoring keys");
-        assert_eq!(after_second.structure_misses, 1, "shared structural key");
-        assert_eq!(after_second.structure_hits, 1);
-        // A tighter support threshold is a different structural key, but a
-        // τ-monotone one: served by re-filtering the τ = 0.05 artifact, not
-        // by rebuilding (the view is retained under its own key).
+        assert!(after_second.coverage_hits > after_first.coverage_hits);
         let _ = s.explain(
             &ExplainRequest::default()
                 .with_support_threshold(0.08)
                 .with_ground_truth(false),
         );
         let after_third = s.stats();
-        assert_eq!(after_third.structure_misses, 1);
-        assert_eq!(after_third.structure_range_hits, 1);
-        assert_eq!(after_third.structure_entries, 2);
-        // A *looser* threshold cannot be range-served (the cached artifacts
-        // lack its singles/merges): a genuine miss.
+        assert_eq!(after_third.sweep_misses, 3);
+        assert!(after_third.coverage_hits > after_second.coverage_hits);
         let _ = s.explain(
             &ExplainRequest::default()
                 .with_support_threshold(0.01)
                 .with_ground_truth(false),
         );
         let after_fourth = s.stats();
-        assert_eq!(after_fourth.structure_misses, 2);
-        assert_eq!(after_fourth.structure_range_hits, 1);
-        assert_eq!(after_fourth.structure_entries, 3);
+        assert_eq!(after_fourth.sweep_misses, 4);
+        assert!(after_fourth.coverage_misses > after_third.coverage_misses);
     }
 
     /// Satellite regression (τ keying): `-0.0` passes the `[0, 1)` range
@@ -1920,7 +1704,7 @@ mod tests {
     /// bit-pattern key built duplicate artifacts for the same structural
     /// configuration. Under the integer `min_count` key, `-0.0`, `0.0`, and
     /// any τ ≤ 1/n all mean "at least one covered row" and must share one
-    /// artifact, one cache entry, and one scored sweep.
+    /// scored sweep.
     #[test]
     fn negative_zero_and_tiny_taus_share_one_artifact() {
         let s = session(400, 52);
@@ -1940,19 +1724,14 @@ mod tests {
             assert_reports_equal(&responses[0].report, &r.report);
         }
         let stats = s.stats();
-        assert_eq!(stats.structure_misses, 1, "one artifact build");
-        assert_eq!(stats.structure_entries, 1, "one cache entry");
-        assert_eq!(stats.structure_range_hits, 0, "equal keys are exact hits");
-        assert_eq!(stats.sweep_misses, 1, "one scored sweep too");
+        assert_eq!(stats.sweep_misses, 1, "one scored sweep");
         assert_eq!(stats.sweep_hits, 3);
     }
 
-    /// The τ-monotone acceptance property: after a sweep at a loose τ, a
-    /// sweep at a tighter τ' (same depth/pruning, same metric) is served by
-    /// re-filtering — *zero* coverage intersections are materialized or even
-    /// counted (the coverage-cache miss counter stays put), the range-hit
-    /// counter proves the path taken, and the answer is bit-identical to a
-    /// cold session's.
+    /// After a sweep at a loose τ, a sweep at a tighter τ' (same
+    /// depth/pruning, same metric) materializes no coverage: every merge
+    /// it supports was supported — and materialized — at the looser τ. The
+    /// answer is bit-identical to a cold session's.
     #[test]
     fn warm_tighter_tau_sweep_materializes_no_intersections() {
         let loose = ExplainRequest::default()
@@ -1966,31 +1745,16 @@ mod tests {
         let warm = s.explain(&tight);
         let after = s.stats();
 
-        assert_eq!(after.structure_range_hits, before.structure_range_hits + 1);
-        assert_eq!(after.structure_misses, before.structure_misses);
+        assert_eq!(after.sweep_misses, before.sweep_misses + 1);
         assert_eq!(
             after.coverage_misses, before.coverage_misses,
-            "a range-served sweep must intersect nothing"
+            "a tighter sweep over a warm cache must intersect nothing new"
         );
-        assert_eq!(after.coverage_hits, before.coverage_hits);
+        assert_eq!(after.cached_coverages, before.cached_coverages);
+        assert!(after.coverage_hits > before.coverage_hits);
 
         let cold = session(600, 53).explain(&tight);
         assert_reports_equal(&warm.report, &cold.report);
-    }
-
-    #[test]
-    fn structure_cache_cap_zero_disables_retention() {
-        let s = session_with(400, 51, SessionBuilder::new().structure_cache_cap(0));
-        let req = ExplainRequest::default().with_ground_truth(false);
-        let _ = s.explain(&req);
-        let _ = s.explain(&req.clone().with_metric(FairnessMetric::EqualOpportunity));
-        let stats = s.stats();
-        assert_eq!(stats.structure_entries, 0, "nothing retained at cap 0");
-        assert_eq!(stats.structure_misses, 2, "every sweep rebuilds");
-        // Results are still correct — retention is an optimization only.
-        let reference = session(400, 51).explain(&req);
-        let again = s.explain(&req);
-        assert_reports_equal(&again.report, &reference.report);
     }
 
     /// The builder's `threads` knob and `GOPHER_THREADS` must not change
@@ -2184,7 +1948,7 @@ mod tests {
     fn update_then_explain_matches_cold_rebuild() {
         let mut s = session(4000, 60);
         let req = ExplainRequest::default().with_ground_truth(false);
-        let _ = s.explain(&req); // warm the structural tier pre-delta
+        let _ = s.explain(&req); // warm the coverage cache pre-delta
 
         let added = german(1, 61);
         let report = s.update(&[388], &added);
@@ -2208,10 +1972,10 @@ mod tests {
         assert_reports_match(&warm.report, &cold.report);
     }
 
-    /// Counters and cache hygiene across an update: scored sweeps and bias
-    /// gradients are dropped wholesale (the parameters moved), structural
-    /// artifacts survive by frontier proof, and the stats surface reports
-    /// exactly what happened.
+    /// Counters and cache hygiene across an update: scored sweeps, bias
+    /// gradients, and merged-pattern coverages are dropped wholesale (the
+    /// parameters and the row space moved), and the report counts the
+    /// coverages discarded.
     #[test]
     fn update_invalidates_scored_tier_and_counts_survivors() {
         let mut s = session(1000, 62);
@@ -2219,33 +1983,28 @@ mod tests {
         let _ = s.explain(&req);
         let _ = s.explain(&req.clone().with_metric(FairnessMetric::EqualOpportunity));
         let before = s.stats();
+        let predicates = s.predicate_table().len();
         assert_eq!(before.sweep_entries, 2);
-        assert_eq!(before.structure_entries, 1);
         assert_eq!(before.updates_applied, 0);
+        assert!(before.cached_coverages > predicates);
 
         let report = s.update(&[17], &german(1, 63));
         let after = s.stats();
         assert_eq!(after.updates_applied, 1);
         assert_eq!(after.sweep_entries, 0, "scored sweeps are stale wholesale");
         assert_eq!(
-            after.artifacts_survived + after.artifacts_invalidated,
-            1,
-            "every cached artifact is either re-anchored or dropped"
+            report.artifacts_invalidated,
+            before.cached_coverages - predicates,
+            "every merged-pattern coverage is discarded"
         );
-        assert_eq!(report.artifacts_survived as u64, after.artifacts_survived);
-        assert_eq!(
-            report.artifacts_invalidated as u64,
-            after.artifacts_invalidated
-        );
-        // A one-in, one-out delta on n=700 leaves every support frontier
-        // intact for this seed: the artifact must survive, and the next
-        // query must reuse it (a structure hit, not a rebuild).
-        assert_eq!(after.artifacts_survived, 1);
+        assert_eq!(after.cached_coverages, predicates, "only the fresh index");
         let _ = s.explain(&req);
         let warm = s.stats();
-        assert_eq!(warm.structure_hits, before.structure_hits + 1);
-        assert_eq!(warm.structure_misses, before.structure_misses);
         assert_eq!(warm.sweep_misses, before.sweep_misses + 1);
+        assert!(
+            warm.cached_coverages > predicates,
+            "the sweep re-materializes"
+        );
     }
 
     /// An adversarial delta — a fifth of the training set removed at once —

@@ -7,10 +7,11 @@
 //!    space is chunked across `gopher-par` workers and concatenated in
 //!    serial pair order, so the first pair to generate a pattern wins, as
 //!    in a serial walk);
-//! 2. **resolve** — look every merged pattern up in the sweep's
-//!    [`SweepStructure`] and intersect the unseen ones across workers
-//!    (metric-independent: the coverage of a merged pattern is the AND of
-//!    its predicates', whichever parents produced it);
+//! 2. **resolve** — count every distinct merged pattern's support across
+//!    workers and materialize the supported ones through the
+//!    [`CoverageCache`] (metric-independent: the coverage of a merged
+//!    pattern is the AND of its predicates', whichever parents produced
+//!    it);
 //! 3. **score** — one order-preserving `par_map` over every supported
 //!    candidate of every scorer (each score is a pure function of a
 //!    coverage);
@@ -20,15 +21,14 @@
 //! Steps 1–2 are the level's structural phase, step 3 its scoring phase.
 //! Scores and pruning decisions never depend on scheduling, so results are
 //! bit-identical at any thread count. The structural half lands in the
-//! artifact, which is what lets a session reuse it across metrics,
-//! estimators, and bias evaluations — see `SweepStructure`.
+//! coverage cache, which is what lets a session reuse it across metrics,
+//! estimators, bias evaluations, and support thresholds.
 
 use crate::bitset::BitSet;
 use crate::candidates::PredicateTable;
 use crate::coverage::CoverageCache;
 use crate::index::PredicateIndex;
 use crate::pattern::Pattern;
-use crate::structure::{min_count_for, MergeRecord, SweepStructure};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -97,8 +97,8 @@ pub struct LevelStats {
     /// Candidates kept after all pruning.
     pub kept: usize,
     /// Wall-clock time of the level's structural phase: enumerating every
-    /// live frontier's merges and resolving them against the artifact (for
-    /// level 1, the artifact's build time).
+    /// live frontier's merges and resolving their supports (for level 1,
+    /// filtering the predicate index by support).
     pub structural: Duration,
     /// Wall-clock time of the level's ordered score pass over every
     /// supported candidate of every scorer.
@@ -142,9 +142,9 @@ impl SearchStats {
 /// * responsibility not exceeding both parents — dropped (when
 ///   `prune_by_responsibility` is set).
 ///
-/// This convenience wrapper builds a transient coverage cache, predicate
-/// index, and structural artifact; long-lived callers (sessions) hold their
-/// own and call [`compute_candidates_multi`].
+/// This convenience wrapper builds a transient coverage cache and predicate
+/// index; long-lived callers (sessions) hold their own and call
+/// [`compute_candidates_multi`].
 pub fn compute_candidates<F>(
     table: &PredicateTable,
     score: F,
@@ -155,14 +155,13 @@ where
 {
     let cache = CoverageCache::new();
     let index = PredicateIndex::build(table, &cache);
-    let structure = SweepStructure::build(&index, config);
     let scorer: ScoreFn<'_> = Box::new(score);
     compute_candidates_multi(
         table,
         std::slice::from_ref(&scorer),
         config,
         &cache,
-        &structure,
+        &index,
         1,
     )
     .pop()
@@ -181,20 +180,21 @@ where
 /// order-independent (merge resolution, pure scores) or runs in the serial
 /// enumeration order (deduplication, pruning).
 ///
-/// Both `cache` and `structure` outlive the call on purpose: an interactive
-/// session passes a long-lived cache and a per-structural-config artifact,
-/// so later queries — a different metric, estimator, or bias evaluation over
-/// the same structural knobs — skip every intersection this sweep resolved.
+/// Both `cache` and `index` outlive the call on purpose: an interactive
+/// session passes its long-lived coverage cache and predicate index, so
+/// later queries — a different metric, estimator, bias evaluation, or
+/// support threshold — skip every intersection this sweep materialized.
 ///
 /// # Panics
-/// If `structure` was built for a different structural configuration or
-/// row count than `config`/`table` describe.
+/// If `config.support_threshold` is outside `[0, 1)`,
+/// `config.max_predicates` is zero, or `index` was built over a different
+/// row count than `table`.
 pub fn compute_candidates_multi(
     table: &PredicateTable,
     scorers: &[ScoreFn<'_>],
     config: &LatticeConfig,
     cache: &CoverageCache,
-    structure: &SweepStructure,
+    index: &PredicateIndex,
     threads: usize,
 ) -> Vec<(Vec<Candidate>, SearchStats)> {
     assert!(
@@ -207,15 +207,11 @@ pub fn compute_candidates_multi(
     );
     let n = table.n_rows();
     assert_eq!(
-        structure.min_count(),
-        min_count_for(config.support_threshold, n),
-        "structural artifact was built for a different support threshold"
-    );
-    assert_eq!(
-        structure.n_rows(),
+        index.n_rows(),
         n,
-        "structural artifact was built for a different dataset"
+        "predicate index was built for a different dataset"
     );
+    let min_count = min_count_for(config.support_threshold, n);
 
     /// Everything one scorer owns during the sweep.
     #[derive(Default)]
@@ -239,27 +235,28 @@ pub fn compute_candidates_multi(
             break;
         }
 
-        // Structural phase. Level 1 proposes the artifact's supported
-        // singles (built once per structural config) to every scorer.
+        // Structural phase. Level 1 proposes the index's supported
+        // predicates to every scorer.
         let t_level = Instant::now();
-        let (proposals, structural) = if level == 1 {
-            let singles: Vec<Proposal> = structure
-                .singles()
+        let proposals = if level == 1 {
+            let singles: Vec<Proposal> = index
+                .entries()
                 .iter()
-                .map(|single| Proposal {
-                    pattern: Pattern::singleton(single.id),
-                    coverage: Arc::clone(&single.coverage),
-                    count: single.count,
+                .filter(|e| e.count >= min_count)
+                .map(|e| Proposal {
+                    pattern: Pattern::singleton(e.id),
+                    coverage: Arc::clone(&e.coverage),
+                    count: e.count,
                     parents: None,
                 })
                 .collect();
-            (vec![singles; live.len()], structure.build_time())
+            vec![singles; live.len()]
         } else {
             let frontiers: Vec<&[Candidate]> =
                 live.iter().map(|&s| runs[s].frontier.as_slice()).collect();
-            let proposals = propose_merges(table, cache, structure, &frontiers, threads);
-            (proposals, t_level.elapsed())
+            propose_merges(table, cache, min_count, &frontiers, threads)
         };
+        let structural = t_level.elapsed();
 
         // Scoring phase: every supported candidate of every live scorer, in
         // (scorer, enumeration) order.
@@ -335,13 +332,13 @@ struct Proposal {
 }
 
 /// The structural phase of a merged level, for every live frontier:
-/// enumerates its merges in serial pair order, resolves them against the
-/// artifact (intersecting the unseen ones across up to `threads` workers),
-/// and returns each frontier's supported merges in that order.
+/// enumerates its merges in serial pair order, resolves each distinct one
+/// across up to `threads` workers (see [`resolve_merge`]), and returns each
+/// frontier's supported merges in that order.
 fn propose_merges(
     table: &PredicateTable,
     cache: &CoverageCache,
-    structure: &SweepStructure,
+    min_count: usize,
     frontiers: &[&[Candidate]],
     threads: usize,
 ) -> Vec<Vec<Proposal>> {
@@ -388,50 +385,29 @@ fn propose_merges(
         }
     }
 
-    // Resolve each distinct merge once, from the first pair that generated
-    // it: the artifact answers what it already knows, and the rest is
-    // intersected in parallel and recorded.
-    let (slots, records) = {
-        let mut distinct: HashMap<&[u16], usize> = HashMap::new();
-        let mut first: Vec<(&[u16], usize, usize, usize)> = Vec::new();
-        let slots: Vec<Vec<usize>> = merges
-            .iter()
-            .enumerate()
-            .map(|(f, list)| {
-                list.iter()
-                    .map(|(merged, i, j)| {
-                        *distinct.entry(merged.ids()).or_insert_with(|| {
-                            first.push((merged.ids(), f, *i, *j));
-                            first.len() - 1
-                        })
+    // Resolve each distinct merge once, in parallel, from the first pair
+    // that generated it.
+    let mut distinct: HashMap<&[u16], usize> = HashMap::new();
+    let mut first: Vec<(&[u16], usize, usize, usize)> = Vec::new();
+    let slots: Vec<Vec<usize>> = merges
+        .iter()
+        .enumerate()
+        .map(|(f, list)| {
+            list.iter()
+                .map(|(merged, i, j)| {
+                    *distinct.entry(merged.ids()).or_insert_with(|| {
+                        first.push((merged.ids(), f, *i, *j));
+                        first.len() - 1
                     })
-                    .collect()
-            })
-            .collect();
-        let mut records: Vec<Option<MergeRecord>> = first
-            .iter()
-            .map(|&(ids, ..)| structure.lookup(ids))
-            .collect();
-        let misses: Vec<usize> = (0..records.len())
-            .filter(|&k| records[k].is_none())
-            .collect();
-        let computed = gopher_par::par_map(threads, &misses, |_, &k| {
-            let (ids, f, i, j) = first[k];
-            let (a, b) = (&frontiers[f][i], &frontiers[f][j]);
-            structure.compute_record(ids, cache, &a.coverage, &b.coverage)
-        });
-        for (k, record) in misses.into_iter().zip(computed) {
-            structure.insert(first[k].0, record.clone());
-            records[k] = Some(record);
-        }
-        let records: Vec<MergeRecord> = records
-            .into_iter()
-            .map(|r| r.expect("every merge resolved"))
-            .collect();
-        (slots, records)
-    };
+                })
+                .collect()
+        })
+        .collect();
+    let resolved = gopher_par::par_map(threads, &first, |_, &(ids, f, i, j)| {
+        let (a, b) = (&frontiers[f][i], &frontiers[f][j]);
+        resolve_merge(ids, cache, min_count, &a.coverage, &b.coverage)
+    });
 
-    let min_count = structure.min_count();
     merges
         .into_iter()
         .zip(slots)
@@ -439,22 +415,43 @@ fn propose_merges(
             list.into_iter()
                 .zip(slots)
                 .filter_map(|((pattern, i, j), k)| {
-                    let record = &records[k];
-                    (record.count >= min_count).then(|| Proposal {
+                    let (coverage, count) = resolved[k].clone()?;
+                    Some(Proposal {
                         pattern,
-                        coverage: Arc::clone(
-                            record
-                                .coverage
-                                .as_ref()
-                                .expect("supported merges retain their coverage"),
-                        ),
-                        count: record.count,
+                        coverage,
+                        count,
                         parents: Some((i, j)),
                     })
                 })
                 .collect()
         })
         .collect()
+}
+
+/// Resolves one merged pattern `ids` from its parents' coverages `a` and
+/// `b`: its coverage and support count when the count meets `min_count`,
+/// `None` otherwise.
+///
+/// **Count-first, materialize-on-demand:** unless an earlier sweep already
+/// materialized this pattern's coverage (a cache peek answers that), the
+/// intersection is *counted* with the fused [`BitSet::and_count`] kernel
+/// first, and the AND is only materialized — through `cache`, so later
+/// sweeps reuse it — when the merge is supported. At realistic support
+/// thresholds failed merges are the majority of the pair space, so most
+/// pairs cost one fused pass and zero allocations.
+fn resolve_merge(
+    ids: &[u16],
+    cache: &CoverageCache,
+    min_count: usize,
+    a: &BitSet,
+    b: &BitSet,
+) -> Option<(Arc<BitSet>, usize)> {
+    if let Some(coverage) = cache.peek(ids) {
+        let count = coverage.count();
+        return (count >= min_count).then_some((coverage, count));
+    }
+    let count = a.and_count(b);
+    (count >= min_count).then(|| (cache.get_or_insert_with(ids, || a.and(b)), count))
 }
 
 /// True when the two differing predicates of a mergeable pair conflict (the
@@ -491,6 +488,11 @@ fn pair_chunks(m: usize, threads: usize) -> Vec<std::ops::Range<usize>> {
         chunks.push(start..m);
     }
     chunks
+}
+
+/// `⌈τ·n⌉`, at least 1 — the count form of the support threshold.
+pub fn min_count_for(support_threshold: f64, n_rows: usize) -> usize {
+    (support_threshold * n_rows as f64).ceil().max(1.0) as usize
 }
 
 /// Keeps at most `cap` candidates (the best by responsibility).
@@ -750,11 +752,10 @@ mod tests {
         for threads in [1, 2, 8] {
             let cache = CoverageCache::new();
             let index = PredicateIndex::build(&table, &cache);
-            let structure = SweepStructure::build(&index, &config);
             let scorers: Vec<ScoreFn<'_>> =
                 vec![Box::new(toy_score(&labels)), Box::new(priv_score)];
             let mut multi =
-                compute_candidates_multi(&table, &scorers, &config, &cache, &structure, threads);
+                compute_candidates_multi(&table, &scorers, &config, &cache, &index, threads);
             let (multi_b, mstats_b) = multi.pop().unwrap();
             let (multi_a, mstats_a) = multi.pop().unwrap();
 
@@ -778,17 +779,16 @@ mod tests {
                     );
                 }
             }
-            assert!(!cache.is_empty(), "sweep must populate the shared cache");
             assert!(
-                structure.merges_resolved() > 0,
-                "sweep must populate the structural artifact"
+                cache.len() > index.len(),
+                "sweep must materialize merged coverages in the shared cache"
             );
         }
     }
 
-    /// A second sweep over a warm artifact (fresh scorer, same structural
-    /// config) must answer identically to a cold one, without its fallback
-    /// closure ever intersecting coverages again.
+    /// A second sweep over a warm coverage cache (fresh scorer, same
+    /// structural config) must answer identically to a cold one without
+    /// materializing any intersection again.
     #[test]
     fn warm_artifact_reuses_structural_work() {
         let d = german(400, 78);
@@ -802,17 +802,16 @@ mod tests {
 
         let cache = CoverageCache::new();
         let index = PredicateIndex::build(&table, &cache);
-        let structure = SweepStructure::build(&index, &config);
-        let run = |cache: &CoverageCache, structure: &SweepStructure| {
+        let run = || {
             let scorers: Vec<ScoreFn<'_>> = vec![Box::new(toy_score(&labels))];
-            compute_candidates_multi(&table, &scorers, &config, cache, structure, 2)
+            compute_candidates_multi(&table, &scorers, &config, &cache, &index, 2)
                 .pop()
                 .unwrap()
         };
-        let (cold, _) = run(&cache, &structure);
-        let resolved_after_cold = structure.merges_resolved();
+        let (cold, _) = run();
+        let entries_after_cold = cache.len();
         let coverage_misses_after_cold = cache.stats().misses;
-        let (warm, warm_stats) = run(&cache, &structure);
+        let (warm, warm_stats) = run();
 
         // Identical results, cold, warm, and solo.
         for (a, b) in solo.iter().zip(&cold).chain(solo.iter().zip(&warm)) {
@@ -821,8 +820,8 @@ mod tests {
             assert_eq!(a.responsibility, b.responsibility);
         }
         assert_eq!(solo_stats.total_scored, warm_stats.total_scored);
-        // The warm sweep resolved nothing new and intersected nothing new.
-        assert_eq!(structure.merges_resolved(), resolved_after_cold);
+        // The warm sweep materialized nothing new.
+        assert_eq!(cache.len(), entries_after_cold);
         assert_eq!(cache.stats().misses, coverage_misses_after_cold);
     }
 
@@ -840,11 +839,10 @@ mod tests {
         let labels = d.labels().to_vec();
         let cache = CoverageCache::new();
         let index = PredicateIndex::build(&table, &cache);
-        let structure = SweepStructure::build(&index, &config);
         let scorers: Vec<ScoreFn<'_>> = (0..3)
             .map(|_| Box::new(toy_score(&labels)) as ScoreFn<'_>)
             .collect();
-        let results = compute_candidates_multi(&table, &scorers, &config, &cache, &structure, 4);
+        let results = compute_candidates_multi(&table, &scorers, &config, &cache, &index, 4);
         for (_, stats) in &results {
             assert!(!stats.levels.is_empty());
             for level in &stats.levels {
@@ -883,10 +881,9 @@ mod tests {
             };
             let cache = CoverageCache::new();
             let index = PredicateIndex::build(&table, &cache);
-            let structure = SweepStructure::build(&index, &config);
             let scorers: Vec<ScoreFn<'_>> = vec![Box::new(counting)];
             let (_, stats) =
-                compute_candidates_multi(&table, &scorers, &config, &cache, &structure, threads)
+                compute_candidates_multi(&table, &scorers, &config, &cache, &index, threads)
                     .pop()
                     .unwrap();
             assert_eq!(
@@ -915,9 +912,118 @@ mod tests {
                     assert!(level.structural > Duration::ZERO, "threads={threads}");
                 }
             }
-            assert!(stats.structural_time() > structure.build_time());
             assert!(stats.levels.iter().any(|l| l.scoring > Duration::ZERO));
         }
+    }
+
+    /// A session-sized German table with its index built through `cache`.
+    fn indexed(n: usize) -> (PredicateTable, CoverageCache, PredicateIndex) {
+        let table = generate_predicates(&german(n, 93), 4);
+        let cache = CoverageCache::new();
+        let index = PredicateIndex::build(&table, &cache);
+        (table, cache, index)
+    }
+
+    #[test]
+    fn singles_are_filtered_by_support() {
+        let (table, _cache, index) = indexed(400);
+        let config = LatticeConfig {
+            support_threshold: 0.1,
+            max_predicates: 1,
+            ..Default::default()
+        };
+        let min = min_count_for(config.support_threshold, table.n_rows());
+        assert_eq!(min, 40);
+        let (singles, _) = compute_candidates(&table, |_: &BitSet| 0.0, &config);
+        let expected: Vec<_> = index.entries().iter().filter(|e| e.count >= min).collect();
+        assert!(!expected.is_empty());
+        assert_eq!(singles.len(), expected.len());
+        for (s, e) in singles.iter().zip(expected) {
+            assert_eq!(s.pattern.ids(), [e.id]);
+            assert_eq!(s.coverage.count(), e.count);
+            assert_eq!(s.support, e.count as f64 / 400.0);
+        }
+    }
+
+    #[test]
+    fn resolve_records_supported_and_failed_merges() {
+        let (table, cache, index) = indexed(400);
+        let min = min_count_for(0.3, table.n_rows());
+        let entries = index.entries();
+        let pair_where = |supported: bool| {
+            (0..entries.len())
+                .flat_map(|i| (i + 1..entries.len()).map(move |j| (i, j)))
+                .map(|(i, j)| (&entries[i], &entries[j]))
+                .find(|(a, b)| (a.coverage.and_count(&b.coverage) >= min) == supported)
+                .expect("τ = 0.3 has supported and failed pairs")
+        };
+        for supported in [true, false] {
+            let (a, b) = pair_where(supported);
+            let ids = [a.id, b.id];
+            let misses_before = cache.stats().misses;
+            let resolved = resolve_merge(&ids, &cache, min, &a.coverage, &b.coverage);
+            // Lazy materialization: only a supported merge reaches the
+            // coverage cache at all; a failed one is counted, never
+            // allocated.
+            let misses_after_first = cache.stats().misses;
+            match &resolved {
+                Some((coverage, count)) => {
+                    assert!(supported);
+                    assert_eq!(**coverage, a.coverage.and(&b.coverage));
+                    assert_eq!(*count, coverage.count());
+                    assert_eq!(misses_after_first, misses_before + 1);
+                }
+                None => {
+                    assert!(!supported);
+                    assert_eq!(misses_after_first, misses_before);
+                    assert!(
+                        cache.peek(&ids).is_none(),
+                        "failed merges stay unmaterialized"
+                    );
+                }
+            }
+            // A second resolve intersects nothing new: the supported merge
+            // is a cache hit, the failed one is re-counted.
+            let again = resolve_merge(&ids, &cache, min, &a.coverage, &b.coverage);
+            assert_eq!(
+                again.map(|(_, count)| count),
+                resolved.map(|(_, count)| count)
+            );
+            assert_eq!(cache.stats().misses, misses_after_first);
+        }
+    }
+
+    #[test]
+    fn failed_merges_never_touch_the_coverage_cache() {
+        // τ = 0.9: virtually every merge fails the support check.
+        let (table, cache, index) = indexed(400);
+        let min = min_count_for(0.9, table.n_rows());
+        let entries_before = cache.len();
+        let mut resolved = 0usize;
+        let mut failed = 0usize;
+        let entries = &index.entries()[..8];
+        for (i, a) in entries.iter().enumerate() {
+            for b in &entries[i + 1..] {
+                resolved += 1;
+                if resolve_merge(&[a.id, b.id], &cache, min, &a.coverage, &b.coverage).is_none() {
+                    failed += 1;
+                }
+            }
+        }
+        assert!(failed > 0, "the tight threshold must fail some merges");
+        // Only supported merges add cache entries.
+        assert_eq!(cache.len() - entries_before, resolved - failed);
+    }
+
+    #[test]
+    #[should_panic(expected = "support threshold")]
+    fn sweep_rejects_invalid_threshold() {
+        let (table, _cache, _index) = indexed(100);
+        let config = LatticeConfig {
+            support_threshold: 1.0,
+            ..Default::default()
+        };
+        let _ = compute_candidates(&table, |_: &BitSet| 0.0, &config);
     }
 
     #[test]

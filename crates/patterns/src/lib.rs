@@ -28,14 +28,12 @@ pub mod index;
 pub mod lattice;
 mod pattern;
 mod predicate;
-pub mod structure;
 pub mod topk;
 
 pub use bitset::BitSet;
 pub use candidates::{generate_predicates, PredicateTable};
 pub use coverage::{CoverageCache, CoverageCacheStats};
 pub use index::PredicateIndex;
-pub use lattice::{Candidate, LatticeConfig, LevelStats, ScoreFn, SearchStats};
+pub use lattice::{min_count_for, Candidate, LatticeConfig, LevelStats, ScoreFn, SearchStats};
 pub use pattern::Pattern;
 pub use predicate::{Op, PredValue, Predicate};
-pub use structure::{min_count_for, MergeRecord, SweepStructure};

@@ -221,24 +221,6 @@ pub fn session_stats_json(stats: &SessionStats) -> Json {
         ("sweep_hits", Json::num(stats.sweep_hits as f64)),
         ("sweep_misses", Json::num(stats.sweep_misses as f64)),
         ("sweep_evictions", Json::num(stats.sweep_evictions as f64)),
-        (
-            "structure_entries",
-            Json::num(stats.structure_entries as f64),
-        ),
-        (
-            "structure_cache_cap",
-            Json::num(stats.structure_cache_cap as f64),
-        ),
-        ("structure_hits", Json::num(stats.structure_hits as f64)),
-        (
-            "structure_range_hits",
-            Json::num(stats.structure_range_hits as f64),
-        ),
-        ("structure_misses", Json::num(stats.structure_misses as f64)),
-        (
-            "structure_evictions",
-            Json::num(stats.structure_evictions as f64),
-        ),
         ("cached_coverages", Json::num(stats.cached_coverages as f64)),
         ("coverage_hits", Json::num(stats.coverage_hits as f64)),
         ("coverage_misses", Json::num(stats.coverage_misses as f64)),
@@ -247,14 +229,6 @@ pub fn session_stats_json(stats: &SessionStats) -> Json {
             Json::num(stats.coverage_inserts_refused as f64),
         ),
         ("updates_applied", Json::num(stats.updates_applied as f64)),
-        (
-            "artifacts_survived",
-            Json::num(stats.artifacts_survived as f64),
-        ),
-        (
-            "artifacts_invalidated",
-            Json::num(stats.artifacts_invalidated as f64),
-        ),
         ("factor_fallbacks", Json::num(stats.factor_fallbacks as f64)),
         ("explain_p50_us", Json::num(stats.explain_p50_us as f64)),
         ("explain_p99_us", Json::num(stats.explain_p99_us as f64)),
@@ -263,18 +237,16 @@ pub fn session_stats_json(stats: &SessionStats) -> Json {
 
 /// The `POST /sessions/{name}/update` response: what the delta did, which
 /// path the influence engine took (incremental patch vs fallback), and how
-/// the structural cache fared. `updates_applied` is the session's cumulative
-/// counter *after* this update.
+/// many merged-pattern coverages it discarded (`artifacts_invalidated`: the
+/// session's materialized coverages of patterns with two or more
+/// predicates, which range over the old rows). `updates_applied` is the
+/// session's cumulative counter *after* this update.
 pub fn update_report_json(report: &UpdateReport, updates_applied: u64, name: &str) -> Json {
     Json::obj([
         ("name", Json::str(name)),
         ("rows_removed", Json::num(report.rows_removed as f64)),
         ("rows_added", Json::num(report.rows_added as f64)),
         ("train_rows", Json::num(report.n_rows as f64)),
-        (
-            "artifacts_survived",
-            Json::num(report.artifacts_survived as f64),
-        ),
         (
             "artifacts_invalidated",
             Json::num(report.artifacts_invalidated as f64),

@@ -159,15 +159,13 @@ pub struct SessionConfig {
     pub threads: usize,
     /// Scored-sweep cache cap override.
     pub sweep_cache_cap: Option<usize>,
-    /// Structure cache cap override.
-    pub structure_cache_cap: Option<usize>,
     /// Coverage cache cap override.
     pub coverage_cache_cap: Option<usize>,
 }
 
 /// The JSON fields `POST /sessions` understands. Unknown keys are hard
 /// errors — a typo'd knob must not silently fall back to a default.
-pub const SESSION_FIELDS: [&str; 14] = [
+pub const SESSION_FIELDS: [&str; 13] = [
     "name",
     "generator",
     "rows",
@@ -180,7 +178,6 @@ pub const SESSION_FIELDS: [&str; 14] = [
     "l2",
     "threads",
     "sweep_cache_cap",
-    "structure_cache_cap",
     "coverage_cache_cap",
 ];
 
@@ -317,7 +314,6 @@ impl SessionConfig {
             l2,
             threads: get_count("threads")?.unwrap_or(0),
             sweep_cache_cap: get_count("sweep_cache_cap")?,
-            structure_cache_cap: get_count("structure_cache_cap")?,
             coverage_cache_cap: get_count("coverage_cache_cap")?,
         })
     }
@@ -542,9 +538,6 @@ pub fn build_session(config: &SessionConfig) -> Result<(AnySession, usize), Stri
     let mut builder = SessionBuilder::new().threads(config.threads);
     if let Some(cap) = config.sweep_cache_cap {
         builder = builder.sweep_cache_cap(cap);
-    }
-    if let Some(cap) = config.structure_cache_cap {
-        builder = builder.structure_cache_cap(cap);
     }
     if let Some(cap) = config.coverage_cache_cap {
         builder = builder.coverage_cache_cap(cap);

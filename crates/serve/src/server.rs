@@ -11,13 +11,14 @@
 //! POST   /shutdown                 begin graceful shutdown
 //! ```
 //!
-//! Concurrency model: one non-blocking accept thread hands connections to a
-//! fixed worker pool over a channel; each worker owns its connection for the
-//! keep-alive duration, polling the shutdown flag on a 500 ms read timeout.
-//! Shutdown ([`Server::trigger_shutdown`], `POST /shutdown`, or a signal
-//! wired by the CLI) stops the accept loop, lets every in-flight request
-//! complete and flush, then parks the workers; [`Server::join`] returns
-//! once the last one is done.
+//! Concurrency model: one accept thread, blocked in `accept()`, hands
+//! connections to a fixed worker pool over a channel; each worker owns its
+//! connection for the keep-alive duration, polling the shutdown flag on a
+//! 500 ms read timeout. Shutdown ([`Server::trigger_shutdown`],
+//! `POST /shutdown`, or a signal wired by the CLI) sets the flag and wakes
+//! the accept thread with one loopback connection, lets every in-flight
+//! request complete and flush, then parks the workers; [`Server::join`]
+//! returns once the last one is done.
 
 use crate::api;
 use crate::http::{self, HttpConn, HttpError, Request};
@@ -26,7 +27,7 @@ use gopher_core::ExplainRequest;
 use gopher_json::{Json, ParseLimits, DEFAULT_MAX_DEPTH};
 use gopher_par::{lock_recover, read_recover, write_recover};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver};
@@ -77,12 +78,24 @@ pub struct ServerState {
     config: ServeConfig,
     shutdown: AtomicBool,
     started: Instant,
+    /// Where a loopback connection reaches the listener (the bound address,
+    /// with an unspecified IP mapped to loopback).
+    wake_addr: SocketAddr,
 }
 
 impl ServerState {
     /// Whether graceful shutdown has been requested.
     pub fn shutdown_requested(&self) -> bool {
         self.shutdown.load(Ordering::Relaxed)
+    }
+
+    /// Requests graceful shutdown: sets the flag every loop polls, then
+    /// opens and drops one loopback connection so the accept thread,
+    /// blocked in `accept()`, returns and sees it. Later calls do nothing.
+    fn begin_shutdown(&self) {
+        if !self.shutdown.swap(true, Ordering::Relaxed) {
+            let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+        }
     }
 
     /// The configuration the server was started with.
@@ -107,7 +120,12 @@ impl Server {
     pub fn start(config: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind((config.addr.as_str(), config.port))?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
+        let mut wake_addr = addr;
+        match addr.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => wake_addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+            IpAddr::V6(ip) if ip.is_unspecified() => wake_addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+            _ => {}
+        }
         let worker_count = if config.workers > 0 {
             config.workers
         } else {
@@ -118,6 +136,7 @@ impl Server {
             config,
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
+            wake_addr,
         });
 
         let (tx, rx) = channel::<TcpStream>();
@@ -139,6 +158,8 @@ impl Server {
             .spawn(move || {
                 while !accept_state.shutdown_requested() {
                     match listener.accept() {
+                        // The wake-up connection, or one that raced it.
+                        Ok(_) if accept_state.shutdown_requested() => break,
                         Ok((stream, _peer)) => {
                             // Workers poll the shutdown flag on this timeout.
                             let _ = stream.set_read_timeout(Some(POLL_TIMEOUT));
@@ -146,9 +167,8 @@ impl Server {
                                 break;
                             }
                         }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
+                        // Back off on real accept errors (e.g. out of file
+                        // descriptors) instead of spinning on them.
                         Err(_) => std::thread::sleep(Duration::from_millis(10)),
                     }
                 }
@@ -175,7 +195,7 @@ impl Server {
 
     /// Requests graceful shutdown: stop accepting, drain in-flight work.
     pub fn trigger_shutdown(&self) {
-        self.state.shutdown.store(true, Ordering::Relaxed);
+        self.state.begin_shutdown();
     }
 
     /// Whether shutdown has been requested (by any path).
@@ -304,7 +324,7 @@ fn route(state: &ServerState, request: &Request) -> (u16, Json) {
             }
         }
         ("POST", ["shutdown"]) => {
-            state.shutdown.store(true, Ordering::Relaxed);
+            state.begin_shutdown();
             (200, Json::obj([("status", Json::str("shutting down"))]))
         }
         (_, ["healthz" | "sessions" | "shutdown", ..]) => (

@@ -282,6 +282,35 @@ fn protocol_errors_map_to_the_right_statuses() {
     server.join();
 }
 
+/// The accept thread blocks in `accept()` instead of polling, so a fresh
+/// connection reaches a worker as soon as it arrives: twenty sequential
+/// one-shot requests take a few milliseconds in all, where a 10 ms poll
+/// would cost most of an interval each.
+#[test]
+fn fresh_connections_are_accepted_without_a_poll_delay() {
+    let (server, addr) = start(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    // Warm-up, so worker start-up is not timed.
+    assert_eq!(
+        request_once(addr, "GET", "/healthz", None).unwrap().status,
+        200
+    );
+    let t0 = Instant::now();
+    for _ in 0..20 {
+        let response = request_once(addr, "GET", "/healthz", None).unwrap();
+        assert_eq!(response.status, 200, "{}", response.body);
+    }
+    let elapsed = t0.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(100),
+        "20 fresh-connection requests took {elapsed:?}"
+    );
+    server.trigger_shutdown();
+    server.join();
+}
+
 #[test]
 fn shutdown_drains_in_flight_requests() {
     let (server, addr) = start(ServeConfig {
@@ -344,7 +373,7 @@ fn update_endpoint_patches_the_session_and_matches_an_in_process_delta() {
     let created = request_once(addr, "POST", "/sessions", Some(GERMAN_300)).unwrap();
     assert_eq!(created.status, 201, "{}", created.body);
 
-    // Warm the structural tier so the update has artifacts to patch.
+    // Warm the coverage cache so the update has merged coverages to discard.
     let warm = request_once(
         addr,
         "POST",
@@ -370,18 +399,14 @@ fn update_endpoint_patches_the_session_and_matches_an_in_process_delta() {
         updated_json.get("updates_applied").and_then(Json::as_f64),
         Some(1.0)
     );
-    let survived = updated_json
-        .get("artifacts_survived")
-        .and_then(Json::as_f64)
-        .unwrap();
     let invalidated = updated_json
         .get("artifacts_invalidated")
         .and_then(Json::as_f64)
         .unwrap();
-    assert_eq!(
-        survived + invalidated,
-        1.0,
-        "the one warmed structure artifact must be accounted for"
+    assert!(
+        invalidated >= 1.0,
+        "the warmed explain's merged coverages must be discarded: {}",
+        updated.body
     );
 
     // The post-update HTTP answer must be bit-identical to an in-process

@@ -2,8 +2,8 @@
 //!
 //! [`ExplainSession::update`] patches a live session in place: the
 //! influence engine takes a Woodbury/Cholesky delta path, predicate
-//! coverages are patched bit-exactly, and the structural cache keeps
-//! whatever artifacts survive the delta. The contract these tests pin:
+//! coverages are patched bit-exactly, and the coverage cache starts over
+//! from the patched predicate index. The contract these tests pin:
 //!
 //! * post-update answers equal a cold rebuild on the updated data —
 //!   pattern text and support **exactly** (the bitset layer is patched,
@@ -11,8 +11,8 @@
 //!   drift bound, base bias to float noise;
 //! * the whole thing is thread-count invariant: the patched session
 //!   answers bit-identically at 1 and 4 worker threads;
-//! * surviving cached artifacts answer exactly like freshly recomputed
-//!   ones;
+//! * update work does not grow with the support thresholds a session has
+//!   visited, and every one of them still answers like a cold rebuild;
 //! * an adversarial delta (a fifth of the training set at once) trips the
 //!   refactorization/retrain fallback and *still* matches the cold oracle.
 
@@ -100,7 +100,7 @@ fn update_matches_cold_rebuild_and_is_thread_invariant() {
     let mut per_thread_answers: Vec<Vec<Json>> = Vec::new();
     for &threads in &[1usize, 4] {
         let mut session = build_session(4000, threads);
-        // Warm the structural tier before the delta lands.
+        // Warm the caches before the delta lands.
         session.explain_batch(&requests);
         let report = session.update(&[388], &german(1, 61));
         assert_eq!(report.rows_removed, 1);
@@ -130,32 +130,39 @@ fn update_matches_cold_rebuild_and_is_thread_invariant() {
     }
 }
 
-/// Artifacts that survive the delta answer exactly like a recompute: the
-/// next explain after an update must hit the patched structure and return
-/// the same thing a from-scratch session on the updated data returns.
+/// A session warmed at eight support thresholds keeps nothing but its
+/// fresh predicate index across a single-row delta — the update's work
+/// does not grow with the τ values visited — and then answers every one
+/// of those thresholds like a cold rebuild on the updated data.
 #[test]
-fn surviving_artifacts_equal_recomputed_ones() {
-    let requests = workload();
+fn update_after_many_taus_matches_cold_rebuild() {
+    let requests: Vec<ExplainRequest> = [0.02, 0.03, 0.04, 0.05, 0.06, 0.08, 0.1, 0.15]
+        .iter()
+        .map(|&tau| {
+            ExplainRequest::default()
+                .with_ground_truth(false)
+                .with_support_threshold(tau)
+        })
+        .collect();
     let mut session = build_session(1200, 1);
     session.explain_batch(&requests);
     let before = session.stats();
+    let predicates = session.predicate_table().len();
     assert!(
-        before.structure_entries >= 1,
-        "warm-up must cache structures"
+        before.cached_coverages > predicates,
+        "warm-up must materialize merged coverages"
     );
 
     let report = session.update(&[17], &german(1, 63));
     let stats = session.stats();
     assert_eq!(stats.updates_applied, 1);
     assert_eq!(
-        report.artifacts_survived + report.artifacts_invalidated,
-        before.structure_entries,
-        "every cached artifact must be accounted survived or invalidated"
+        stats.cached_coverages, predicates,
+        "only the patched predicate index survives the delta"
     );
-    assert_eq!(stats.artifacts_survived, report.artifacts_survived as u64);
     assert_eq!(
-        stats.artifacts_invalidated,
-        report.artifacts_invalidated as u64
+        report.artifacts_invalidated,
+        before.cached_coverages - predicates
     );
     // The scored tier is a function of the moved model params: always wiped.
     assert_eq!(stats.sweep_entries, 0);

@@ -1,9 +1,9 @@
 //! Acceptance tests for the staged lattice sweep engine: the parallel
 //! level pipeline must be invisible in results (bit-identical at any
-//! thread count), the structure cache must make a warm session answering a
-//! second metric bit-identical to a cold one without re-running the
-//! structural phase, and on multi-core hosts the parallel pipeline must
-//! actually be faster.
+//! thread count), every coverage it materializes must be exact, a sweep
+//! over a warm coverage cache — another metric, or a tighter support
+//! threshold — must answer bit-identically to a cold one, and on
+//! multi-core hosts the parallel pipeline must actually be faster.
 
 use gopher_core::{ExplainRequest, SessionBuilder};
 use gopher_data::generators::german;
@@ -12,7 +12,7 @@ use gopher_models::LogisticRegression;
 use gopher_patterns::lattice::{compute_candidates_multi, LatticeConfig};
 use gopher_patterns::{
     generate_predicates, min_count_for, BitSet, Candidate, CoverageCache, PredicateIndex,
-    PredicateTable, ScoreFn, SearchStats, SweepStructure,
+    PredicateTable, ScoreFn, SearchStats,
 };
 use gopher_prng::Rng;
 use proptest::prelude::*;
@@ -25,7 +25,7 @@ use std::time::Instant;
 static CPU_LOCK: Mutex<()> = Mutex::new(());
 
 /// One shared 300-row table for the property cases (pattern structure is a
-/// pure function of the data; each case builds fresh caches and artifacts).
+/// pure function of the data; each case builds fresh caches).
 fn table() -> &'static (gopher_data::Dataset, PredicateTable) {
     static TABLE: OnceLock<(gopher_data::Dataset, PredicateTable)> = OnceLock::new();
     TABLE.get_or_init(|| {
@@ -68,8 +68,8 @@ fn make_scorer<'a>(
     }
 }
 
-/// Runs one staged multi-sweep with fresh cache/index/artifact and returns
-/// each scorer's results plus the artifact, for auditing.
+/// Runs one staged multi-sweep with a fresh cache and index and returns
+/// each scorer's results plus the cache, for auditing.
 fn run_sweep(
     table: &PredicateTable,
     config: &LatticeConfig,
@@ -77,16 +77,15 @@ fn run_sweep(
     labels: &[u8],
     privileged: &[bool],
     threads: usize,
-) -> (Vec<(Vec<Candidate>, SearchStats)>, SweepStructure) {
+) -> (Vec<(Vec<Candidate>, SearchStats)>, CoverageCache) {
     let cache = CoverageCache::new();
     let index = PredicateIndex::build(table, &cache);
-    let structure = SweepStructure::build(&index, config);
     let scorers: Vec<ScoreFn<'_>> = scorer_kinds
         .iter()
         .map(|&k| Box::new(make_scorer(k, labels, privileged)) as ScoreFn<'_>)
         .collect();
-    let results = compute_candidates_multi(table, &scorers, config, &cache, &structure, threads);
-    (results, structure)
+    let results = compute_candidates_multi(table, &scorers, config, &cache, &index, threads);
+    (results, cache)
 }
 
 /// A merged pattern's coverage recomputed from scratch by intersecting its
@@ -103,9 +102,9 @@ proptest! {
     /// The acceptance property: the structural phase at `threads = 4` is
     /// bit-identical to `threads = 1` — candidates, coverage bits, supports,
     /// responsibilities, stats counts, and per-scorer result order — across
-    /// random structural configurations and scorer mixes; and every merge
-    /// record either run resolved is exact (audited against from-scratch
-    /// intersections).
+    /// random structural configurations and scorer mixes; and every merged
+    /// coverage either run materialized is exact and supported (audited
+    /// against from-scratch intersections).
     #[test]
     fn structural_phase_is_thread_count_invariant(
         support_choice in 0usize..3,
@@ -134,29 +133,49 @@ proptest! {
             max_level_candidates: cap,
         };
         let _cpu = CPU_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let (serial, structure_1) =
+        let (serial, cache_1) =
             run_sweep(table, &config, &kinds, labels, &privileged, 1);
-        let (parallel, structure_4) =
+        let (parallel, cache_4) =
             run_sweep(table, &config, &kinds, labels, &privileged, 4);
 
         prop_assert_eq!(serial.len(), parallel.len());
-        // One level pipeline at every thread count: both resolve exactly
-        // the merges the scorers' frontiers generate.
-        prop_assert_eq!(structure_4.merges_resolved(), structure_1.merges_resolved());
-        // Record audit: each count is the exact intersection size, and the
-        // coverage is kept iff the merge is supported, holding exactly
-        // those bits.
-        for structure in [&structure_1, &structure_4] {
-            for (ids, record) in structure.merge_snapshot() {
-                let truth = exact_coverage(table, &ids);
-                prop_assert!(record.count == truth.count(), "count of {:?}", ids);
+        // One level pipeline at every thread count: both materialize exactly
+        // the supported merges the scorers' frontiers generate.
+        prop_assert_eq!(cache_4.len(), cache_1.len());
+        // Coverage audit: every merged entry, for the candidates and for
+        // every level-2 pair, holds the exact intersection and meets the
+        // support count; unsupported pairs have no entry.
+        let min_count = min_count_for(config.support_threshold, d.n_rows());
+        let supported: Vec<u16> = (0..table.len() as u16)
+            .filter(|&id| table.coverage(id).count() >= min_count)
+            .collect();
+        let pairs: Vec<Vec<u16>> = supported
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &a)| supported[i + 1..].iter().map(move |&b| vec![a, b]))
+            .collect();
+        for (cache, results) in [(&cache_1, &serial), (&cache_4, &parallel)] {
+            let merged = results
+                .iter()
+                .flat_map(|(cands, _)| cands)
+                .filter(|c| c.pattern.len() >= 2);
+            for c in merged {
+                let ids = c.pattern.ids();
+                let cached = cache.peek(ids);
+                prop_assert!(cached.is_some(), "candidate {:?} has no cached coverage", ids);
                 prop_assert!(
-                    record.coverage.is_some() == (record.count >= structure.min_count()),
-                    "coverage presence of {:?}",
+                    *cached.unwrap() == exact_coverage(table, ids),
+                    "coverage bits of {:?}",
                     ids
                 );
-                if let Some(coverage) = &record.coverage {
-                    prop_assert!(**coverage == truth, "coverage bits of {:?}", ids);
+            }
+            // A pair may lack an entry (unsupported, conflicting, or outside
+            // a capped frontier), but an entry is always exact and supported.
+            for ids in &pairs {
+                if let Some(coverage) = cache.peek(ids) {
+                    let truth = exact_coverage(table, ids);
+                    prop_assert!(*coverage == truth, "coverage bits of {:?}", ids);
+                    prop_assert!(truth.count() >= min_count, "support of {:?}", ids);
                 }
             }
         }
@@ -182,12 +201,13 @@ proptest! {
 }
 
 proptest! {
-    /// The τ-monotone acceptance property: a [`SweepStructure`] re-filtered
-    /// to a tighter support count is indistinguishable from one cold-built
-    /// at that count — identical singles, and a bit-identical sweep that
-    /// touches a fresh coverage cache not at all (every merge it enumerates
-    /// was already resolved at the looser τ) — at 1 and 4 threads, across
-    /// depths, pruning modes, and scorers.
+    /// The τ-monotone acceptance property: a sweep at a tighter support
+    /// count over a coverage cache warmed at a looser one is bit-identical
+    /// to a cold sweep, and materializes no coverage (adds no cache miss) —
+    /// at 1 and 4 threads, across depths, pruning modes, and scorers.
+    /// Support is anti-monotone, and up to depth 3 without a level cap the
+    /// tighter sweep's frontiers are subsets of the looser one's, so every
+    /// merge it supports was supported, and materialized, at the looser τ.
     #[test]
     fn refiltered_view_sweeps_bit_identical_to_cold_build(
         pair_choice in 0usize..3,
@@ -213,74 +233,44 @@ proptest! {
         };
         let _cpu = CPU_LOCK.lock().unwrap_or_else(|e| e.into_inner());
 
-        let cache = CoverageCache::new();
-        let index = PredicateIndex::build(table, &cache);
-        let run = |config: &LatticeConfig, cache: &CoverageCache, structure: &SweepStructure| {
+        let run = |config: &LatticeConfig, cache: &CoverageCache, index: &PredicateIndex| {
             let scorers: Vec<ScoreFn<'_>> = vec![Box::new(make_scorer(kind, labels, &privileged))];
-            compute_candidates_multi(table, &scorers, config, cache, structure, threads)
+            compute_candidates_multi(table, &scorers, config, cache, index, threads)
                 .pop()
                 .unwrap()
         };
-        // A sweep at the loose τ populates the source artifact.
-        let loose_structure = SweepStructure::build(&index, &loose_cfg);
-        run(&loose_cfg, &cache, &loose_structure);
+        // A sweep at the loose τ warms the cache.
+        let warm_cache = CoverageCache::new();
+        let warm_index = PredicateIndex::build(table, &warm_cache);
+        run(&loose_cfg, &warm_cache, &warm_index);
+        let misses_before = warm_cache.stats().misses;
+        let (warm_cands, warm_stats) = run(&tight_cfg, &warm_cache, &warm_index);
+        prop_assert_eq!(warm_cache.stats().misses, misses_before);
 
-        let view = loose_structure.refilter_view(min_count_for(tau_tight, d.n_rows()));
-        let cold = SweepStructure::build(&index, &tight_cfg);
-
-        // Identical singles (ids, counts, coverage bits)...
-        prop_assert_eq!(view.min_count(), cold.min_count());
-        prop_assert_eq!(view.singles().len(), cold.singles().len());
-        for (v, c) in view.singles().iter().zip(cold.singles()) {
-            prop_assert_eq!(v.id, c.id);
-            prop_assert_eq!(v.count, c.count);
-            prop_assert_eq!(v.coverage.as_ref(), c.coverage.as_ref());
-        }
-
-        // ... a bit-identical sweep, with the view's run never touching a
-        // fresh coverage cache (zero intersections counted or materialized;
-        // support is anti-monotone, so the tighter frontier is a subset of
-        // the looser one and every merge it reaches is already resolved).
-        let view_cache = CoverageCache::new();
-        let (view_cands, view_stats) = run(&tight_cfg, &view_cache, &view);
-        prop_assert_eq!(view_cache.stats().misses, 0);
-        prop_assert_eq!(view_cache.stats().hits, 0);
-        let (cold_cands, cold_stats) = run(&tight_cfg, &cache, &cold);
-        prop_assert_eq!(view_cands.len(), cold_cands.len());
-        for (a, b) in view_cands.iter().zip(&cold_cands) {
+        let cold_cache = CoverageCache::new();
+        let cold_index = PredicateIndex::build(table, &cold_cache);
+        let (cold_cands, cold_stats) = run(&tight_cfg, &cold_cache, &cold_index);
+        prop_assert_eq!(warm_cands.len(), cold_cands.len());
+        for (a, b) in warm_cands.iter().zip(&cold_cands) {
             prop_assert_eq!(a.pattern.ids(), b.pattern.ids());
             prop_assert_eq!(a.coverage.as_ref(), b.coverage.as_ref());
             prop_assert_eq!(a.support.to_bits(), b.support.to_bits());
             prop_assert_eq!(a.responsibility.to_bits(), b.responsibility.to_bits());
         }
-        prop_assert_eq!(view_stats.total_scored, cold_stats.total_scored);
-        prop_assert_eq!(view_stats.levels.len(), cold_stats.levels.len());
-        for (v, c) in view_stats.levels.iter().zip(&cold_stats.levels) {
-            prop_assert_eq!((v.level, v.generated, v.kept), (c.level, c.generated, c.kept));
-        }
-
-        // Every merge record the cold sweep resolved exists in the view
-        // with the same support count and the same coverage presence/bits.
-        for ids in cold.known_keys() {
-            let c = cold.lookup(&ids).unwrap();
-            let v = view.lookup(&ids);
-            prop_assert!(v.is_some(), "cold-resolved merge missing from the view");
-            let v = v.unwrap();
-            prop_assert_eq!(v.count, c.count);
-            prop_assert_eq!(v.coverage.is_some(), c.coverage.is_some());
-            if let (Some(vc), Some(cc)) = (&v.coverage, &c.coverage) {
-                prop_assert_eq!(vc.as_ref(), cc.as_ref());
-            }
+        prop_assert_eq!(warm_stats.total_scored, cold_stats.total_scored);
+        prop_assert_eq!(warm_stats.levels.len(), cold_stats.levels.len());
+        for (w, c) in warm_stats.levels.iter().zip(&cold_stats.levels) {
+            prop_assert_eq!((w.level, w.generated, w.kept), (c.level, c.generated, c.kept));
         }
     }
 }
 
 /// The warm-reuse acceptance property: a session that already swept one
 /// metric answers a *different* metric bit-identically to a cold session —
-/// and the structure-cache hit counter proves the structural phase was
-/// reused rather than re-run.
+/// and the coverage-cache hit counter proves the second sweep read the
+/// coverages the first one materialized instead of intersecting again.
 #[test]
-fn warm_second_metric_matches_cold_session_via_structure_cache() {
+fn warm_second_metric_matches_cold_session_via_coverage_cache() {
     let build = || {
         let mut rng = Rng::new(1407);
         let (train, test) = german(600, 1407).train_test_split(0.3, &mut rng);
@@ -296,7 +286,7 @@ fn warm_second_metric_matches_cold_session_via_structure_cache() {
         .with_ground_truth(false);
 
     let warm_session = build();
-    let _ = warm_session.explain(&sp); // populates the structure cache
+    let _ = warm_session.explain(&sp); // populates the coverage cache
     let warm = warm_session.explain(&eo); // second metric, same structure
     let cold = build().explain(&eo);
 
@@ -349,13 +339,11 @@ fn warm_second_metric_matches_cold_session_via_structure_cache() {
     }
 
     // The counters prove the reuse: two scored misses (distinct metrics),
-    // one structural miss (first query), one structural hit (second query's
-    // sweep resolved against the cached artifact instead of re-enumerating).
+    // and coverage hits from the second sweep, which walks the same level-2
+    // merges as the first (a single cold sweep reads nothing back).
     let stats = warm_session.stats();
     assert_eq!(stats.sweep_misses, 2);
-    assert_eq!(stats.structure_misses, 1);
-    assert_eq!(stats.structure_hits, 1);
-    assert_eq!(stats.structure_entries, 1);
+    assert!(stats.coverage_hits > 0, "{stats:?}");
 }
 
 /// The multi-core acceptance check: a cold single-scorer sweep over German

@@ -1,15 +1,13 @@
 //! Session-reuse benchmark: the acceptance workload for the query-oriented
 //! API. One warm [`ExplainSession`] serving two single-metric queries plus a
-//! 2-request batch must beat three cold `Gopher::fit(...).explain()` runs on
-//! the German workload — the cold path re-pays training, Hessian
-//! factorization, predicate generation, and every coverage intersection per
-//! call.
-
-#![allow(deprecated)] // the cold arm benchmarks the legacy façade on purpose
+//! 2-request batch must beat three cold sessions (a fresh
+//! `SessionBuilder::new().fit(...)` per question) on the German workload —
+//! the cold path re-pays training, Hessian factorization, predicate
+//! generation, and every coverage intersection per call.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gopher_bench::workloads::{prepare, DatasetKind};
-use gopher_core::{ExplainRequest, Gopher, GopherConfig, SessionBuilder};
+use gopher_core::{ExplainRequest, SessionBuilder};
 use gopher_fairness::FairnessMetric;
 use gopher_models::LogisticRegression;
 
@@ -30,22 +28,17 @@ fn bench_session_reuse(c: &mut Criterion) {
     group.sample_size(10);
 
     // Cold path: three independent fit+explain runs (SP, EO, SP again —
-    // exactly the questions the warm arm answers).
-    group.bench_function("cold_three_gopher_runs", |b| {
+    // exactly the questions the warm arm answers), a fresh session each.
+    group.bench_function("cold_three_sessions", |b| {
         b.iter(|| {
             let mut reports = Vec::new();
             for request in [&sp, &eo, &sp] {
-                let gopher = Gopher::fit(
+                let session = SessionBuilder::new().fit(
                     |cols| LogisticRegression::new(cols, 1e-3),
                     &p.train_raw,
                     &p.test_raw,
-                    GopherConfig {
-                        metric: request.metric,
-                        ground_truth_for_topk: false,
-                        ..Default::default()
-                    },
                 );
-                reports.push(gopher.explain());
+                reports.push(session.explain(request).report);
             }
             reports
         });

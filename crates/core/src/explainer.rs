@@ -1,94 +1,11 @@
-//! The legacy `Gopher` façade and the report types shared with the
-//! query-oriented [`session`](crate::session) API.
-//!
-//! [`Gopher`] predates [`ExplainSession`] and re-paid
-//! the full setup (encoding, training, Hessian factorization, predicate
-//! generation) on every construction while bundling per-query knobs into the
-//! per-model [`GopherConfig`]. It now delegates everything to an internal
-//! session, so it stays bit-compatible with old code, but new code should
-//! build a [`SessionBuilder`] and iterate with [`ExplainRequest`]s instead —
-//! see the README migration note.
+//! The report types an explanation answer carries: one [`Explanation`] per
+//! selected pattern inside an [`ExplanationReport`]. An
+//! [`ExplainSession`](crate::ExplainSession) produces them, one report per
+//! [`ExplainRequest`](crate::ExplainRequest).
 
-use crate::session::{ExplainRequest, ExplainSession, SessionBuilder};
-use gopher_data::{Dataset, Encoded, Encoder};
 use gopher_fairness::FairnessMetric;
-use gopher_influence::{
-    BiasEval, Estimator, HessianBackend, InfluenceConfig, InfluenceEngine, ModelFamily,
-};
-use gopher_patterns::{Candidate, LatticeConfig, PredicateTable, SearchStats};
+use gopher_patterns::{Candidate, SearchStats};
 use std::time::Duration;
-
-/// End-to-end configuration for the legacy [`Gopher`] façade: the union of
-/// session-level options (`max_bins`, `influence`) and per-query options
-/// (everything else, mirrored by [`ExplainRequest`]).
-#[derive(Debug, Clone)]
-pub struct GopherConfig {
-    /// Fairness metric to debug.
-    pub metric: FairnessMetric,
-    /// Number of explanations to return.
-    pub k: usize,
-    /// Containment threshold `c` for diversity (Definition 3.7).
-    pub containment_threshold: f64,
-    /// Lattice search parameters (support threshold τ, depth, pruning).
-    pub lattice: LatticeConfig,
-    /// Influence estimator used to score candidate patterns.
-    pub estimator: Estimator,
-    /// How estimated parameter changes become bias changes.
-    pub bias_eval: BiasEval,
-    /// Influence-engine parameters (damping, CG budget, …).
-    pub influence: InfluenceConfig,
-    /// Quantile bins per numeric feature for predicate generation.
-    pub max_bins: usize,
-    /// Retrain without each top-k subset to report ground-truth Δbias
-    /// (the paper reports this for every table; costs k retrainings).
-    pub ground_truth_for_topk: bool,
-    /// Re-score the top candidates with the second-order estimator before
-    /// the final ranking (cheap: only the survivors of the containment
-    /// filter are re-scored). Off by default to match the paper.
-    pub rescore_top_with_so: bool,
-}
-
-impl Default for GopherConfig {
-    fn default() -> Self {
-        Self {
-            metric: FairnessMetric::StatisticalParity,
-            k: 3,
-            containment_threshold: 0.75,
-            lattice: LatticeConfig::default(),
-            estimator: Estimator::SecondOrder,
-            bias_eval: BiasEval::ChainRule,
-            influence: InfluenceConfig::default(),
-            max_bins: 4,
-            ground_truth_for_topk: true,
-            rescore_top_with_so: false,
-        }
-    }
-}
-
-impl GopherConfig {
-    /// The per-query half of this config as an [`ExplainRequest`] (the
-    /// session-level half — `max_bins`, `influence` — belongs to
-    /// [`SessionBuilder`]).
-    pub fn to_request(&self) -> ExplainRequest {
-        ExplainRequest {
-            metric: self.metric,
-            k: self.k,
-            containment_threshold: self.containment_threshold,
-            lattice: self.lattice.clone(),
-            estimator: self.estimator,
-            bias_eval: self.bias_eval,
-            ground_truth_for_topk: self.ground_truth_for_topk,
-            rescore_top_with_so: self.rescore_top_with_so,
-        }
-    }
-
-    /// The session-level half of this config as a [`SessionBuilder`].
-    pub fn to_session_builder(&self) -> SessionBuilder {
-        SessionBuilder::new()
-            .max_bins(self.max_bins)
-            .influence(self.influence.clone())
-    }
-}
 
 /// One explanation in the final report.
 #[derive(Debug, Clone)]
@@ -129,160 +46,28 @@ pub struct ExplanationReport {
     pub search_time: Duration,
 }
 
-/// Label/group composition of a pattern's coverage vs. the rest of the
-/// training data (see [`ExplainSession::pattern_profile`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PatternProfile {
-    /// Covered training rows.
-    pub rows: usize,
-    /// Favorable-label rate inside the pattern.
-    pub positive_rate: f64,
-    /// Privileged-group rate inside the pattern.
-    pub privileged_rate: f64,
-    /// Favorable-label rate outside the pattern.
-    pub rest_positive_rate: f64,
-    /// Privileged-group rate outside the pattern.
-    pub rest_privileged_rate: f64,
-}
-
-/// The legacy one-shot explainer: an [`ExplainSession`] bundled with one
-/// fixed [`GopherConfig`].
-///
-/// Every call re-derives its answer through the session, so results are
-/// identical to the query API's; but the session is rebuilt per `Gopher`,
-/// which re-pays encoding, training, and Hessian precomputation that a
-/// shared [`ExplainSession`] amortizes across queries.
-#[deprecated(
-    since = "0.2.0",
-    note = "build an ExplainSession via SessionBuilder and pass ExplainRequests; \
-            see the README migration note"
-)]
-pub struct Gopher<M: ModelFamily> {
-    session: ExplainSession<M>,
-    config: GopherConfig,
-}
-
-#[allow(deprecated)]
-impl<M: ModelFamily> Gopher<M> {
-    /// Builds an explainer around an **already trained** model. The model
-    /// must have been trained on `Encoder::fit(train_raw)`-encoded data;
-    /// influence functions assume its parameters are a stationary point.
-    pub fn new(model: M, train_raw: &Dataset, test_raw: &Dataset, config: GopherConfig) -> Self {
-        let session = config
-            .to_session_builder()
-            .build(model, train_raw, test_raw);
-        Self { session, config }
-    }
-
-    /// Convenience constructor that encodes the data, builds the model via
-    /// `make_model(n_encoded_cols)`, trains it to convergence, and wraps it.
-    pub fn fit(
-        make_model: impl FnOnce(usize) -> M,
-        train_raw: &Dataset,
-        test_raw: &Dataset,
-        config: GopherConfig,
-    ) -> Self {
-        let session = config
-            .to_session_builder()
-            .fit(make_model, train_raw, test_raw);
-        Self { session, config }
-    }
-
-    /// The underlying session (the forward-looking API).
-    pub fn session(&self) -> &ExplainSession<M> {
-        &self.session
-    }
-
-    /// The trained model.
-    pub fn model(&self) -> &M {
-        self.session.model()
-    }
-
-    /// The fitted encoder.
-    pub fn encoder(&self) -> &Encoder {
-        self.session.encoder()
-    }
-
-    /// The encoded training set.
-    pub fn train(&self) -> &Encoded {
-        self.session.train()
-    }
-
-    /// The encoded test set.
-    pub fn test(&self) -> &Encoded {
-        self.session.test()
-    }
-
-    /// The raw training dataset.
-    pub fn train_raw(&self) -> &Dataset {
-        self.session.train_raw()
-    }
-
-    /// The influence engine (for advanced queries). Hessian-backed
-    /// families only — non-differentiable families fail to type-check here.
-    pub fn engine(&self) -> &InfluenceEngine<M>
-    where
-        M: ModelFamily<Backend = HessianBackend<M>> + gopher_models::Differentiable,
-    {
-        self.session.engine()
-    }
-
-    /// The candidate predicate table.
-    pub fn predicate_table(&self) -> &PredicateTable {
-        self.session.predicate_table()
-    }
-
-    /// The explainer configuration.
-    pub fn config(&self) -> &GopherConfig {
-        &self.config
-    }
-
-    /// Runs the full pipeline: lattice search (Algorithm 1), diverse top-k
-    /// selection (Algorithm 2), and optional ground-truth verification.
-    pub fn explain(&self) -> ExplanationReport {
-        self.session.explain(&self.config.to_request()).report
-    }
-
-    /// See [`ExplainSession::pattern_profile`].
-    pub fn pattern_profile(&self, candidate: &Candidate) -> PatternProfile {
-        self.session.pattern_profile(candidate)
-    }
-
-    /// Ground-truth responsibility of an arbitrary row subset (retrains),
-    /// under the configured metric.
-    pub fn ground_truth_responsibility(&self, rows: &[u32]) -> (f64, f64) {
-        self.session
-            .ground_truth_responsibility(self.config.metric, rows)
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the façade must keep matching the session bit for bit
 mod tests {
-    use super::*;
-    use crate::session::SessionBuilder;
+    use super::ExplanationReport;
+    use crate::session::{ExplainRequest, SessionBuilder};
     use gopher_data::generators::german;
     use gopher_models::LogisticRegression;
     use gopher_prng::Rng;
 
-    fn build(n: usize, seed: u64) -> Gopher<LogisticRegression> {
+    /// A fresh German-`n` LR session answering the default request (ground
+    /// truth on).
+    fn explain(n: usize, seed: u64) -> ExplanationReport {
         let mut rng = Rng::new(seed);
         let (train, test) = german(n, seed).train_test_split(0.3, &mut rng);
-        Gopher::fit(
-            |cols| LogisticRegression::new(cols, 1e-3),
-            &train,
-            &test,
-            GopherConfig {
-                ground_truth_for_topk: true,
-                ..Default::default()
-            },
-        )
+        SessionBuilder::new()
+            .fit(|cols| LogisticRegression::new(cols, 1e-3), &train, &test)
+            .explain(&ExplainRequest::default())
+            .report
     }
 
     #[test]
     fn end_to_end_finds_bias_reducing_patterns() {
-        let gopher = build(900, 71);
-        let report = gopher.explain();
+        let report = explain(900, 71);
         assert!(report.base_bias > 0.0, "baseline bias {}", report.base_bias);
         assert!(!report.explanations.is_empty());
         assert!(report.explanations.len() <= 3);
@@ -303,8 +88,7 @@ mod tests {
 
     #[test]
     fn top_pattern_mentions_planted_root_cause() {
-        let gopher = build(1200, 72);
-        let report = gopher.explain();
+        let report = explain(1200, 72);
         // The generator plants age/gender subgroups as the dominant bias
         // source; at least one top pattern should reference one of them.
         let mentions_planted = report
@@ -324,18 +108,17 @@ mod tests {
 
     #[test]
     fn explanations_respect_support_threshold() {
-        let gopher = build(700, 73);
-        let report = gopher.explain();
+        let report = explain(700, 73);
+        let tau = ExplainRequest::default().lattice.support_threshold;
         for e in &report.explanations {
-            assert!(e.support >= gopher.config().lattice.support_threshold);
+            assert!(e.support >= tau);
         }
     }
 
     #[test]
     fn explanations_are_diverse() {
-        let gopher = build(700, 74);
-        let report = gopher.explain();
-        let c = gopher.config().containment_threshold;
+        let report = explain(700, 74);
+        let c = ExplainRequest::default().containment_threshold;
         for (i, a) in report.explanations.iter().enumerate() {
             for b in &report.explanations[..i] {
                 let contain = gopher_patterns::topk::containment(&a.candidate, &b.candidate);
@@ -345,72 +128,10 @@ mod tests {
     }
 
     #[test]
-    fn pattern_profile_contrasts_coverage_with_rest() {
-        let gopher = build(800, 76);
-        let report = gopher.explain();
-        let top = &report.explanations[0];
-        let profile = gopher.pattern_profile(&top.candidate);
-        assert_eq!(profile.rows, top.candidate.coverage.count());
-        for rate in [
-            profile.positive_rate,
-            profile.privileged_rate,
-            profile.rest_positive_rate,
-            profile.rest_privileged_rate,
-        ] {
-            assert!((0.0..=1.0).contains(&rate));
-        }
-        // Bias-responsible patterns on German skew toward the privileged
-        // group and/or positive labels relative to the rest.
-        assert!(
-            profile.privileged_rate > profile.rest_privileged_rate
-                || profile.positive_rate > profile.rest_positive_rate,
-            "profile should show the skew that makes the pattern responsible: {profile:?}"
-        );
-    }
-
-    #[test]
     fn stats_are_populated() {
-        let gopher = build(600, 75);
-        let report = gopher.explain();
+        let report = explain(600, 75);
         assert!(!report.stats.levels.is_empty());
         assert!(report.stats.total_scored > 0);
         assert!(report.search_time.as_nanos() > 0);
-    }
-
-    /// The façade and a hand-built session must agree exactly on the same
-    /// inputs — this is the compatibility contract of the deprecation.
-    #[test]
-    fn facade_matches_hand_built_session() {
-        let mut rng = Rng::new(77);
-        let (train, test) = german(700, 77).train_test_split(0.3, &mut rng);
-        let config = GopherConfig {
-            ground_truth_for_topk: false,
-            ..Default::default()
-        };
-        let gopher = Gopher::fit(
-            |cols| LogisticRegression::new(cols, 1e-3),
-            &train,
-            &test,
-            config.clone(),
-        );
-        let facade_report = gopher.explain();
-        let session =
-            SessionBuilder::new().fit(|cols| LogisticRegression::new(cols, 1e-3), &train, &test);
-        let session_report = session.explain(&config.to_request()).report;
-        assert_eq!(facade_report.base_bias, session_report.base_bias);
-        assert_eq!(facade_report.accuracy, session_report.accuracy);
-        assert_eq!(
-            facade_report.explanations.len(),
-            session_report.explanations.len()
-        );
-        for (a, b) in facade_report
-            .explanations
-            .iter()
-            .zip(&session_report.explanations)
-        {
-            assert_eq!(a.pattern_text, b.pattern_text);
-            assert_eq!(a.est_responsibility, b.est_responsibility);
-            assert_eq!(a.support, b.support);
-        }
     }
 }

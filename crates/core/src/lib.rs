@@ -46,8 +46,8 @@
 //! * [`session`] — the query-oriented API: [`SessionBuilder`],
 //!   [`ExplainSession`], [`ExplainRequest`]/[`ExplainResponse`], and batched
 //!   multi-metric queries over one lattice sweep.
-//! * [`explainer`] — the report types plus the deprecated [`Gopher`] façade
-//!   (one session + one fixed config, kept for source compatibility).
+//! * [`explainer`] — the report types every answer carries
+//!   ([`Explanation`], [`ExplanationReport`]).
 //! * [`update`] — update-based explanations (paper Section 5): homogeneous
 //!   perturbations found by projected gradient descent.
 //! * [`fo_tree`] — the FO-tree baseline the paper compares against (a CART
@@ -72,9 +72,7 @@ pub mod report;
 pub mod session;
 pub mod update;
 
-#[allow(deprecated)]
-pub use explainer::Gopher;
-pub use explainer::{Explanation, ExplanationReport, GopherConfig, PatternProfile};
+pub use explainer::{Explanation, ExplanationReport};
 pub use mitigate::{mitigate, MitigationConfig, MitigationReport};
 pub use session::{
     ExplainRequest, ExplainResponse, ExplainSession, SessionBuilder, SessionStats, UpdateReport,

@@ -8,7 +8,7 @@
 //! repeat. Unlike blind reweighing, every removal is an *interpretable*
 //! pattern, so the data owner can review what is being dropped.
 
-use crate::explainer::GopherConfig;
+use crate::session::{ExplainRequest, SessionBuilder};
 use gopher_data::Dataset;
 use gopher_influence::ModelFamily;
 
@@ -67,16 +67,19 @@ pub struct MitigationReport {
     pub repaired_train: Dataset,
 }
 
-/// Runs the greedy mitigation loop.
+/// Runs the greedy mitigation loop, asking each round's model `request`
+/// (its metric, thresholds and estimator; the loop sets `k = 1` and turns
+/// ground truth off, since it retrains anyway).
 ///
-/// `make_model` is invoked once per round (the model is retrained from
-/// scratch on the shrinking data). Ground-truth verification inside the
-/// explainer is disabled — the loop retrains anyway.
+/// `make_model` is invoked once for the original data and once per removal
+/// round (`rounds + 1` times in all): each model is trained from scratch on
+/// the shrinking data, and the model fitted to measure a round's
+/// `bias_after` answers the next round's question.
 pub fn mitigate<M: ModelFamily>(
     mut make_model: impl FnMut(usize) -> M,
     train_raw: &Dataset,
     test_raw: &Dataset,
-    gopher_config: &GopherConfig,
+    request: &ExplainRequest,
     config: &MitigationConfig,
 ) -> MitigationReport {
     assert!(
@@ -93,17 +96,17 @@ pub fn mitigate<M: ModelFamily>(
     let mut final_bias = f64::NAN;
     let mut final_accuracy = f64::NAN;
 
-    let mut request = gopher_config.to_request();
-    request.k = 1;
-    request.ground_truth_for_topk = false;
+    let request = ExplainRequest {
+        k: 1,
+        ground_truth_for_topk: false,
+        ..request.clone()
+    };
 
+    // The model retrains every round, so each round needs a fresh session;
+    // the per-query state (metric, thresholds) is the same request
+    // throughout.
+    let mut session = SessionBuilder::new().fit(&mut make_model, &current, test_raw);
     for _ in 0..config.max_rounds {
-        // The model retrains every round, so each round needs a fresh
-        // session; the per-query state (metric, thresholds) is the same
-        // request throughout.
-        let session = gopher_config
-            .to_session_builder()
-            .fit(&mut make_model, &current, test_raw);
         let report = session.explain(&request).report;
         final_bias = report.base_bias;
         final_accuracy = report.accuracy;
@@ -128,14 +131,9 @@ pub fn mitigate<M: ModelFamily>(
             mask[r as usize] = true;
         }
         let next = current.remove_rows(&mask);
-        let next_session = gopher_config
-            .to_session_builder()
-            .fit(&mut make_model, &next, test_raw);
-        let bias_after = gopher_fairness::bias(
-            gopher_config.metric,
-            next_session.model(),
-            next_session.test(),
-        );
+        let next_session = SessionBuilder::new().fit(&mut make_model, &next, test_raw);
+        let bias_after =
+            gopher_fairness::bias(request.metric, next_session.model(), next_session.test());
         let accuracy_after =
             gopher_models::train::accuracy(next_session.model(), next_session.test());
         rounds.push(MitigationRound {
@@ -148,6 +146,7 @@ pub fn mitigate<M: ModelFamily>(
         final_bias = bias_after;
         final_accuracy = accuracy_after;
         current = next;
+        session = next_session;
         if bias_after.abs() <= config.target_bias {
             break;
         }
@@ -182,7 +181,7 @@ mod tests {
             |cols| LogisticRegression::new(cols, 1e-3),
             &train,
             &test,
-            &GopherConfig::default(),
+            &ExplainRequest::default(),
             &MitigationConfig {
                 target_bias: 0.02,
                 max_rounds: 4,
@@ -206,6 +205,35 @@ mod tests {
         }
     }
 
+    /// The model fitted to log a round's `bias_after` answers the next
+    /// round's question, so the loop trains one model for the original data
+    /// and one per round.
+    #[test]
+    fn each_round_trains_one_model() {
+        let (train, test) = split(601);
+        let mut builds = 0;
+        let report = mitigate(
+            |cols| {
+                builds += 1;
+                LogisticRegression::new(cols, 1e-3)
+            },
+            &train,
+            &test,
+            &ExplainRequest::default(),
+            &MitigationConfig {
+                target_bias: 0.0,
+                max_rounds: 4,
+                max_removed_fraction: 0.6,
+            },
+        );
+        assert_eq!(
+            report.rounds.len(),
+            4,
+            "every round should remove a pattern"
+        );
+        assert_eq!(builds, report.rounds.len() + 1);
+    }
+
     #[test]
     fn loose_target_stops_immediately() {
         let (train, test) = split(602);
@@ -213,7 +241,7 @@ mod tests {
             |cols| LogisticRegression::new(cols, 1e-3),
             &train,
             &test,
-            &GopherConfig::default(),
+            &ExplainRequest::default(),
             &MitigationConfig {
                 target_bias: 10.0,
                 ..Default::default()
@@ -232,7 +260,7 @@ mod tests {
             |cols| LogisticRegression::new(cols, 1e-3),
             &train,
             &test,
-            &GopherConfig::default(),
+            &ExplainRequest::default(),
             &MitigationConfig {
                 target_bias: 0.0,
                 max_rounds: 10,

@@ -18,11 +18,10 @@
 //! * concurrent callers asking the same question share one sweep too: the
 //!   first claims it, the rest wait for its result (single-flight).
 //!
-//! Results are **bit-identical** to cold [`Gopher`](crate::Gopher) runs with
-//! the equivalent [`GopherConfig`](crate::GopherConfig): the session only
-//! caches pure functions
-//! of the trained model (coverage bitsets, per-metric bias gradients,
-//! finished sweeps), never approximations.
+//! Results are **bit-identical** to a fresh session answering the request
+//! alone: the session only caches pure functions of the trained model
+//! (coverage bitsets, per-metric bias gradients, finished sweeps), never
+//! approximations.
 //!
 //! ```
 //! use gopher_core::{ExplainRequest, SessionBuilder};
@@ -46,7 +45,7 @@
 //! assert!(responses[0].report.base_bias > 0.0);
 //! ```
 
-use crate::explainer::{Explanation, ExplanationReport, PatternProfile};
+use crate::explainer::{Explanation, ExplanationReport};
 use gopher_data::{Dataset, Encoded, Encoder};
 use gopher_fairness::FairnessMetric;
 use gopher_influence::{
@@ -104,12 +103,13 @@ fn resolve_threads(requested: usize) -> usize {
     gopher_par::available_parallelism()
 }
 
+/// Quantile bins per numeric feature for predicate generation.
+const MAX_BINS: usize = 4;
+
 /// Builds an [`ExplainSession`]: the per-model options that must be fixed
 /// before any query can run (everything else lives on [`ExplainRequest`]).
 #[derive(Debug, Clone)]
 pub struct SessionBuilder {
-    max_bins: usize,
-    influence: InfluenceConfig,
     threads: usize,
     sweep_cache_cap: usize,
     coverage_cache_cap: usize,
@@ -122,31 +122,16 @@ impl Default for SessionBuilder {
 }
 
 impl SessionBuilder {
-    /// Default session options (4 quantile bins per numeric feature,
-    /// default influence-engine parameters, automatic thread count,
-    /// 256-entry scored sweep cache, 2¹⁸-entry coverage cache).
+    /// Default session options (automatic thread count, 256-entry scored
+    /// sweep cache, 2¹⁸-entry coverage cache). Every session generates its
+    /// predicates from 4 quantile bins per numeric feature and builds its
+    /// influence backend with the default [`InfluenceConfig`].
     pub fn new() -> Self {
         Self {
-            max_bins: 4,
-            influence: InfluenceConfig::default(),
             threads: 0,
             sweep_cache_cap: SWEEP_CACHE_CAP,
             coverage_cache_cap: gopher_patterns::coverage::DEFAULT_COVERAGE_CACHE_CAP,
         }
-    }
-
-    /// Quantile bins per numeric feature for predicate generation.
-    #[must_use]
-    pub fn max_bins(mut self, max_bins: usize) -> Self {
-        self.max_bins = max_bins;
-        self
-    }
-
-    /// Influence-engine parameters (damping, CG budget, …).
-    #[must_use]
-    pub fn influence(mut self, influence: InfluenceConfig) -> Self {
-        self.influence = influence;
-        self
     }
 
     /// Worker threads for every query: each lattice level's merge
@@ -202,8 +187,8 @@ impl SessionBuilder {
             train.n_cols(),
             "model input width must match the encoded data"
         );
-        let backend = M::Backend::build(model, &train, self.influence.clone());
-        let table = generate_predicates(train_raw, self.max_bins);
+        let backend = M::Backend::build(model, &train, InfluenceConfig::default());
+        let table = generate_predicates(train_raw, MAX_BINS);
         let coverage = CoverageCache::with_capacity_cap(self.coverage_cache_cap);
         // Materialize every predicate's coverage once, up front: sweeps at
         // any support threshold or metric start from these shared bitsets.
@@ -265,10 +250,6 @@ pub struct ExplainRequest {
     /// Retrain without each top-k subset to report ground-truth Δbias
     /// (the paper reports this for every table; costs k retrainings).
     pub ground_truth_for_topk: bool,
-    /// Re-score the top candidates with the second-order estimator before
-    /// the final ranking (cheap: only the survivors of the containment
-    /// filter are re-scored). Off by default to match the paper.
-    pub rescore_top_with_so: bool,
 }
 
 impl Default for ExplainRequest {
@@ -281,7 +262,6 @@ impl Default for ExplainRequest {
             estimator: Estimator::SecondOrder,
             bias_eval: BiasEval::ChainRule,
             ground_truth_for_topk: true,
-            rescore_top_with_so: false,
         }
     }
 }
@@ -335,8 +315,8 @@ impl ExplainRequest {
 pub struct ExplainResponse {
     /// The request this response answers (echoed for batch bookkeeping).
     pub request: ExplainRequest,
-    /// The explanation report, identical in content to what a cold
-    /// [`Gopher`](crate::Gopher) run with the equivalent config produces.
+    /// The explanation report, identical in content to what a fresh
+    /// session answering the request alone produces.
     pub report: ExplanationReport,
     /// Wall-clock time this request cost the session, including the lattice
     /// sweep when this request was the first in its batch to need it, or
@@ -875,8 +855,8 @@ impl<M: ModelFamily> ExplainSession<M> {
     }
 
     /// Answers one request. Equivalent to `explain_batch` with a singleton
-    /// slice; the response content matches a cold
-    /// [`Gopher`](crate::Gopher) run with the equivalent config bit for bit.
+    /// slice; the response content matches a fresh session answering the
+    /// request alone bit for bit.
     pub fn explain(&self, request: &ExplainRequest) -> ExplainResponse {
         self.explain_batch(std::slice::from_ref(request))
             .pop()
@@ -1078,31 +1058,15 @@ impl<M: ModelFamily> ExplainSession<M> {
         charge: Duration,
     ) -> ExplainResponse {
         let t_query = Instant::now();
-        let precomp = self.bias_precomp(req.metric);
+        let base_bias = self.base_bias(req.metric);
         let t_select = Instant::now();
-        let mut selected = topk::top_k(&sweep.candidates, req.k, req.containment_threshold);
-        if req.rescore_top_with_so {
-            let scorer = self.backend.scorer(
-                &self.train,
-                &self.test,
-                req.metric,
-                precomp.clone(),
-                Estimator::SecondOrder,
-                req.bias_eval,
-            );
-            for cand in &mut selected {
-                let rows = cand.coverage.to_indices();
-                cand.responsibility = scorer(&rows);
-                cand.interestingness = cand.responsibility / cand.support;
-            }
-            selected.sort_by(|a, b| b.interestingness.total_cmp(&a.interestingness));
-        }
+        let selected = topk::top_k(&sweep.candidates, req.k, req.containment_threshold);
         let search_time = sweep.duration + t_select.elapsed();
 
         // Ground truth is the per-answer hot path (one full retrain per
         // pattern), so the k retrains fan out across the worker threads;
         // everything else about finalization is cheap and stays inline.
-        let explanations: Vec<Explanation> = if req.ground_truth_for_topk {
+        let ground_truth: Vec<Option<(f64, f64)>> = if req.ground_truth_for_topk {
             let subsets: Vec<Vec<u32>> = selected
                 .iter()
                 .map(|candidate| candidate.coverage.to_indices())
@@ -1114,34 +1078,34 @@ impl<M: ModelFamily> ExplainSession<M> {
             );
             // The baseline bias never changes within an answer.
             let base = gopher_fairness::bias(req.metric, self.backend.model(), &self.test);
-            selected
-                .into_iter()
-                .zip(models)
-                .map(|(candidate, model)| {
-                    let new_bias = gopher_fairness::bias(req.metric, &model, &self.test);
-                    let resp = gt_responsibility(base, new_bias);
-                    Explanation {
-                        pattern_text: candidate
-                            .pattern
-                            .render(&self.table, self.train_raw.schema()),
-                        support: candidate.support,
-                        est_responsibility: candidate.responsibility,
-                        ground_truth_responsibility: Some(resp),
-                        ground_truth_new_bias: Some(new_bias),
-                        candidate,
-                    }
+            models
+                .iter()
+                .map(|model| {
+                    let new_bias = gopher_fairness::bias(req.metric, model, &self.test);
+                    Some((gt_responsibility(base, new_bias), new_bias))
                 })
                 .collect()
         } else {
-            selected
-                .into_iter()
-                .map(|candidate| self.finalize_explanation(candidate, req))
-                .collect()
+            vec![None; selected.len()]
         };
+        let explanations: Vec<Explanation> = selected
+            .into_iter()
+            .zip(ground_truth)
+            .map(|(candidate, truth)| Explanation {
+                pattern_text: candidate
+                    .pattern
+                    .render(&self.table, self.train_raw.schema()),
+                support: candidate.support,
+                est_responsibility: candidate.responsibility,
+                ground_truth_responsibility: truth.map(|(resp, _)| resp),
+                ground_truth_new_bias: truth.map(|(_, new_bias)| new_bias),
+                candidate,
+            })
+            .collect();
 
         let report = ExplanationReport {
             metric: req.metric,
-            base_bias: precomp.base_hard,
+            base_bias,
             accuracy: self.accuracy,
             explanations,
             stats: sweep.stats.clone(),
@@ -1151,68 +1115,6 @@ impl<M: ModelFamily> ExplainSession<M> {
             request: req.clone(),
             report,
             query_time: t_query.elapsed() + charge,
-        }
-    }
-
-    fn finalize_explanation(&self, candidate: Candidate, req: &ExplainRequest) -> Explanation {
-        let pattern_text = candidate
-            .pattern
-            .render(&self.table, self.train_raw.schema());
-        let (gt_resp, gt_new) = if req.ground_truth_for_topk {
-            let rows = candidate.coverage.to_indices();
-            let (resp, new_bias) = self.ground_truth_responsibility(req.metric, &rows);
-            (Some(resp), Some(new_bias))
-        } else {
-            (None, None)
-        };
-        Explanation {
-            pattern_text,
-            support: candidate.support,
-            est_responsibility: candidate.responsibility,
-            ground_truth_responsibility: gt_resp,
-            ground_truth_new_bias: gt_new,
-            candidate,
-        }
-    }
-
-    /// Descriptive statistics of a pattern's coverage, for reports: how the
-    /// covered rows differ from the rest of the training data in label and
-    /// group composition. This is the "why is this subset responsible"
-    /// context a reviewer needs next to the raw responsibility number.
-    pub fn pattern_profile(&self, candidate: &Candidate) -> PatternProfile {
-        let n = self.train.n_rows();
-        let mut in_pos = 0usize;
-        let mut in_priv = 0usize;
-        let mut in_count = 0usize;
-        let mut out_pos = 0usize;
-        let mut out_priv = 0usize;
-        for r in 0..n {
-            let covered = candidate.coverage.contains(r);
-            let pos = self.train.y[r] == 1.0;
-            let priv_ = self.train.privileged[r];
-            if covered {
-                in_count += 1;
-                in_pos += usize::from(pos);
-                in_priv += usize::from(priv_);
-            } else {
-                out_pos += usize::from(pos);
-                out_priv += usize::from(priv_);
-            }
-        }
-        let out_count = n - in_count;
-        let frac = |num: usize, den: usize| {
-            if den == 0 {
-                0.0
-            } else {
-                num as f64 / den as f64
-            }
-        };
-        PatternProfile {
-            rows: in_count,
-            positive_rate: frac(in_pos, in_count),
-            privileged_rate: frac(in_priv, in_count),
-            rest_positive_rate: frac(out_pos, out_count),
-            rest_privileged_rate: frac(out_priv, out_count),
         }
     }
 

@@ -409,35 +409,6 @@ where
     }
 }
 
-#[allow(deprecated)]
-impl<M> crate::explainer::Gopher<M>
-where
-    M: ModelFamily<Backend = HessianBackend<M>> + Differentiable,
-{
-    /// Computes the best homogeneous update for one candidate pattern
-    /// (façade for [`ExplainSession::update_explanation`] under the
-    /// configured metric).
-    pub fn update_explanation(
-        &self,
-        candidate: &Candidate,
-        cfg: &UpdateConfig,
-    ) -> UpdateExplanation {
-        self.session()
-            .update_explanation(candidate, self.config().metric, cfg)
-    }
-
-    /// Runs `explain` and derives an update-based explanation for each
-    /// returned pattern (façade for
-    /// [`ExplainSession::explain_with_updates`]).
-    pub fn explain_with_updates(
-        &self,
-        cfg: &UpdateConfig,
-    ) -> (ExplanationReport, Vec<UpdateExplanation>) {
-        self.session()
-            .explain_with_updates(&self.config().to_request(), cfg)
-    }
-}
-
 /// Copies the coordinates of one encoded feature group from `src` to `dst`.
 fn copy_group(group: &EncodedGroup, src: &[f64], dst: &mut [f64]) {
     match group {

@@ -85,8 +85,14 @@ pub struct EngineUpdateReport {
     /// lost positive-definiteness) and the Hessian was refactored from the
     /// incrementally assembled matrix.
     pub refactored: bool,
-    /// The whole engine was rebuilt from scratch (non-analytic model, warm
-    /// retrain stall, or accumulated parameter drift beyond tolerance).
+    /// The whole engine was rebuilt from scratch. Three causes set it, and
+    /// the report does not say which one fired:
+    /// * the model has no rank-one Hessian structure to patch (no analytic
+    ///   Hessian, e.g. the MLP), so every delta retrains and rebuilds;
+    /// * the warm quasi-Newton retrain stalled before meeting the trainer's
+    ///   gradient tolerance;
+    /// * the parameters drifted more than `UPDATE_DRIFT_TOL` (`1e-2`,
+    ///   relative) from where the Hessian was last assembled in full.
     pub full_rebuild: bool,
     /// Diagnostics of the warm retrain on the post-delta training set.
     pub retrain: TrainReport,
@@ -227,9 +233,9 @@ impl<M: Differentiable> InfluenceEngine<M> {
     ///
     /// Fallbacks: a failed downdate or probe refactors from the patched
     /// Hessian (`refactored`, `O(p³)`); a retrain stall, a non-analytic
-    /// model, or accumulated parameter drift beyond `1e-3` relative rebuilds
-    /// the engine in full (`full_rebuild`, `O(n p²)`). Either way the engine
-    /// ends consistent with `new_train`.
+    /// model, or accumulated parameter drift beyond `UPDATE_DRIFT_TOL`
+    /// (`1e-2`, relative) rebuilds the engine in full (`full_rebuild`,
+    /// `O(n p²)`). Either way the engine ends consistent with `new_train`.
     ///
     /// # Panics
     /// If `new_train` is empty or the refactorization cannot be made
@@ -487,12 +493,6 @@ impl<M: Differentiable> InfluenceEngine<M> {
     /// The damping that was actually applied to the Hessian.
     pub fn damping_used(&self) -> f64 {
         self.damping_used
-    }
-
-    /// The Cholesky factor of the damped mean Hessian. Incremental
-    /// retraining uses it as the base operator for Woodbury-modified solves.
-    pub fn factor(&self) -> &Cholesky {
-        &self.chol
     }
 
     /// The precomputed per-example gradient of training row `r`.

@@ -45,7 +45,4 @@ mod retrain;
 pub use backend::{HessianBackend, InfluenceBackend, ModelFamily, SubsetScorer, UnlearningBackend};
 pub use bias::{BiasEval, BiasInfluence, BiasPrecomp};
 pub use engine::{EngineUpdateReport, Estimator, InfluenceConfig, InfluenceEngine};
-pub use retrain::{
-    retrain_updated, retrain_without, retrain_without_incremental, retrain_without_many,
-    retrain_without_many_incremental, RetrainOutcome,
-};
+pub use retrain::{retrain_updated, retrain_without, retrain_without_many, RetrainOutcome};

@@ -1,18 +1,8 @@
 //! Ground-truth retraining: the expensive baseline the estimators replace.
 
-use crate::engine::InfluenceEngine;
 use gopher_data::Encoded;
-use gopher_linalg::vecops;
-use gopher_models::train::{fit_default, full_gradient, objective, NewtonConfig, TrainReport};
+use gopher_models::train::{fit_default, TrainReport};
 use gopher_models::Differentiable;
-
-/// Largest removal subset the Woodbury-modified solve handles; bigger
-/// subsets (capacitance grows as `m³`) fall back to the from-scratch path.
-const WOODBURY_MAX_RANK: usize = 64;
-
-/// Quasi-Newton iterations allowed on the reduced objective before the
-/// incremental path hands over to the line-searched trainer.
-const INCREMENTAL_RETRAIN_MAX_ITER: usize = 25;
 
 /// Result of a ground-truth retraining run.
 #[derive(Debug, Clone)]
@@ -58,108 +48,6 @@ pub fn retrain_without_many<M: Differentiable>(
 ) -> Vec<RetrainOutcome<M>> {
     gopher_par::par_map(threads, subsets, |_, rows| {
         retrain_without(model, train, rows)
-    })
-}
-
-/// Incremental ground truth: retrains on `train` minus `rows` by
-/// quasi-Newton steps whose directions reuse the engine's existing Cholesky
-/// factor, modified for the removed rows by a rank-`m` Woodbury solve
-/// instead of assembling and factoring a reduced Hessian per step.
-///
-/// Each iteration costs `O(n p)` for the true reduced gradient plus
-/// `O((m + 1) p²)` for the modified solve — no `O(n p²)` Hessian assembly
-/// anywhere. Convergence is judged on the true gradient of the reduced
-/// objective (the Newton trainer's tolerance), so a converged result is the
-/// same optimum [`retrain_without`] finds, independent of the approximation
-/// quality of the step operator.
-///
-/// Falls back to [`retrain_without`] when the model exposes no rank-1
-/// Hessian structure (the MLP), the subset exceeds the Woodbury rank cap,
-/// or the modified solve goes singular; falls back to the line-searched
-/// trainer when the quasi-Newton loop stalls. Either fallback still returns
-/// a correct ground-truth retrain.
-pub fn retrain_without_incremental<M: Differentiable>(
-    engine: &InfluenceEngine<M>,
-    train: &Encoded,
-    rows: &[u32],
-) -> RetrainOutcome<M> {
-    let base = engine.model();
-    if rows.len() > WOODBURY_MAX_RANK {
-        return retrain_without(base, train, rows);
-    }
-    let p = base.n_params();
-    let n = engine.n_train() as f64;
-    // Rank-1 structure of each removed row at the engine's parameters; the
-    // factor minus these outer products approximates the reduced Hessian.
-    let mut augs: Vec<Vec<f64>> = Vec::with_capacity(rows.len());
-    let mut weights: Vec<f64> = Vec::with_capacity(rows.len());
-    let mut aug = vec![0.0; p];
-    for &r in rows {
-        let r = r as usize;
-        match base.hessian_rank_one(train.x.row(r), train.y[r], &mut aug) {
-            Some(w) => {
-                if w != 0.0 {
-                    augs.push(aug.clone());
-                    weights.push(-w / n);
-                }
-            }
-            None => return retrain_without(base, train, rows),
-        }
-    }
-    let mut remove = vec![false; train.n_rows()];
-    for &r in rows {
-        remove[r as usize] = true;
-    }
-    let reduced = train.remove_rows(&remove);
-    let m = rows.len() as f64;
-    let u_refs: Vec<&[f64]> = augs.iter().map(|a| a.as_slice()).collect();
-    let chol = engine.factor();
-    let cfg = NewtonConfig::default();
-    let mut model = base.clone();
-    let mut grad = vec![0.0; p];
-    for iter in 0..INCREMENTAL_RETRAIN_MAX_ITER {
-        full_gradient(&model, &reduced, &mut grad);
-        let grad_norm = vecops::norm2(&grad);
-        if grad_norm < cfg.grad_tol {
-            return RetrainOutcome {
-                report: TrainReport {
-                    iterations: iter,
-                    final_loss: objective(&model, &reduced),
-                    grad_norm,
-                    converged: true,
-                },
-                model,
-            };
-        }
-        let Some(mut step) = chol.solve_rank_k_modified(&u_refs, &weights, &grad) else {
-            // Modified operator went singular: the factor is no longer a
-            // usable base for this subset.
-            return retrain_without(base, train, rows);
-        };
-        // The operator's data term is a sum over n − m rows divided by n;
-        // rescale the step to the reduced objective's 1/(n − m) mean.
-        vecops::scale(n / (n - m).max(1.0), &mut step);
-        for (t, s) in model.params_mut().iter_mut().zip(&step) {
-            *t -= s;
-        }
-    }
-    // Stalled (piecewise-quadratic kinks, stale curvature): finish with the
-    // line-searched trainer, warm from the progress made so far.
-    let report = fit_default(&mut model, &reduced);
-    RetrainOutcome { model, report }
-}
-
-/// Fans [`retrain_without_incremental`] out over many row subsets, mirroring
-/// [`retrain_without_many`]. Outcomes are in input order and bit-identical
-/// at any thread count (each retrain is independent).
-pub fn retrain_without_many_incremental<M: Differentiable>(
-    engine: &InfluenceEngine<M>,
-    train: &Encoded,
-    subsets: &[Vec<u32>],
-    threads: usize,
-) -> Vec<RetrainOutcome<M>> {
-    gopher_par::par_map(threads, subsets, |_, rows| {
-        retrain_without_incremental(engine, train, rows)
     })
 }
 
@@ -226,76 +114,6 @@ mod tests {
                 assert_eq!(f.report.converged, s.report.converged);
             }
         }
-    }
-
-    #[test]
-    fn incremental_retrain_matches_from_scratch() {
-        let raw = german(400, 44);
-        let enc = Encoder::fit(&raw);
-        let train = enc.transform(&raw);
-        let mut model = LogisticRegression::new(train.n_cols(), 1e-3);
-        fit_newton(&mut model, &train, &NewtonConfig::default());
-        let engine = crate::InfluenceEngine::new(model, &train, crate::InfluenceConfig::default());
-        for rows in [
-            (0..1).collect::<Vec<u32>>(),
-            (10..40).collect(),
-            vec![5, 99, 200, 399],
-        ] {
-            let scratch = retrain_without(engine.model(), &train, &rows);
-            let incremental = retrain_without_incremental(&engine, &train, &rows);
-            assert!(
-                incremental.report.converged,
-                "subset of {} rows",
-                rows.len()
-            );
-            for (a, b) in incremental
-                .model
-                .params()
-                .iter()
-                .zip(scratch.model.params())
-            {
-                assert!(
-                    (a - b).abs() < 1e-6,
-                    "params diverged on {} rows: {a} vs {b}",
-                    rows.len()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_fan_out_matches_sequential() {
-        let raw = german(300, 45);
-        let enc = Encoder::fit(&raw);
-        let train = enc.transform(&raw);
-        let mut model = LogisticRegression::new(train.n_cols(), 1e-3);
-        fit_newton(&mut model, &train, &NewtonConfig::default());
-        let engine = crate::InfluenceEngine::new(model, &train, crate::InfluenceConfig::default());
-        let subsets: Vec<Vec<u32>> = vec![(0..15).collect(), (40..60).collect(), vec![250]];
-        let sequential: Vec<_> = subsets
-            .iter()
-            .map(|rows| retrain_without_incremental(&engine, &train, rows))
-            .collect();
-        for threads in [1, 4] {
-            let fanned = retrain_without_many_incremental(&engine, &train, &subsets, threads);
-            for (f, s) in fanned.iter().zip(&sequential) {
-                assert_eq!(f.model.params(), s.model.params(), "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn oversized_subset_falls_back_to_scratch_path() {
-        let raw = german(300, 46);
-        let enc = Encoder::fit(&raw);
-        let train = enc.transform(&raw);
-        let mut model = LogisticRegression::new(train.n_cols(), 1e-3);
-        fit_newton(&mut model, &train, &NewtonConfig::default());
-        let engine = crate::InfluenceEngine::new(model, &train, crate::InfluenceConfig::default());
-        let rows: Vec<u32> = (0..100).collect(); // > WOODBURY_MAX_RANK
-        let scratch = retrain_without(engine.model(), &train, &rows);
-        let incremental = retrain_without_incremental(&engine, &train, &rows);
-        assert_eq!(incremental.model.params(), scratch.model.params());
     }
 
     #[test]

@@ -233,106 +233,6 @@ impl Cholesky {
         }
         Ok(())
     }
-
-    /// Solves `(A + Uᵀ S U) x = b` without refactoring, via the Woodbury
-    /// identity: `u` holds the k modification vectors as rows, `s` their
-    /// (non-zero, possibly mixed-sign) weights. The k×k capacitance system
-    /// `C = S⁻¹ + U A⁻¹ Uᵀ` is solved densely with partial pivoting —
-    /// mixed signs make it indefinite, so Cholesky does not apply there.
-    ///
-    /// Cost: `k + 1` factor solves plus O(k²·p + k³); profitable while
-    /// `k ≪ p` or the factor is hot and the modified matrix is not worth
-    /// refactoring. Returns `None` when the capacitance matrix is singular
-    /// (the modified matrix is singular or too ill-conditioned to trust) —
-    /// callers should refactor the modified matrix instead.
-    ///
-    /// # Panics
-    /// If dimensions are inconsistent or any weight is zero/non-finite
-    /// (drop zero-weight vectors before calling).
-    pub fn solve_rank_k_modified(&self, u: &[&[f64]], s: &[f64], b: &[f64]) -> Option<Vec<f64>> {
-        let n = self.dim();
-        let k = u.len();
-        assert_eq!(s.len(), k, "solve_rank_k_modified: weight count mismatch");
-        assert!(
-            s.iter().all(|w| *w != 0.0 && w.is_finite()),
-            "solve_rank_k_modified: weights must be non-zero and finite"
-        );
-        let mut x0 = b.to_vec();
-        self.solve_in_place(&mut x0);
-        if k == 0 {
-            return Some(x0);
-        }
-        // Z rows: zⱼ = A⁻¹ uⱼ.
-        let mut z = Matrix::zeros(k, n);
-        for (j, uj) in u.iter().enumerate() {
-            assert_eq!(uj.len(), n, "solve_rank_k_modified: vector length mismatch");
-            let row = z.row_mut(j);
-            row.copy_from_slice(uj);
-            self.solve_in_place(row);
-        }
-        // Capacitance C = S⁻¹ + U A⁻¹ Uᵀ and right-hand side U x₀.
-        let mut cap = Matrix::zeros(k, k);
-        let mut rhs = vec![0.0; k];
-        for i in 0..k {
-            for j in 0..k {
-                cap[(i, j)] = vecops::dot(u[i], z.row(j));
-            }
-            cap[(i, i)] += 1.0 / s[i];
-            rhs[i] = vecops::dot(u[i], &x0);
-        }
-        let w = solve_dense(&mut cap, &mut rhs)?;
-        // x = x₀ − Zᵀ w.
-        for (j, &wj) in w.iter().enumerate() {
-            vecops::axpy(-wj, z.row(j), &mut x0);
-        }
-        Some(x0)
-    }
-}
-
-/// Solves the small dense system `M x = b` in place by Gaussian elimination
-/// with partial pivoting (the capacitance matrix of a Woodbury solve is
-/// symmetric but indefinite under mixed-sign weights, so Cholesky does not
-/// apply). Returns `None` on a (near-)singular pivot.
-fn solve_dense<'a>(m: &mut Matrix, b: &'a mut [f64]) -> Option<&'a [f64]> {
-    let k = m.rows();
-    assert_eq!(m.cols(), k, "solve_dense: matrix not square");
-    assert_eq!(b.len(), k, "solve_dense: rhs dimension mismatch");
-    let tiny = f64::EPSILON * m.max_abs().max(1.0) * k as f64;
-    for col in 0..k {
-        let pivot_row = (col..k)
-            .max_by(|&a, &b| m[(a, col)].abs().total_cmp(&m[(b, col)].abs()))
-            .expect("non-empty pivot range");
-        let pivot = m[(pivot_row, col)];
-        if !pivot.is_finite() || pivot.abs() <= tiny {
-            return None;
-        }
-        if pivot_row != col {
-            for j in 0..k {
-                let tmp = m[(col, j)];
-                m[(col, j)] = m[(pivot_row, j)];
-                m[(pivot_row, j)] = tmp;
-            }
-            b.swap(col, pivot_row);
-        }
-        for row in (col + 1)..k {
-            let f = m[(row, col)] / pivot;
-            if f == 0.0 {
-                continue;
-            }
-            for j in col..k {
-                m[(row, j)] -= f * m[(col, j)];
-            }
-            b[row] -= f * b[col];
-        }
-    }
-    for row in (0..k).rev() {
-        let mut s = b[row];
-        for j in (row + 1)..k {
-            s -= m[(row, j)] * b[j];
-        }
-        b[row] = s / m[(row, row)];
-    }
-    Some(b)
 }
 
 #[cfg(test)]
@@ -506,47 +406,5 @@ mod tests {
         for (u, v) in back.iter().zip(&b) {
             assert!((u - v).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn woodbury_solve_matches_direct_factorization() {
-        let a = spd_example();
-        let chol = Cholesky::factor(&a).unwrap();
-        // Mixed-sign modification: add one outer product, subtract another
-        // (small enough to stay SPD).
-        let u1 = [1.0, 0.5, -0.5];
-        let u2 = [0.2, -0.3, 0.4];
-        let s = [2.0, -0.5];
-        let b = vec![1.0, 2.0, -1.0];
-        let x = chol
-            .solve_rank_k_modified(&[&u1, &u2], &s, &b)
-            .expect("capacitance solvable");
-        let mut modified = a.clone();
-        modified.rank1_update(s[0], &u1);
-        modified.rank1_update(s[1], &u2);
-        let direct = Cholesky::factor(&modified).unwrap().solve(&b);
-        for (u, v) in x.iter().zip(&direct) {
-            assert!((u - v).abs() < 1e-9, "{u} vs {v}");
-        }
-    }
-
-    #[test]
-    fn woodbury_with_no_vectors_is_a_plain_solve() {
-        let a = spd_example();
-        let chol = Cholesky::factor(&a).unwrap();
-        let b = vec![3.0, -1.0, 0.5];
-        let x = chol.solve_rank_k_modified(&[], &[], &b).unwrap();
-        assert_eq!(x, chol.solve(&b));
-    }
-
-    #[test]
-    fn woodbury_detects_singular_modification() {
-        // A − (A e₁)ᵀ-style modification that exactly cancels a direction:
-        // subtracting the full diagonal entry of a 1×1 system makes the
-        // modified matrix singular, so the capacitance pivot vanishes.
-        let a = Matrix::from_rows(&[vec![2.0]]);
-        let chol = Cholesky::factor(&a).unwrap();
-        let u = [2.0f64.sqrt()];
-        assert!(chol.solve_rank_k_modified(&[&u], &[-1.0], &[1.0]).is_none());
     }
 }

@@ -150,8 +150,8 @@ pub trait Differentiable: Model {
     /// case the contribution is the zero matrix and `aug` may be ignored.
     ///
     /// This is what lets the influence engine patch its Hessian factor with
-    /// rank-1 Cholesky updates and Woodbury solves instead of refactoring,
-    /// and store one weight per training row for its subset
+    /// rank-1 Cholesky updates and downdates instead of refactoring, and
+    /// store one weight per training row for its subset
     /// Hessian–vector products. The weight must be the one the model's own
     /// [`accumulate_hessian_vec`](Self::accumulate_hessian_vec) uses, so
     /// that `w · (x̃ᵀv) · x̃` reproduces it bit for bit.

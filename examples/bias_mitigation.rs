@@ -19,7 +19,7 @@ fn main() {
         |n_cols| LogisticRegression::new(n_cols, 1e-3),
         &train,
         &test,
-        &GopherConfig::default(),
+        &ExplainRequest::default(),
         &MitigationConfig {
             target_bias: 0.05,
             max_rounds: 5,

@@ -35,10 +35,8 @@ pub use gopher_serve;
 
 /// The names almost every consumer needs.
 pub mod prelude {
-    #[allow(deprecated)]
-    pub use gopher_core::Gopher;
     pub use gopher_core::{
-        ExplainRequest, ExplainResponse, ExplainSession, GopherConfig, SessionBuilder, UpdateConfig,
+        ExplainRequest, ExplainResponse, ExplainSession, SessionBuilder, UpdateConfig,
     };
     pub use gopher_data::generators::{adult, german, sqf};
     pub use gopher_data::{Dataset, Encoded, Encoder};

@@ -1,7 +1,7 @@
 //! Incremental sessions under data change, end to end.
 //!
 //! [`ExplainSession::update`] patches a live session in place: the
-//! influence engine takes a Woodbury/Cholesky delta path, predicate
+//! influence engine takes a rank-1 Cholesky delta path, predicate
 //! coverages are patched bit-exactly, and the coverage cache starts over
 //! from the patched predicate index. The contract these tests pin:
 //!

@@ -1,7 +1,6 @@
 //! Session-reuse contract: one warm [`ExplainSession`] must answer exactly
-//! like cold [`Gopher`] runs — the caches are invisible in the results.
-
-#![allow(deprecated)] // the legacy façade is the comparison baseline here
+//! like fresh sessions answering each request alone — the caches are
+//! invisible in the results.
 
 use gopher_core::ExplanationReport;
 use gopher_repro::prelude::*;
@@ -9,6 +8,14 @@ use gopher_repro::prelude::*;
 fn splits(seed: u64) -> (Dataset, Dataset) {
     let mut rng = Rng::new(seed);
     german(700, seed).train_test_split(0.3, &mut rng)
+}
+
+/// A fresh session over `train`/`test` answering `request` alone.
+fn cold(train: &Dataset, test: &Dataset, request: &ExplainRequest) -> ExplanationReport {
+    SessionBuilder::new()
+        .fit(|n_cols| LogisticRegression::new(n_cols, 1e-3), train, test)
+        .explain(request)
+        .report
 }
 
 fn assert_identical(a: &ExplanationReport, b: &ExplanationReport) {
@@ -36,10 +43,10 @@ fn assert_identical(a: &ExplanationReport, b: &ExplanationReport) {
     }
 }
 
-/// One session answering StatisticalParity then EqualizedOdds-style queries
-/// must produce identical reports to two cold `Gopher` runs.
+/// One session answering StatisticalParity then EqualOpportunity queries
+/// must produce identical reports to two cold sessions, one per request.
 #[test]
-fn warm_session_matches_two_cold_gopher_runs() {
+fn warm_session_matches_two_cold_sessions() {
     let (train, test) = splits(301);
     let session = SessionBuilder::new().fit(
         |n_cols| LogisticRegression::new(n_cols, 1e-3),
@@ -51,25 +58,11 @@ fn warm_session_matches_two_cold_gopher_runs() {
         FairnessMetric::StatisticalParity,
         FairnessMetric::EqualOpportunity,
     ] {
-        let warm = session
-            .explain(
-                &ExplainRequest::default()
-                    .with_metric(metric)
-                    .with_ground_truth(true),
-            )
-            .report;
-        let cold = Gopher::fit(
-            |n_cols| LogisticRegression::new(n_cols, 1e-3),
-            &train,
-            &test,
-            GopherConfig {
-                metric,
-                ground_truth_for_topk: true,
-                ..Default::default()
-            },
-        )
-        .explain();
-        assert_identical(&warm, &cold);
+        let request = ExplainRequest::default()
+            .with_metric(metric)
+            .with_ground_truth(true);
+        let warm = session.explain(&request).report;
+        assert_identical(&warm, &cold(&train, &test, &request));
     }
 }
 
@@ -149,16 +142,12 @@ fn estimator_variants_do_not_collide_in_the_cache() {
         "estimators must not share cache slots"
     );
 
-    let cold = Gopher::fit(
-        |n_cols| LogisticRegression::new(n_cols, 1e-3),
+    let cold_fo = cold(
         &train,
         &test,
-        GopherConfig {
-            estimator: Estimator::FirstOrder,
-            ground_truth_for_topk: false,
-            ..Default::default()
-        },
-    )
-    .explain();
-    assert_identical(&fo, &cold);
+        &ExplainRequest::default()
+            .with_estimator(Estimator::FirstOrder)
+            .with_ground_truth(false),
+    );
+    assert_identical(&fo, &cold_fo);
 }

@@ -71,10 +71,10 @@ use std::time::{Duration, Instant};
 use gopher_par::lock_recover;
 
 /// Ground-truth responsibility `(F_old − F_new)/F_old` (Definition 3.2),
-/// shared by the solo and fanned-out retraining paths so they can never
-/// diverge. Zero when the baseline is (numerically) zero — an unbiased
-/// model has no root causes to attribute.
-fn gt_responsibility(base: f64, new_bias: f64) -> f64 {
+/// shared by the solo, fanned-out and update-based retraining paths so
+/// they can never diverge. Zero when the baseline is (numerically) zero —
+/// an unbiased model has no root causes to attribute.
+pub(crate) fn gt_responsibility(base: f64, new_bias: f64) -> f64 {
     if base.abs() < 1e-12 {
         0.0
     } else {
@@ -181,6 +181,34 @@ impl SessionBuilder {
     ) -> ExplainSession<M> {
         let encoder = Encoder::fit(train_raw);
         let train = encoder.transform(train_raw);
+        self.assemble(model, encoder, train, train_raw, test_raw)
+    }
+
+    /// Convenience constructor that encodes the data, builds the model via
+    /// `make_model(n_encoded_cols)`, trains it to convergence, and wraps it.
+    pub fn fit<M: ModelFamily>(
+        self,
+        make_model: impl FnOnce(usize) -> M,
+        train_raw: &Dataset,
+        test_raw: &Dataset,
+    ) -> ExplainSession<M> {
+        let encoder = Encoder::fit(train_raw);
+        let train = encoder.transform(train_raw);
+        let mut model = make_model(train.n_cols());
+        ModelFamily::fit(&mut model, &train);
+        self.assemble(model, encoder, train, train_raw, test_raw)
+    }
+
+    /// The rest of [`Self::build`] once `encoder` is fitted on `train_raw`
+    /// and `train` is its encoding.
+    fn assemble<M: ModelFamily>(
+        self,
+        model: M,
+        encoder: Encoder,
+        train: Encoded,
+        train_raw: &Dataset,
+        test_raw: &Dataset,
+    ) -> ExplainSession<M> {
         let test = encoder.transform(test_raw);
         assert_eq!(
             model.n_inputs(),
@@ -213,21 +241,6 @@ impl SessionBuilder {
             factor_fallbacks: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
         }
-    }
-
-    /// Convenience constructor that encodes the data, builds the model via
-    /// `make_model(n_encoded_cols)`, trains it to convergence, and wraps it.
-    pub fn fit<M: ModelFamily>(
-        self,
-        make_model: impl FnOnce(usize) -> M,
-        train_raw: &Dataset,
-        test_raw: &Dataset,
-    ) -> ExplainSession<M> {
-        let encoder = Encoder::fit(train_raw);
-        let train = encoder.transform(train_raw);
-        let mut model = make_model(train.n_cols());
-        ModelFamily::fit(&mut model, &train);
-        self.build(model, train_raw, test_raw)
     }
 }
 
@@ -1076,13 +1089,11 @@ impl<M: ModelFamily> ExplainSession<M> {
                 &subsets,
                 self.threads.min(subsets.len()),
             );
-            // The baseline bias never changes within an answer.
-            let base = gopher_fairness::bias(req.metric, self.backend.model(), &self.test);
             models
                 .iter()
                 .map(|model| {
                     let new_bias = gopher_fairness::bias(req.metric, model, &self.test);
-                    Some((gt_responsibility(base, new_bias), new_bias))
+                    Some((gt_responsibility(base_bias, new_bias), new_bias))
                 })
                 .collect()
         } else {
@@ -1123,7 +1134,7 @@ impl<M: ModelFamily> ExplainSession<M> {
     pub fn ground_truth_responsibility(&self, metric: FairnessMetric, rows: &[u32]) -> (f64, f64) {
         let model = self.backend.ground_truth_model(&self.train, rows);
         let new_bias = gopher_fairness::bias(metric, &model, &self.test);
-        let base = gopher_fairness::bias(metric, self.backend.model(), &self.test);
+        let base = self.base_bias(metric);
         (gt_responsibility(base, new_bias), new_bias)
     }
 

@@ -14,7 +14,7 @@
 //! the nearest valid one-hot when the final updated dataset is materialized.
 
 use crate::explainer::{Explanation, ExplanationReport};
-use crate::session::{ExplainRequest, ExplainSession};
+use crate::session::{gt_responsibility, ExplainRequest, ExplainSession};
 use gopher_data::{Encoded, EncodedGroup, Value};
 use gopher_fairness::{bias_gradient, FairnessMetric};
 use gopher_influence::{retrain_updated, HessianBackend, ModelFamily};
@@ -264,12 +264,7 @@ where
         let ground_truth_responsibility = if cfg.ground_truth {
             let outcome = retrain_updated(model, &updated);
             let new_bias = gopher_fairness::bias(metric, &outcome.model, self.test());
-            let base = gopher_fairness::bias(metric, model, self.test());
-            Some(if base.abs() < 1e-12 {
-                0.0
-            } else {
-                (base - new_bias) / base
-            })
+            Some(gt_responsibility(self.base_bias(metric), new_bias))
         } else {
             None
         };

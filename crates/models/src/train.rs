@@ -18,7 +18,10 @@ pub struct TrainReport {
     pub final_loss: f64,
     /// Final gradient norm `‖∇J(θ)‖₂`.
     pub grad_norm: f64,
-    /// Whether the gradient tolerance was reached.
+    /// Whether the gradient tolerance was reached. [`fit_newton`] also sets
+    /// it when the fit stops as a stall (no step along the Newton direction
+    /// improves θ any further), in which case `grad_norm` may exceed the
+    /// tolerance.
     pub converged: bool,
 }
 
@@ -133,6 +136,19 @@ impl Default for NewtonConfig {
 
 /// Trains `model` in place by damped Newton with backtracking line search.
 ///
+/// Each step solves `H s = ∇J` and backtracks on `J` from the full step
+/// until `J` decreases. Near the optimum that comparison stops meaning
+/// anything: once the predicted decrease `½ ∇Jᵀ s` is at or below the
+/// rounding error of `J`'s n-term sum (`n·ε·|J|`), the full step is judged
+/// by the gradient norm at the trial point instead, and taken if that norm
+/// is smaller. A step that improves neither stops the fit as a *stall*,
+/// which also counts as [`converged`](TrainReport::converged): no step
+/// along the Newton direction makes θ measurably better for this data, so
+/// the report's `grad_norm` may then sit above `grad_tol`.
+///
+/// `J` and `∇J` are evaluated once per accepted point and carried forward
+/// into the next step and the report.
+///
 /// Practical for models with analytic Hessians (logistic regression, SVM);
 /// for the MLP each step assembles the Hessian by finite differences, which
 /// is usable for testing but slow — prefer [`fit_gd`] there.
@@ -144,11 +160,20 @@ pub fn fit_newton<M: Differentiable>(
     let p = model.n_params();
     let n = data.n_rows().max(1) as f64;
     let mut grad = vec![0.0; p];
+    full_gradient(model, data, &mut grad);
+    let mut grad_norm = vecops::norm2(&grad);
+    let mut loss = objective(model, data);
+    let mut trial_grad = vec![0.0; p];
+    let trial_at = |model: &M, step: &[f64], alpha: f64| {
+        let mut trial = model.clone();
+        for (t, s) in trial.params_mut().iter_mut().zip(step) {
+            *t -= alpha * s;
+        }
+        trial
+    };
     let mut iterations = 0;
     let mut stalled = false;
     for iter in 0..cfg.max_iter {
-        full_gradient(model, data, &mut grad);
-        let grad_norm = vecops::norm2(&grad);
         iterations = iter;
         if grad_norm < cfg.grad_tol {
             break;
@@ -163,17 +188,31 @@ pub fn fit_newton<M: Differentiable>(
         let (chol, _) =
             Cholesky::factor_damped(&h, cfg.damping, 24).expect("damping escalation succeeds");
         let step = chol.solve(&grad);
+        if 0.5 * vecops::dot(&grad, &step) <= n * f64::EPSILON * loss.abs() {
+            // J's sum rounds at about n·ε·|J|, so it cannot resolve this
+            // step's decrease: judge the full step by ∇J instead.
+            let trial = trial_at(model, &step, 1.0);
+            full_gradient(&trial, data, &mut trial_grad);
+            let trial_norm = vecops::norm2(&trial_grad);
+            if trial_norm >= grad_norm {
+                stalled = true;
+                break;
+            }
+            *model = trial;
+            std::mem::swap(&mut grad, &mut trial_grad);
+            grad_norm = trial_norm;
+            loss = objective(model, data);
+            continue;
+        }
         // Backtracking line search on J.
-        let base = objective(model, data);
         let mut alpha = 1.0;
         let mut improved = false;
         for _ in 0..30 {
-            let mut trial = model.clone();
-            for (t, s) in trial.params_mut().iter_mut().zip(&step) {
-                *t -= alpha * s;
-            }
-            if objective(&trial, data) < base {
-                model.params_mut().copy_from_slice(trial.params());
+            let trial = trial_at(model, &step, alpha);
+            let trial_loss = objective(&trial, data);
+            if trial_loss < loss {
+                *model = trial;
+                loss = trial_loss;
                 improved = true;
                 break;
             }
@@ -185,12 +224,12 @@ pub fn fit_newton<M: Differentiable>(
             stalled = true;
             break;
         }
+        full_gradient(model, data, &mut grad);
+        grad_norm = vecops::norm2(&grad);
     }
-    full_gradient(model, data, &mut grad);
-    let grad_norm = vecops::norm2(&grad);
     TrainReport {
         iterations,
-        final_loss: objective(model, data),
+        final_loss: loss,
         grad_norm,
         converged: grad_norm < cfg.grad_tol || stalled,
     }
@@ -210,14 +249,197 @@ pub fn fit_default<M: Differentiable>(model: &mut M, data: &Encoded) -> TrainRep
 mod tests {
     use super::*;
     use crate::{LinearSvm, LogisticRegression, Mlp};
-    use gopher_data::generators::german;
-    use gopher_data::Encoder;
+    use gopher_data::generators::{adult, german};
+    use gopher_data::{Dataset, Encoder};
     use gopher_prng::Rng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn german_encoded(n: usize) -> Encoded {
         let d = german(n, 5);
         let enc = Encoder::fit(&d);
         enc.transform(&d)
+    }
+
+    /// The encoded training side of a 70/30 split of `raw` drawn with
+    /// `Rng::new(seed)`, as sessions split and encode their data.
+    fn train_split(raw: &Dataset, seed: u64) -> Encoded {
+        let (train, _) = raw.train_test_split(0.3, &mut Rng::new(seed));
+        Encoder::fit(&train).transform(&train)
+    }
+
+    /// Damped Newton that judges every step by `J` alone: up to 30
+    /// halvings per step, and `J` and `∇J` evaluated again at the point it
+    /// stops at. [`fit_newton`] must reproduce it bit for bit on every fit
+    /// this loop finishes without stalling.
+    fn fit_newton_reference<M: Differentiable>(
+        model: &mut M,
+        data: &Encoded,
+        cfg: &NewtonConfig,
+    ) -> TrainReport {
+        let p = model.n_params();
+        let n = data.n_rows().max(1) as f64;
+        let mut grad = vec![0.0; p];
+        let mut iterations = 0;
+        let mut stalled = false;
+        for iter in 0..cfg.max_iter {
+            full_gradient(model, data, &mut grad);
+            let grad_norm = vecops::norm2(&grad);
+            iterations = iter;
+            if grad_norm < cfg.grad_tol {
+                break;
+            }
+            let mut h = Matrix::zeros(p, p);
+            for r in 0..data.n_rows() {
+                model.accumulate_hessian(data.x.row(r), data.y[r], &mut h);
+            }
+            h.scale(1.0 / n);
+            h.add_diagonal(model.l2());
+            let (chol, _) = Cholesky::factor_damped(&h, cfg.damping, 24).unwrap();
+            let step = chol.solve(&grad);
+            let base = objective(model, data);
+            let mut alpha = 1.0;
+            let mut improved = false;
+            for _ in 0..30 {
+                let mut trial = model.clone();
+                for (t, s) in trial.params_mut().iter_mut().zip(&step) {
+                    *t -= alpha * s;
+                }
+                if objective(&trial, data) < base {
+                    model.params_mut().copy_from_slice(trial.params());
+                    improved = true;
+                    break;
+                }
+                alpha *= 0.5;
+            }
+            if !improved {
+                stalled = true;
+                break;
+            }
+        }
+        full_gradient(model, data, &mut grad);
+        let grad_norm = vecops::norm2(&grad);
+        TrainReport {
+            iterations,
+            final_loss: objective(model, data),
+            grad_norm,
+            converged: grad_norm < cfg.grad_tol || stalled,
+        }
+    }
+
+    /// A model that counts its per-example `loss` evaluations across all
+    /// of its clones (the trainer clones a model for every trial point).
+    #[derive(Clone)]
+    struct CountLoss<M> {
+        inner: M,
+        calls: Arc<AtomicUsize>,
+    }
+
+    impl<M: Model> Model for CountLoss<M> {
+        fn n_inputs(&self) -> usize {
+            self.inner.n_inputs()
+        }
+        fn predict_proba(&self, x: &[f64]) -> f64 {
+            self.inner.predict_proba(x)
+        }
+    }
+
+    impl<M: Differentiable> Differentiable for CountLoss<M> {
+        fn n_params(&self) -> usize {
+            self.inner.n_params()
+        }
+        fn params(&self) -> &[f64] {
+            self.inner.params()
+        }
+        fn params_mut(&mut self) -> &mut [f64] {
+            self.inner.params_mut()
+        }
+        fn l2(&self) -> f64 {
+            self.inner.l2()
+        }
+        fn loss(&self, x: &[f64], y: f64) -> f64 {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.loss(x, y)
+        }
+        fn accumulate_grad(&self, x: &[f64], y: f64, out: &mut [f64]) {
+            self.inner.accumulate_grad(x, y, out);
+        }
+        fn accumulate_grad_proba(&self, x: &[f64], out: &mut [f64]) {
+            self.inner.accumulate_grad_proba(x, out);
+        }
+        fn accumulate_hessian(&self, x: &[f64], y: f64, out: &mut Matrix) {
+            self.inner.accumulate_hessian(x, y, out);
+        }
+    }
+
+    #[test]
+    fn newton_converges_past_the_rounding_error_of_the_objective() {
+        // The last steps of this fit predict decreases far below the
+        // rounding error of J's 7,000-term sum: judged by J alone, it
+        // stalls (at ‖∇J‖ = 3.1e-9 after 56 passes of J).
+        let data = train_split(&german(10_000, 2022), 7);
+        let cfg = NewtonConfig::default();
+        let mut reference = LogisticRegression::new(data.n_cols(), 1e-3);
+        let stalled = fit_newton_reference(&mut reference, &data, &cfg);
+        assert!(stalled.grad_norm >= cfg.grad_tol, "{stalled:?}");
+
+        let calls = Arc::new(AtomicUsize::new(0));
+        let mut model = CountLoss {
+            inner: LogisticRegression::new(data.n_cols(), 1e-3),
+            calls: Arc::clone(&calls),
+        };
+        let report = fit_newton(&mut model, &data, &cfg);
+        assert!(
+            report.grad_norm < cfg.grad_tol,
+            "grad norm {}",
+            report.grad_norm
+        );
+        let calls = calls.load(Ordering::Relaxed);
+        assert_eq!(calls % data.n_rows(), 0, "J is only evaluated in full");
+        let passes = calls / data.n_rows();
+        assert!(
+            passes <= 2 * report.iterations,
+            "{passes} passes of J over {} Newton steps",
+            report.iterations
+        );
+    }
+
+    fn assert_matches_reference<M: Differentiable>(model: M, data: &Encoded, what: &str) {
+        let cfg = NewtonConfig::default();
+        let mut reference = model.clone();
+        let want = fit_newton_reference(&mut reference, data, &cfg);
+        assert!(
+            want.grad_norm < cfg.grad_tol,
+            "{what}: the reference stalled at grad norm {}",
+            want.grad_norm
+        );
+        let mut fitted = model;
+        let got = fit_newton(&mut fitted, data, &cfg);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(fitted.params()), bits(reference.params()), "{what}");
+        assert_eq!(got.iterations, want.iterations, "{what}");
+        assert_eq!(
+            got.final_loss.to_bits(),
+            want.final_loss.to_bits(),
+            "{what}"
+        );
+        assert_eq!(got.grad_norm.to_bits(), want.grad_norm.to_bits(), "{what}");
+        assert_eq!(got.converged, want.converged, "{what}");
+    }
+
+    #[test]
+    fn newton_is_bit_identical_to_the_reference_where_it_never_stalls() {
+        let german2k = train_split(&german(2_000, 7), 7);
+        let adult4k = train_split(&adult(4_000, 7), 7);
+        let cols = german2k.n_cols();
+        assert_matches_reference(
+            LogisticRegression::new(cols, 1e-3),
+            &german2k,
+            "German-2k LR",
+        );
+        assert_matches_reference(LinearSvm::new(cols, 1e-3), &german2k, "German-2k SVM");
+        let cols = adult4k.n_cols();
+        assert_matches_reference(LogisticRegression::new(cols, 1e-3), &adult4k, "Adult-4k LR");
     }
 
     #[test]

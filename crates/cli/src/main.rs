@@ -550,11 +550,9 @@ fn update_json(
     fields.insert("rows_removed".into(), Json::num(report.rows_removed as f64));
     fields.insert("rows_added".into(), Json::num(report.rows_added as f64));
     fields.insert("train_rows".into(), Json::num(report.n_rows as f64));
-    fields.insert("refactored".into(), Json::Bool(report.engine.refactored));
-    fields.insert(
-        "full_rebuild".into(),
-        Json::Bool(report.engine.full_rebuild),
-    );
+    for (key, value) in api::rebuild_cause_json(report.engine.rebuild) {
+        fields.insert(key.into(), value);
+    }
     fields.insert("fell_back".into(), Json::Bool(report.engine.fell_back()));
     fields.insert(
         "artifacts_invalidated".into(),
@@ -581,12 +579,10 @@ fn render_update_text(report: &Json) -> String {
         get_f("rows_added"),
         get_f("train_rows"),
     );
-    let path = if get_b("full_rebuild") {
-        "full retrain fallback"
-    } else if get_b("refactored") {
-        "refactorized (drift guard)"
-    } else {
-        "incremental factor patch"
+    let path = match report.get("rebuild_cause").and_then(Json::as_str) {
+        None => "incremental".to_string(),
+        Some("drift") => format!("full rebuild (drift {:.2e})", get_f("drift")),
+        Some(cause) => format!("full rebuild ({cause})"),
     };
     let _ = writeln!(
         out,

@@ -238,7 +238,7 @@ impl SessionBuilder {
             flights: Mutex::new(HashMap::new()),
             requests_served: AtomicU64::new(0),
             updates_applied: AtomicU64::new(0),
-            factor_fallbacks: AtomicU64::new(0),
+            update_rebuilds: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
         }
     }
@@ -350,8 +350,8 @@ pub struct UpdateReport {
     pub rows_added: usize,
     /// Training rows after the delta.
     pub n_rows: usize,
-    /// The influence-engine delta report: whether the Cholesky patch held,
-    /// whether the engine fell back to a full rebuild, and the warm-retrain
+    /// The influence-engine delta report: why the engine was rebuilt from
+    /// scratch, if it was (`engine.rebuild`), and the warm-retrain
     /// diagnostics.
     pub engine: EngineUpdateReport,
     /// Merged-pattern coverages the delta discarded: every coverage the
@@ -723,11 +723,11 @@ pub struct SessionStats {
     pub requests_served: u64,
     /// Data deltas applied via [`ExplainSession::update`].
     pub updates_applied: u64,
-    /// Updates whose influence-engine delta fell back — a refactorization
-    /// after a failed factor patch, or a full engine rebuild (drift bound,
-    /// warm-retrain stall, non-analytic model). Fallbacks trade the speedup
-    /// for exactness; a high rate means deltas are too large relative to n.
-    pub factor_fallbacks: u64,
+    /// Updates that rebuilt the influence state from scratch, whatever the
+    /// [`RebuildCause`](gopher_influence::RebuildCause). Rebuilds trade the
+    /// speedup for fresh curvature; a high rate means deltas are too large
+    /// relative to n.
+    pub update_rebuilds: u64,
     /// Median per-request explain latency in µs (the largest value of its
     /// bucket in the session's log-linear histogram, within 6.25% of the
     /// recorded latency; 0 until a request runs).
@@ -768,8 +768,8 @@ pub struct ExplainSession<M: ModelFamily> {
     requests_served: AtomicU64,
     /// Data deltas applied via [`Self::update`].
     updates_applied: AtomicU64,
-    /// Updates whose engine delta refactored or fully rebuilt.
-    factor_fallbacks: AtomicU64,
+    /// Updates whose engine delta rebuilt from scratch.
+    update_rebuilds: AtomicU64,
     /// Per-request explain latency, fed from each response's `query_time`.
     latency: LatencyHistogram,
 }
@@ -851,7 +851,7 @@ impl<M: ModelFamily> ExplainSession<M> {
             coverage_inserts_refused: coverage.inserts_refused,
             requests_served: self.requests_served.load(Ordering::Relaxed),
             updates_applied: self.updates_applied.load(Ordering::Relaxed),
-            factor_fallbacks: self.factor_fallbacks.load(Ordering::Relaxed),
+            update_rebuilds: self.update_rebuilds.load(Ordering::Relaxed),
             explain_p50_us: self.latency.quantile_upper_us(0.50),
             explain_p99_us: self.latency.quantile_upper_us(0.99),
         }
@@ -1152,12 +1152,12 @@ impl<M: ModelFamily> ExplainSession<M> {
     /// featurization:
     ///
     /// * the **model** is warm-retrained to the same convergence tolerance
-    ///   on the true post-delta gradient, its Hessian re-assembled
-    ///   incrementally and its Cholesky factor patched by rank-1
-    ///   updates/downdates (falling back to a verified refactorization or a
-    ///   full engine rebuild when the patch drifts — see
-    ///   [`EngineUpdateReport`]), so parameters match a cold fit within the
-    ///   trainer's tolerance;
+    ///   on the true post-delta gradient through a fresh factor of the
+    ///   incrementally patched Hessian (falling back to a full engine
+    ///   rebuild, whose cause [`EngineUpdateReport::rebuild`] names, on a
+    ///   model without rank-one Hessians, a warm-retrain stall, or
+    ///   parameter drift past the engine's bound), so parameters match a
+    ///   cold fit within the trainer's tolerance;
     /// * **predicate coverages** are bitset-patched (prefix-sum remap +
     ///   matching only the appended rows), bit-identical to re-evaluating
     ///   the frozen predicates, and indexed into a fresh coverage cache;
@@ -1235,7 +1235,7 @@ impl<M: ModelFamily> ExplainSession<M> {
 
         self.updates_applied.fetch_add(1, Ordering::Relaxed);
         if engine.fell_back() {
-            self.factor_fallbacks.fetch_add(1, Ordering::Relaxed);
+            self.update_rebuilds.fetch_add(1, Ordering::Relaxed);
         }
 
         UpdateReport {
@@ -1258,8 +1258,10 @@ impl<M: ModelFamily> ExplainSession<M> {
     /// Identity contract (documented in the README): predicate coverages
     /// and pattern supports match **bit for bit**; model parameters match
     /// within the trainer's convergence tolerance; estimator
-    /// responsibilities match within the engine's drift bound (exactly when
-    /// the update path fell back to a full rebuild).
+    /// responsibilities match within the engine's drift bound, and after a
+    /// full rebuild within what the trainer's tolerance leaves (the
+    /// rebuilt engine sits at the warm-retrained parameters, not at this
+    /// oracle's cold fit).
     pub fn cold_rebuild(&self, make_model: impl FnOnce(usize) -> M) -> ExplainSession<M> {
         let train = self.encoder.transform(&self.train_raw);
         let mut model = make_model(train.n_cols());
@@ -1285,7 +1287,7 @@ impl<M: ModelFamily> ExplainSession<M> {
             flights: Mutex::new(HashMap::new()),
             requests_served: AtomicU64::new(0),
             updates_applied: AtomicU64::new(0),
-            factor_fallbacks: AtomicU64::new(0),
+            update_rebuilds: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
         }
     }
@@ -1294,7 +1296,7 @@ impl<M: ModelFamily> ExplainSession<M> {
     /// Uses [`lock_recover`]: the compute runs under the lock, so a model
     /// that panics mid-computation poisons the mutex — but the entry is only
     /// inserted once fully built, so recovery is always safe.
-    fn bias_precomp(&self, metric: FairnessMetric) -> BiasPrecomp {
+    pub(crate) fn bias_precomp(&self, metric: FairnessMetric) -> BiasPrecomp {
         let mut cache = lock_recover(&self.bias_cache);
         cache
             .entry(metric)
@@ -1854,9 +1856,8 @@ mod tests {
 
     /// The tentpole identity: after a small balanced delta, `update()`
     /// answers like a from-scratch session over the new data — patterns and
-    /// supports bit-exact, scores within the drift bound — without a
-    /// fallback refactorization (the delta is small enough for the rank-1
-    /// patch path).
+    /// supports bit-exact, scores within the drift bound — without a full
+    /// rebuild (the delta is small enough for the incremental path).
     #[test]
     fn update_then_explain_matches_cold_rebuild() {
         let mut s = session(4000, 60);
@@ -1921,7 +1922,7 @@ mod tests {
     }
 
     /// An adversarial delta — a fifth of the training set removed at once —
-    /// must trip the drift bound (counted as a factor fallback) and *still*
+    /// must trip the drift bound (counted as an update rebuild) and *still*
     /// answer like the cold oracle: fallbacks trade speed, never
     /// correctness.
     #[test]
@@ -1934,11 +1935,14 @@ mod tests {
         let removed: Vec<usize> = (0..n / 5).map(|i| i * 5).collect();
         let report = s.update(&removed, &german(4, 65));
         assert!(
-            report.engine.fell_back(),
+            matches!(
+                report.engine.rebuild,
+                Some(gopher_influence::RebuildCause::Drift { relative }) if relative > 1e-2
+            ),
             "a 20% removal must not survive the drift bound: {:?}",
             report.engine
         );
-        assert_eq!(s.stats().factor_fallbacks, 1);
+        assert_eq!(s.stats().update_rebuilds, 1);
 
         let oracle = s.cold_rebuild(|cols| LogisticRegression::new(cols, 1e-3));
         assert_reports_match(&s.explain(&req).report, &oracle.explain(&req).report);

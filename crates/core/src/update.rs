@@ -16,7 +16,7 @@
 use crate::explainer::{Explanation, ExplanationReport};
 use crate::session::{gt_responsibility, ExplainRequest, ExplainSession};
 use gopher_data::{Encoded, EncodedGroup, Value};
-use gopher_fairness::{bias_gradient, FairnessMetric};
+use gopher_fairness::FairnessMetric;
 use gopher_influence::{retrain_updated, HessianBackend, ModelFamily};
 use gopher_linalg::vecops;
 use gopher_models::Differentiable;
@@ -145,7 +145,8 @@ where
         let train = self.train();
         let model = self.model();
         let d = train.n_cols();
-        let grad_f = bias_gradient(metric, model, self.test());
+        let precomp = self.bias_precomp(metric);
+        let grad_f = precomp.grad_f;
 
         // Box constraints keeping every updated point inside the training
         // domain: per encoded column, δ ∈ [lo − max_i x, hi − min_i x].
@@ -264,7 +265,7 @@ where
         let ground_truth_responsibility = if cfg.ground_truth {
             let outcome = retrain_updated(model, &updated);
             let new_bias = gopher_fairness::bias(metric, &outcome.model, self.test());
-            Some(gt_responsibility(self.base_bias(metric), new_bias))
+            Some(gt_responsibility(precomp.base_hard, new_bias))
         } else {
             None
         };

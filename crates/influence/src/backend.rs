@@ -22,7 +22,9 @@
 //! `influence_backend` integration tests).
 
 use crate::bias::{BiasEval, BiasInfluence, BiasPrecomp};
-use crate::engine::{EngineUpdateReport, Estimator, InfluenceConfig, InfluenceEngine};
+use crate::engine::{
+    EngineUpdateReport, Estimator, InfluenceConfig, InfluenceEngine, RebuildCause,
+};
 use crate::retrain::{retrain_without, retrain_without_many};
 use gopher_data::Encoded;
 use gopher_fairness::FairnessMetric;
@@ -323,9 +325,8 @@ impl InfluenceBackend for UnlearningBackend {
     /// training set. Additions are where per-tree unlearning is inexact —
     /// bootstrap membership of rows that never existed at fit time is
     /// undefined — so any added row triggers the documented full-rebuild
-    /// fallback: a scratch refit on the new training set
-    /// (`full_rebuild: true` in the report, mirroring the engine's
-    /// non-analytic path).
+    /// fallback: a scratch refit on the new training set, reported as
+    /// [`RebuildCause::ForestAddition`].
     fn update(
         &mut self,
         old_train: &Encoded,
@@ -341,8 +342,7 @@ impl InfluenceBackend for UnlearningBackend {
             self.forest.remap_after_removal(&removed);
             self.n_train = new_train.n_rows();
             EngineUpdateReport {
-                refactored: false,
-                full_rebuild: false,
+                rebuild: None,
                 retrain: train_error_report(&self.forest, new_train, 0),
             }
         } else {
@@ -351,8 +351,7 @@ impl InfluenceBackend for UnlearningBackend {
             self.forest = forest;
             self.n_train = new_train.n_rows();
             EngineUpdateReport {
-                refactored: false,
-                full_rebuild: true,
+                rebuild: Some(RebuildCause::ForestAddition),
                 retrain,
             }
         }
@@ -529,7 +528,7 @@ mod tests {
         let added_x: Vec<f64> = vec![0.0; train.n_cols()];
         let added: Vec<(&[f64], f64)> = vec![(added_x.as_slice(), 1.0)];
         let report = backend.update(&new_train, &new_train, &[], &[], &added);
-        assert!(report.full_rebuild);
+        assert_eq!(report.rebuild, Some(RebuildCause::ForestAddition));
         assert!(report.retrain.converged);
     }
 }

@@ -14,10 +14,6 @@ use gopher_models::Differentiable;
 /// approximation error of the influence estimators themselves.
 const UPDATE_DRIFT_TOL: f64 = 1e-2;
 
-/// Relative residual allowed between the patched Cholesky factor and the
-/// incrementally assembled Hessian before falling back to refactorization.
-const FACTOR_RESIDUAL_TOL: f64 = 1e-5;
-
 /// Quasi-Newton iterations allowed for the warm retrain inside
 /// [`InfluenceEngine::update`] before handing over to the full trainer.
 const WARM_RETRAIN_MAX_ITER: usize = 12;
@@ -78,30 +74,53 @@ impl Default for InfluenceConfig {
     }
 }
 
+/// Why an update rebuilt the influence state from scratch instead of
+/// absorbing the delta incrementally.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RebuildCause {
+    /// The model has no rank-one Hessian structure to patch (no analytic
+    /// Hessian, e.g. the MLP), so every delta retrains and rebuilds.
+    NoRankOneHessian,
+    /// The warm quasi-Newton retrain did not meet the trainer's gradient
+    /// tolerance; the line-searched trainer took over.
+    RetrainStalled,
+    /// The parameters drifted more than `UPDATE_DRIFT_TOL` (`1e-2`) from
+    /// where the Hessian was last assembled in full.
+    Drift {
+        /// The drift that tripped the bound, `‖θ − θ_H‖ / (1 + ‖θ‖)`.
+        relative: f64,
+    },
+    /// The delta added rows to a forest, whose per-tree unlearning only
+    /// absorbs removals (see `UnlearningBackend`).
+    ForestAddition,
+}
+
+impl RebuildCause {
+    /// The kebab-case name the JSON surfaces report.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Self::NoRankOneHessian => "no-rank-one-hessian",
+            Self::RetrainStalled => "retrain-stalled",
+            Self::Drift { .. } => "drift",
+            Self::ForestAddition => "forest-addition",
+        }
+    }
+}
+
 /// What [`InfluenceEngine::update`] did to absorb a training-set delta.
 #[derive(Debug, Clone)]
 pub struct EngineUpdateReport {
-    /// The patched factor failed its residual probe (or a rank-1 downdate
-    /// lost positive-definiteness) and the Hessian was refactored from the
-    /// incrementally assembled matrix.
-    pub refactored: bool,
-    /// The whole engine was rebuilt from scratch. Three causes set it, and
-    /// the report does not say which one fired:
-    /// * the model has no rank-one Hessian structure to patch (no analytic
-    ///   Hessian, e.g. the MLP), so every delta retrains and rebuilds;
-    /// * the warm quasi-Newton retrain stalled before meeting the trainer's
-    ///   gradient tolerance;
-    /// * the parameters drifted more than `UPDATE_DRIFT_TOL` (`1e-2`,
-    ///   relative) from where the Hessian was last assembled in full.
-    pub full_rebuild: bool,
+    /// Why the engine was rebuilt from scratch, or `None` when the delta
+    /// was absorbed incrementally.
+    pub rebuild: Option<RebuildCause>,
     /// Diagnostics of the warm retrain on the post-delta training set.
     pub retrain: TrainReport,
 }
 
 impl EngineUpdateReport {
-    /// Whether either fallback (refactorization or full rebuild) fired.
+    /// Whether the update fell back to a full rebuild.
     pub fn fell_back(&self) -> bool {
-        self.refactored || self.full_rebuild
+        self.rebuild.is_some()
     }
 }
 
@@ -221,24 +240,23 @@ impl<M: Differentiable> InfluenceEngine<M> {
     /// `new_train` is the post-delta training set; `removed` and `added` are
     /// the encoded `(x, y)` rows that left and entered it. The engine
     /// 1. patches its damped mean Hessian exactly at the current parameters
-    ///    (`S_new = S_old − Σ h_removed + Σ h_added`, `O(|Δ| p²)`),
-    /// 2. patches the Cholesky factor with one rank-1 update/downdate per
-    ///    delta row (via [`Differentiable::hessian_rank_one`]) and verifies
-    ///    it against the patched Hessian with a residual probe,
-    /// 3. warm-retrains by quasi-Newton steps through the patched factor
-    ///    until the true gradient norm on `new_train` meets the Newton
-    ///    trainer's tolerance, and
-    /// 4. recomputes all per-row gradients, their sum, and the per-row
+    ///    (`S_new = S_old − Σ h_removed + Σ h_added`, `O(|Δ| p²)`) and
+    ///    factors the patched matrix afresh (`O(p³)`, escalating the
+    ///    damping if the patch lost definiteness),
+    /// 2. warm-retrains by quasi-Newton steps through that factor until the
+    ///    true gradient norm on `new_train` meets the Newton trainer's
+    ///    tolerance, and
+    /// 3. recomputes all per-row gradients, their sum, and the per-row
     ///    Hessian weights at the new optimum (`O(n p)`).
     ///
-    /// Fallbacks: a failed downdate or probe refactors from the patched
-    /// Hessian (`refactored`, `O(p³)`); a retrain stall, a non-analytic
-    /// model, or accumulated parameter drift beyond `UPDATE_DRIFT_TOL`
-    /// (`1e-2`, relative) rebuilds the engine in full (`full_rebuild`,
-    /// `O(n p²)`). Either way the engine ends consistent with `new_train`.
+    /// Fallback: a model without rank-one Hessians, a warm-retrain stall,
+    /// or accumulated parameter drift beyond `UPDATE_DRIFT_TOL` (`1e-2`,
+    /// relative) rebuilds the engine in full (`O(n p²)`), and the report
+    /// names the cause. Either way the engine ends consistent with
+    /// `new_train`.
     ///
     /// # Panics
-    /// If `new_train` is empty or the refactorization cannot be made
+    /// If `new_train` is empty or the patched Hessian cannot be made
     /// positive definite even with escalated damping.
     pub fn update(
         &mut self,
@@ -252,8 +270,7 @@ impl<M: Differentiable> InfluenceEngine<M> {
             // No per-row Hessian structure to patch: retrain and rebuild.
             let retrain = self.rebuild_from_scratch(new_train);
             return EngineUpdateReport {
-                refactored: false,
-                full_rebuild: true,
+                rebuild: Some(RebuildCause::NoRankOneHessian),
                 retrain,
             };
         }
@@ -280,76 +297,19 @@ impl<M: Differentiable> InfluenceEngine<M> {
         hessian_new.scale(1.0 / n_new as f64);
         hessian_new.add_diagonal(c);
 
-        // Patch the factor: rescale the data term to the new row count, then
-        // one rank-1 update (added) or downdate (removed) per delta row.
-        let mut chol = self.chol.clone();
-        chol.scale(n_old / n_new as f64);
-        let mut aug = vec![0.0; p];
-        let mut patched = true;
-        'patch: {
-            for &(x, y) in added {
-                match self.model.hessian_rank_one(x, y, &mut aug) {
-                    Some(w) if w > 0.0 => {
-                        let s = (w / n_new as f64).sqrt();
-                        let v: Vec<f64> = aug.iter().map(|a| a * s).collect();
-                        chol.rank_one_update(&v);
-                    }
-                    Some(_) => {}
-                    None => {
-                        patched = false;
-                        break 'patch;
-                    }
-                }
-            }
-            for &(x, y) in removed {
-                match self.model.hessian_rank_one(x, y, &mut aug) {
-                    Some(w) if w > 0.0 => {
-                        let s = (w / n_new as f64).sqrt();
-                        let v: Vec<f64> = aug.iter().map(|a| a * s).collect();
-                        if chol.rank_one_downdate(&v).is_err() {
-                            // Factor is poisoned; discard it below.
-                            patched = false;
-                            break 'patch;
-                        }
-                    }
-                    Some(_) => {}
-                    None => {
-                        patched = false;
-                        break 'patch;
-                    }
-                }
-            }
+        // Factor the patched Hessian afresh (`O(p³)`: microseconds at this
+        // repo's p, against milliseconds for the rest of the update). A
+        // patch that lost definiteness gets escalated damping, and the
+        // stored Hessian carries it too.
+        let (chol, extra) = Cholesky::factor_damped(&hessian_new, 0.0, 24)
+            .expect("patched Hessian must factor after damping escalation");
+        if extra > 0.0 {
+            hessian_new.add_diagonal(extra);
+            self.damping_used += extra;
         }
 
-        // Residual probe: the patched factor must reproduce the patched
-        // Hessian (solve(H v) ≈ v). Catches downdate roundoff as well as the
-        // deliberate diagonal discrepancy when |Δ| changes the row count.
-        let verified = patched && {
-            let probe: Vec<f64> = (0..p).map(|i| 1.0 / (i as f64 + 1.0)).collect();
-            let hv = hessian_new.matvec(&probe);
-            let back = chol.solve(&hv);
-            let mut err = 0.0;
-            let mut nrm = 0.0;
-            for (b, v) in back.iter().zip(&probe) {
-                err += (b - v) * (b - v);
-                nrm += v * v;
-            }
-            let rel = (err / nrm).sqrt();
-            rel.is_finite() && rel <= FACTOR_RESIDUAL_TOL
-        };
-        let refactored = !verified;
-        if refactored {
-            let (fresh, extra) = Cholesky::factor_damped(&hessian_new, 0.0, 24)
-                .expect("patched Hessian must factor after damping escalation");
-            chol = fresh;
-            if extra > 0.0 {
-                hessian_new.add_diagonal(extra);
-                self.damping_used += extra;
-            }
-        }
-
-        // Warm quasi-Newton retrain: steps through the (fixed) patched
-        // factor, judged on the true gradient of the post-delta objective.
+        // Warm quasi-Newton retrain: steps through the (fixed) factor,
+        // judged on the true gradient of the post-delta objective.
         let cfg = NewtonConfig::default();
         let mut model = self.model.clone();
         let mut grad = vec![0.0; p];
@@ -377,8 +337,7 @@ impl<M: Differentiable> InfluenceEngine<M> {
             // the line-searched trainer and rebuild everything at its answer.
             let retrain = self.rebuild_from_scratch(new_train);
             return EngineUpdateReport {
-                refactored,
-                full_rebuild: true,
+                rebuild: Some(RebuildCause::RetrainStalled),
                 retrain,
             };
         }
@@ -404,15 +363,13 @@ impl<M: Differentiable> InfluenceEngine<M> {
             };
             *self = Self::new(model, new_train, self.config.clone());
             return EngineUpdateReport {
-                refactored,
-                full_rebuild: true,
+                rebuild: Some(RebuildCause::Drift { relative: drift }),
                 retrain,
             };
         }
 
         // Commit: per-row gradients are always recomputed in full at the new
-        // optimum (exact, O(n p)); Hessian and factor keep their patched
-        // forms.
+        // optimum (exact, O(n p)); the Hessian keeps its patched form.
         // Reuse the existing gradient storage when the row count is
         // unchanged (the common balanced-delta case): a fresh `zeros`
         // allocation of `n × p` would fault in every page again on each
@@ -429,6 +386,7 @@ impl<M: Differentiable> InfluenceEngine<M> {
         // Gradient sum and Hessian weights follow `new`'s row order too.
         let mut data_loss = 0.0;
         let mut grad_sum = vec![0.0; p];
+        let mut aug = vec![0.0; p];
         let mut hess_weights = Some(Vec::with_capacity(n_new));
         for r in 0..n_new {
             let (x, y) = (new_train.x.row(r), new_train.y[r]);
@@ -454,8 +412,7 @@ impl<M: Differentiable> InfluenceEngine<M> {
         self.chol = chol;
         self.n = n_new;
         EngineUpdateReport {
-            refactored,
-            full_rebuild: false,
+            rebuild: None,
             retrain,
         }
     }
@@ -1003,7 +960,7 @@ mod tests {
         let rm = delta_pairs(&data, &removed);
         let add = delta_pairs(&data, &dup);
         let report = engine.update(&new_train, &as_refs(&rm), &as_refs(&add));
-        assert!(!report.full_rebuild, "small delta must stay incremental");
+        assert_eq!(report.rebuild, None, "small delta must stay incremental");
         assert!(report.retrain.converged);
         // Assemble the Hessian in full at the *old* parameters — the point
         // the incremental patch was evaluated at — and compare.
@@ -1040,7 +997,7 @@ mod tests {
         let add = delta_pairs(&data, &dup);
         let report = engine.update(&new_train, &as_refs(&rm), &as_refs(&add));
         assert!(report.retrain.converged);
-        assert!(!report.full_rebuild, "small delta must stay incremental");
+        assert_eq!(report.rebuild, None, "small delta must stay incremental");
         // A from-scratch session on the post-delta data reaches the same
         // (unique, convex) optimum.
         let mut fresh = LogisticRegression::new(new_train.n_cols(), 1e-3);
@@ -1062,21 +1019,51 @@ mod tests {
         }
     }
 
+    /// `‖solve(H v) − v‖ / ‖v‖` for the engine's stored factor and Hessian.
+    fn factor_residual<M: Differentiable>(engine: &InfluenceEngine<M>) -> f64 {
+        let v: Vec<f64> = (0..engine.n_params())
+            .map(|i| 1.0 / (i as f64 + 1.0))
+            .collect();
+        let back = engine.chol.solve(&engine.hessian.matvec(&v));
+        vecops::norm2(&vecops::sub(&back, &v)) / vecops::norm2(&v)
+    }
+
     #[test]
-    fn adversarial_downdate_falls_back_to_refactor() {
+    fn indefinite_patch_escalates_damping_and_still_converges() {
         let (data, mut engine) = fitted_engine(200, 33);
+        let damping_before = engine.damping_used();
         // Claim row 0 was removed far more times than it exists: the
-        // downdates drive the factor (and the patched Hessian) indefinite.
+        // patched Hessian loses definiteness.
         let rm: Vec<(Vec<f64>, f64)> = (0..120)
             .map(|_| (data.x.row(0).to_vec(), data.y[0]))
             .collect();
         let report = engine.update(&data, &as_refs(&rm), &[]);
         assert!(
-            report.refactored,
-            "losing definiteness must trigger refactorization"
+            engine.damping_used() > damping_before,
+            "an indefinite patch must escalate the damping: {} -> {}",
+            damping_before,
+            engine.damping_used()
         );
         // The training set itself is unchanged, so θ stays optimal.
         assert!(report.retrain.converged);
+        assert_eq!(report.rebuild, None);
+        assert!(factor_residual(&engine) <= 1e-10);
+    }
+
+    /// An unbalanced delta changes n, and with it the mean-form Hessian's
+    /// normalization: the stored factor must still solve the stored
+    /// Hessian.
+    #[test]
+    fn factor_solves_the_stored_hessian_after_an_unbalanced_delta() {
+        let (data, mut engine) = fitted_engine(4000, 38);
+        let removed: Vec<usize> = vec![5, 6, 700];
+        let new_train = with_delta(&data, &removed, &[]);
+        let rm = delta_pairs(&data, &removed);
+        let report = engine.update(&new_train, &as_refs(&rm), &[]);
+        assert_eq!(report.rebuild, None, "small delta must stay incremental");
+        assert_eq!(engine.n_train(), new_train.n_rows());
+        let residual = factor_residual(&engine);
+        assert!(residual <= 1e-10, "factor residual {residual}");
     }
 
     #[test]
@@ -1100,7 +1087,11 @@ mod tests {
         let rm = delta_pairs(&data, &[0]);
         let add = delta_pairs(&data, &[1]);
         let report = engine.update(&new_train, &as_refs(&rm), &as_refs(&add));
-        assert!(report.full_rebuild, "MLP has no rank-1 structure to patch");
+        assert_eq!(
+            report.rebuild,
+            Some(RebuildCause::NoRankOneHessian),
+            "MLP has no rank-1 structure to patch"
+        );
         assert_eq!(engine.n_train(), new_train.n_rows());
     }
 
@@ -1151,7 +1142,7 @@ mod tests {
         let rm = delta_pairs(&data, &[4, 90]);
         let add = delta_pairs(&data, &[7, 8]);
         let report = engine.update(&new_train, &as_refs(&rm), &as_refs(&add));
-        assert!(!report.full_rebuild, "small delta must stay incremental");
+        assert_eq!(report.rebuild, None, "small delta must stay incremental");
         assert_weighted_hvp_matches_per_row(&engine, &new_train);
         assert_eq!(engine.gradient_sum(), row_sum(&engine).as_slice());
 

@@ -142,97 +142,6 @@ impl Cholesky {
             b[i] = s / self.l[(i, i)];
         }
     }
-
-    /// Solves for several right-hand sides given as rows of `b`
-    /// (returns a matrix whose row `i` is `A⁻¹ bᵢ`).
-    pub fn solve_rows(&self, b: &Matrix) -> Matrix {
-        assert_eq!(b.cols(), self.dim(), "solve_rows: dimension mismatch");
-        let mut out = b.clone();
-        for i in 0..out.rows() {
-            self.solve_in_place(out.row_mut(i));
-        }
-        out
-    }
-
-    /// Log-determinant of `A` (sum of log of squared diagonal of `L`).
-    pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|i| 2.0 * self.l[(i, i)].ln()).sum()
-    }
-
-    /// Rescales the factored matrix: after `scale(alpha)` the factor
-    /// represents `alpha * A` (the factor itself is scaled by `√alpha`).
-    /// Used when a mean-form Hessian `(1/n)Σᵢ hᵢ` changes its row count:
-    /// `A' = (n/n') A ± rank-1 terms`.
-    ///
-    /// # Panics
-    /// If `alpha` is not strictly positive and finite.
-    pub fn scale(&mut self, alpha: f64) {
-        assert!(
-            alpha > 0.0 && alpha.is_finite(),
-            "scale: alpha must be positive and finite, got {alpha}"
-        );
-        self.l.scale(alpha.sqrt());
-    }
-
-    /// Rank-1 update: replaces the factored `A` with `A + x xᵀ` in O(p²)
-    /// using Givens-style rotations on the columns of `L` (the classic
-    /// LINPACK `dchud` scheme). Always succeeds — adding an outer product
-    /// keeps a positive-definite matrix positive definite.
-    ///
-    /// # Panics
-    /// If `x.len() != dim()`.
-    pub fn rank_one_update(&mut self, x: &[f64]) {
-        let n = self.dim();
-        assert_eq!(x.len(), n, "rank_one_update: dimension mismatch");
-        let mut work = x.to_vec();
-        for j in 0..n {
-            let ljj = self.l[(j, j)];
-            let r = ljj.hypot(work[j]);
-            let c = r / ljj;
-            let s = work[j] / ljj;
-            self.l[(j, j)] = r;
-            for i in (j + 1)..n {
-                let lij = (self.l[(i, j)] + s * work[i]) / c;
-                work[i] = c * work[i] - s * lij;
-                self.l[(i, j)] = lij;
-            }
-        }
-    }
-
-    /// Rank-1 downdate: replaces the factored `A` with `A − x xᵀ` in O(p²),
-    /// the hyperbolic counterpart of [`Self::rank_one_update`]. Fails when
-    /// the downdated matrix loses positive-definiteness (numerically: a
-    /// pivot `Lⱼⱼ² − wⱼ²` that is not strictly positive), reporting the
-    /// offending pivot like [`Self::factor`].
-    ///
-    /// On `Err` the factor is left partially modified and must be discarded
-    /// (callers refactor from the full matrix — that is exactly the
-    /// fallback path this error exists to trigger).
-    ///
-    /// # Panics
-    /// If `x.len() != dim()`.
-    pub fn rank_one_downdate(&mut self, x: &[f64]) -> Result<(), CholeskyError> {
-        let n = self.dim();
-        assert_eq!(x.len(), n, "rank_one_downdate: dimension mismatch");
-        let mut work = x.to_vec();
-        for j in 0..n {
-            let ljj = self.l[(j, j)];
-            let d = ljj * ljj - work[j] * work[j];
-            if d <= 0.0 || !d.is_finite() {
-                return Err(CholeskyError { pivot: j, value: d });
-            }
-            let r = d.sqrt();
-            let c = r / ljj;
-            let s = work[j] / ljj;
-            self.l[(j, j)] = r;
-            for i in (j + 1)..n {
-                let lij = (self.l[(i, j)] - s * work[i]) / c;
-                work[i] = c * work[i] - s * lij;
-                self.l[(i, j)] = lij;
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -281,20 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_rows_matches_individual_solves() {
-        let a = spd_example();
-        let chol = Cholesky::factor(&a).unwrap();
-        let rhs = Matrix::from_rows(&[vec![1.0, 0.0, 0.0], vec![0.0, 1.0, 1.0]]);
-        let solved = chol.solve_rows(&rhs);
-        for i in 0..2 {
-            let single = chol.solve(rhs.row(i));
-            for j in 0..3 {
-                assert!((solved[(i, j)] - single[j]).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
     fn rejects_indefinite_matrix() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 1.0]]); // eigenvalues 3, -1
         let err = Cholesky::factor(&a).unwrap_err();
@@ -323,88 +218,5 @@ mod tests {
         let chol = Cholesky::factor(&Matrix::identity(4)).unwrap();
         let b = vec![1.0, 2.0, 3.0, 4.0];
         assert_eq!(chol.solve(&b), b);
-        assert!((chol.log_det()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn log_det_of_diagonal() {
-        let mut a = Matrix::identity(2);
-        a[(0, 0)] = 4.0;
-        a[(1, 1)] = 9.0;
-        let chol = Cholesky::factor(&a).unwrap();
-        assert!((chol.log_det() - (4.0f64.ln() + 9.0f64.ln())).abs() < 1e-12);
-    }
-
-    fn assert_factors_same_matrix(chol: &Cholesky, a: &Matrix, tol: f64) {
-        let l = chol.factor_matrix();
-        let recon = l.matmul(&l.transpose());
-        for i in 0..a.rows() {
-            for j in 0..a.cols() {
-                assert!(
-                    (recon[(i, j)] - a[(i, j)]).abs() < tol,
-                    "mismatch at ({i},{j}): {} vs {}",
-                    recon[(i, j)],
-                    a[(i, j)]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn rank_one_update_matches_refactorization() {
-        let mut a = spd_example();
-        let mut chol = Cholesky::factor(&a).unwrap();
-        let x = [0.5, -1.5, 2.0];
-        chol.rank_one_update(&x);
-        a.rank1_update(1.0, &x);
-        assert_factors_same_matrix(&chol, &a, 1e-10);
-    }
-
-    #[test]
-    fn rank_one_downdate_matches_refactorization() {
-        // Build A = base + x xᵀ, factor, downdate by x: must recover base.
-        let base = spd_example();
-        let x = [0.5, -1.5, 2.0];
-        let mut a = base.clone();
-        a.rank1_update(1.0, &x);
-        let mut chol = Cholesky::factor(&a).unwrap();
-        chol.rank_one_downdate(&x).unwrap();
-        assert_factors_same_matrix(&chol, &base, 1e-9);
-    }
-
-    #[test]
-    fn update_then_downdate_round_trips() {
-        let a = spd_example();
-        let mut chol = Cholesky::factor(&a).unwrap();
-        let x = [1.0, 2.0, -0.5];
-        chol.rank_one_update(&x);
-        chol.rank_one_downdate(&x).unwrap();
-        assert_factors_same_matrix(&chol, &a, 1e-9);
-    }
-
-    #[test]
-    fn downdate_that_loses_definiteness_errors() {
-        // A − x xᵀ with ‖x‖ big enough is indefinite.
-        let a = spd_example();
-        let mut chol = Cholesky::factor(&a).unwrap();
-        let err = chol.rank_one_downdate(&[10.0, 0.0, 0.0]).unwrap_err();
-        assert!(err.value <= 0.0 || !err.value.is_finite());
-    }
-
-    #[test]
-    fn scale_rescales_the_factored_matrix() {
-        let a = spd_example();
-        let mut chol = Cholesky::factor(&a).unwrap();
-        chol.scale(0.25);
-        let mut scaled = a.clone();
-        scaled.scale(0.25);
-        assert_factors_same_matrix(&chol, &scaled, 1e-10);
-        // Solves now invert 0.25·A.
-        let b = vec![1.0, -1.0, 2.0];
-        let x = chol.solve(&b);
-        let back = scaled.matvec(&x);
-        for (u, v) in back.iter().zip(&b) {
-            assert!((u - v).abs() < 1e-9);
-        }
     }
 }

@@ -95,11 +95,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Mutable raw row-major storage.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Matrix–vector product `y = A x`.
     ///
     /// # Panics
@@ -119,22 +114,6 @@ impl Matrix {
         for (i, yi) in y.iter_mut().enumerate() {
             *yi = vecops::dot(self.row(i), x);
         }
-    }
-
-    /// Transposed product `y = Aᵀ x`.
-    ///
-    /// # Panics
-    /// If `x.len() != rows`.
-    pub fn matvec_t(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.rows, "matvec_t: dimension mismatch");
-        let mut y = vec![0.0; self.cols];
-        for (i, &xi) in x.iter().enumerate() {
-            if xi == 0.0 {
-                continue;
-            }
-            vecops::axpy(xi, self.row(i), &mut y);
-        }
-        y
     }
 
     /// Dense matrix product `A * B`.
@@ -218,11 +197,6 @@ impl Matrix {
         self.data.iter().fold(0.0, |acc, v| acc.max(v.abs()))
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        vecops::norm2(&self.data)
-    }
-
     /// True if every entry is finite.
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
@@ -288,17 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn matvec_t_matches_transpose_matvec() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
-        let x = [1.0, 0.5, -2.0];
-        let direct = a.matvec_t(&x);
-        let via_transpose = a.transpose().matvec(&x);
-        for (u, v) in direct.iter().zip(&via_transpose) {
-            assert_close(*u, *v, 1e-12);
-        }
-    }
-
-    #[test]
     fn matmul_identity_is_noop() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
         let i = Matrix::identity(2);
@@ -359,7 +322,6 @@ mod tests {
     #[test]
     fn norms() {
         let a = Matrix::from_rows(&[vec![3.0, 0.0], vec![0.0, -4.0]]);
-        assert_close(a.frobenius_norm(), 5.0, 1e-12);
         assert_close(a.max_abs(), 4.0, 1e-12);
         assert!(a.is_finite());
         let mut b = a.clone();

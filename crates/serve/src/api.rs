@@ -8,7 +8,7 @@
 
 use gopher_core::{ExplainRequest, ExplainResponse, SessionStats, UpdateReport};
 use gopher_fairness::FairnessMetric;
-use gopher_influence::{BiasEval, Estimator};
+use gopher_influence::{BiasEval, Estimator, RebuildCause};
 use gopher_json::Json;
 
 /// Parses a fairness-metric name (long or short form).
@@ -229,19 +229,39 @@ pub fn session_stats_json(stats: &SessionStats) -> Json {
             Json::num(stats.coverage_inserts_refused as f64),
         ),
         ("updates_applied", Json::num(stats.updates_applied as f64)),
-        ("factor_fallbacks", Json::num(stats.factor_fallbacks as f64)),
+        ("update_rebuilds", Json::num(stats.update_rebuilds as f64)),
         ("explain_p50_us", Json::num(stats.explain_p50_us as f64)),
         ("explain_p99_us", Json::num(stats.explain_p99_us as f64)),
     ])
 }
 
-/// The `POST /sessions/{name}/update` response: what the delta did, which
-/// path the influence engine took (incremental patch vs fallback), and how
-/// many merged-pattern coverages it discarded (`artifacts_invalidated`: the
-/// session's materialized coverages of patterns with two or more
-/// predicates, which range over the old rows). `updates_applied` is the
-/// session's cumulative counter *after* this update.
+/// The `rebuild_cause` and `drift` members of an update report: the
+/// kebab-case [`RebuildCause`] name (`null` when the delta was absorbed
+/// incrementally) and, for a drift rebuild, the relative drift that
+/// tripped the bound (`null` otherwise).
+pub fn rebuild_cause_json(cause: Option<RebuildCause>) -> [(&'static str, Json); 2] {
+    let drift = match cause {
+        Some(RebuildCause::Drift { relative }) => Json::num(relative),
+        _ => Json::Null,
+    };
+    [
+        (
+            "rebuild_cause",
+            cause.map_or(Json::Null, |c| Json::str(c.name())),
+        ),
+        ("drift", drift),
+    ]
+}
+
+/// The `POST /sessions/{name}/update` response: what the delta did, why
+/// the influence engine rebuilt from scratch if it did
+/// ([`rebuild_cause_json`]), and how many merged-pattern coverages it
+/// discarded (`artifacts_invalidated`: the session's materialized
+/// coverages of patterns with two or more predicates, which range over the
+/// old rows). `updates_applied` is the session's cumulative counter
+/// *after* this update.
 pub fn update_report_json(report: &UpdateReport, updates_applied: u64, name: &str) -> Json {
+    let [rebuild_cause, drift] = rebuild_cause_json(report.engine.rebuild);
     Json::obj([
         ("name", Json::str(name)),
         ("rows_removed", Json::num(report.rows_removed as f64)),
@@ -251,8 +271,8 @@ pub fn update_report_json(report: &UpdateReport, updates_applied: u64, name: &st
             "artifacts_invalidated",
             Json::num(report.artifacts_invalidated as f64),
         ),
-        ("refactored", Json::Bool(report.engine.refactored)),
-        ("full_rebuild", Json::Bool(report.engine.full_rebuild)),
+        rebuild_cause,
+        drift,
         ("fell_back", Json::Bool(report.engine.fell_back())),
         (
             "retrain_converged",

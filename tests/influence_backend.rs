@@ -15,9 +15,12 @@ use gopher_data::generators::german;
 use gopher_data::{Dataset, Encoder};
 use gopher_influence::{
     BiasEval, BiasInfluence, HessianBackend, InfluenceBackend, InfluenceEngine, ModelFamily,
+    RebuildCause,
 };
+use gopher_json::Json;
 use gopher_models::{Differentiable, Forest, ForestConfig, LinearSvm, LogisticRegression, Mlp};
 use gopher_prng::Rng;
+use gopher_serve::api;
 
 fn split(n: usize, seed: u64) -> (Dataset, Dataset) {
     let mut rng = Rng::new(seed);
@@ -126,8 +129,7 @@ fn lr_update_through_the_backend_matches_the_direct_engine_path() {
         .collect();
     let direct = engine.update(&new_train, &removed_pairs, &added_pairs);
 
-    assert_eq!(report.engine.refactored, direct.refactored);
-    assert_eq!(report.engine.full_rebuild, direct.full_rebuild);
+    assert_eq!(report.engine.rebuild, direct.rebuild);
     let session_bits: Vec<u64> = session
         .model()
         .params()
@@ -199,8 +201,8 @@ fn forest_update_is_exact_for_removals_and_rebuilds_for_additions() {
     // and is intentionally not the comparison here.)
     let n_before = session.model().n_train_rows();
     let report = session.update(&[2, 30, 77], &empty);
-    assert!(
-        !report.engine.full_rebuild,
+    assert_eq!(
+        report.engine.rebuild, None,
         "removal-only forest delta must take the exact unlearning path"
     );
     assert_eq!(session.model().n_train_rows(), n_before - 3);
@@ -208,8 +210,91 @@ fn forest_update_is_exact_for_removals_and_rebuilds_for_additions() {
 
     // Any addition: documented full-rebuild fallback.
     let report = session.update(&[], &german(4, 91));
-    assert!(
-        report.engine.full_rebuild,
+    assert_eq!(
+        report.engine.rebuild,
+        Some(RebuildCause::ForestAddition),
         "additions must fall back to a full forest rebuild"
     );
+}
+
+/// The cause a fresh German session's first update reports.
+fn first_update_cause<M: ModelFamily>(
+    make: impl Fn(usize) -> M,
+    rows: usize,
+    seed: u64,
+    removed: &[usize],
+    added: &Dataset,
+) -> Option<RebuildCause> {
+    let (train, test) = split(rows, seed);
+    let mut session = SessionBuilder::new().fit(make, &train, &test);
+    session.update(removed, added).engine.rebuild
+}
+
+/// Every [`RebuildCause`], each from one seeded delta: the MLP has no
+/// rank-one Hessian to patch, a forest cannot unlearn its way to added
+/// rows, a 100-row swap on this SVM split crosses enough margins to stall
+/// the warm retrain, and a 20 % LR removal moves θ past the drift bound.
+#[test]
+fn each_rebuild_cause_is_named() {
+    let mlp_rng = Rng::new(5);
+    let every_fifth: Vec<usize> = (0..84).map(|i| i * 5).collect();
+    let every_seventh: Vec<usize> = (0..100).map(|i| i * 7).collect();
+    let cases = [
+        (
+            "mlp single-row swap",
+            first_update_cause(
+                |n| Mlp::new(n, 4, 1e-3, &mut mlp_rng.clone()),
+                300,
+                34,
+                &[0],
+                &german(1, 35),
+            ),
+            "no-rank-one-hessian",
+        ),
+        (
+            "forest addition",
+            first_update_cause(
+                |n| Forest::new(n, ForestConfig::default()),
+                300,
+                36,
+                &[],
+                &german(2, 37),
+            ),
+            "forest-addition",
+        ),
+        (
+            "svm 100-row swap",
+            first_update_cause(
+                |n| LinearSvm::new(n, 1e-3),
+                1000,
+                8,
+                &every_seventh,
+                &german(100, 9),
+            ),
+            "retrain-stalled",
+        ),
+        (
+            "lr 20% removal",
+            first_update_cause(
+                |n| LogisticRegression::new(n, 1e-3),
+                600,
+                38,
+                &every_fifth,
+                &german(0, 39),
+            ),
+            "drift",
+        ),
+    ];
+    for (case, cause, want) in cases {
+        // The JSON members `/update` and `gopher update --json` report.
+        let [(_, name), (_, drift)] = api::rebuild_cause_json(cause);
+        assert_eq!(name.as_str(), Some(want), "{case}: {cause:?}");
+        match cause {
+            Some(RebuildCause::Drift { relative }) => {
+                assert!(relative > 1e-2, "{case}: drift {relative} within the bound");
+                assert_eq!(drift.as_f64(), Some(relative), "{case}");
+            }
+            _ => assert_eq!(drift, Json::Null, "{case}"),
+        }
+    }
 }

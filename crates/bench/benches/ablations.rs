@@ -64,7 +64,6 @@ fn bench_pruning(c: &mut Criterion) {
                 support_threshold: 0.05,
                 max_predicates: 3,
                 prune_by_responsibility: prune,
-                max_level_candidates: None,
             };
             b.iter(|| {
                 lattice::compute_candidates(

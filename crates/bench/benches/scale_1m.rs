@@ -39,7 +39,6 @@ fn config() -> LatticeConfig {
         support_threshold: 0.1,
         max_predicates: 3,
         prune_by_responsibility: false,
-        max_level_candidates: None,
     }
 }
 

@@ -25,7 +25,6 @@ fn bench_table7(c: &mut Criterion) {
                     support_threshold: 0.05,
                     max_predicates: max_level,
                     prune_by_responsibility: true,
-                    max_level_candidates: None,
                 };
                 b.iter(|| {
                     lattice::compute_candidates(

@@ -28,7 +28,6 @@ pub fn table7(n_rows: usize, max_level: usize, seed: u64) -> String {
             support_threshold: tau,
             max_predicates: max_level,
             prune_by_responsibility: false, // count the raw space, as the paper's Table 7 does
-            max_level_candidates: None,
         },
         k: 5,
         estimator: Estimator::FirstOrder,
@@ -131,14 +130,7 @@ pub fn ablations(n_rows: usize, seed: u64) -> String {
     out.push_str("-- (1) Hessian damping vs second-order accuracy --\n");
     let mut t1 = TextTable::new(&["Damping", "Mean |ΔF_est − ΔF_gt|"]);
     for damping in [1e-8, 1e-6, 1e-4, 1e-2, 1e-1] {
-        let engine = InfluenceEngine::new(
-            model.clone(),
-            &p.train,
-            InfluenceConfig {
-                damping,
-                ..Default::default()
-            },
-        );
+        let engine = InfluenceEngine::new(model.clone(), &p.train, InfluenceConfig { damping });
         let bi = BiasInfluence::new(&engine, metric, &p.test);
         let err: f64 = subsets
             .iter()

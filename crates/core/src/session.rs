@@ -49,8 +49,8 @@ use crate::explainer::{Explanation, ExplanationReport};
 use gopher_data::{Dataset, Encoded, Encoder};
 use gopher_fairness::FairnessMetric;
 use gopher_influence::{
-    BiasEval, BiasPrecomp, EngineUpdateReport, Estimator, HessianBackend, InfluenceBackend,
-    InfluenceConfig, InfluenceEngine, ModelFamily,
+    responsibility, BiasEval, BiasPrecomp, EngineUpdateReport, Estimator, HessianBackend,
+    InfluenceBackend, InfluenceConfig, InfluenceEngine, ModelFamily,
 };
 use gopher_models::Differentiable;
 use gopher_patterns::{
@@ -69,18 +69,6 @@ use std::time::{Duration, Instant};
 // poisoned lock is always valid — a caught panic in one query must not
 // brick the session for the next.
 use gopher_par::lock_recover;
-
-/// Ground-truth responsibility `(F_old − F_new)/F_old` (Definition 3.2),
-/// shared by the solo, fanned-out and update-based retraining paths so
-/// they can never diverge. Zero when the baseline is (numerically) zero —
-/// an unbiased model has no root causes to attribute.
-pub(crate) fn gt_responsibility(base: f64, new_bias: f64) -> f64 {
-    if base.abs() < 1e-12 {
-        0.0
-    } else {
-        (base - new_bias) / base
-    }
-}
 
 /// Environment variable consulted when [`SessionBuilder::threads`] is left
 /// on auto: `GOPHER_THREADS=<n>` pins the worker count (used by CI to run
@@ -379,7 +367,6 @@ struct StructuralKey {
     min_count: usize,
     max_predicates: usize,
     prune_by_responsibility: bool,
-    max_level_candidates: Option<usize>,
 }
 
 impl StructuralKey {
@@ -388,7 +375,6 @@ impl StructuralKey {
             min_count: min_count_for(lattice.support_threshold, n_rows),
             max_predicates: lattice.max_predicates,
             prune_by_responsibility: lattice.prune_by_responsibility,
-            max_level_candidates: lattice.max_level_candidates,
         }
     }
 }
@@ -1093,7 +1079,7 @@ impl<M: ModelFamily> ExplainSession<M> {
                 .iter()
                 .map(|model| {
                     let new_bias = gopher_fairness::bias(req.metric, model, &self.test);
-                    Some((gt_responsibility(base_bias, new_bias), new_bias))
+                    Some((responsibility(base_bias, || base_bias - new_bias), new_bias))
                 })
                 .collect()
         } else {
@@ -1135,7 +1121,7 @@ impl<M: ModelFamily> ExplainSession<M> {
         let model = self.backend.ground_truth_model(&self.train, rows);
         let new_bias = gopher_fairness::bias(metric, &model, &self.test);
         let base = self.base_bias(metric);
-        (gt_responsibility(base, new_bias), new_bias)
+        (responsibility(base, || base - new_bias), new_bias)
     }
 
     /// Applies a training-data delta — `removed` row indices dropped,
@@ -1255,13 +1241,16 @@ impl<M: ModelFamily> ExplainSession<M> {
     /// shape; it is trained to convergence from its own initialization, so
     /// the oracle carries none of the updated session's warm state.
     ///
-    /// Identity contract (documented in the README): predicate coverages
-    /// and pattern supports match **bit for bit**; model parameters match
-    /// within the trainer's convergence tolerance; estimator
-    /// responsibilities match within the engine's drift bound, and after a
-    /// full rebuild within what the trainer's tolerance leaves (the
-    /// rebuilt engine sits at the warm-retrained parameters, not at this
-    /// oracle's cold fit).
+    /// Identity contract for the convex families, LR and the SVM
+    /// (documented in the README): predicate coverages and pattern
+    /// supports match **bit for bit**; model parameters match within the
+    /// trainer's convergence tolerance; estimator responsibilities match
+    /// within the engine's drift bound, and after a full rebuild within
+    /// what the trainer's tolerance leaves (the rebuilt engine sits at the
+    /// warm-retrained parameters, not at this oracle's cold fit). The MLP
+    /// is outside it: an update retrains from the current weights, this
+    /// oracle from a fresh initialization, and the non-convex fits can
+    /// land in different optima.
     pub fn cold_rebuild(&self, make_model: impl FnOnce(usize) -> M) -> ExplainSession<M> {
         let train = self.encoder.transform(&self.train_raw);
         let mut model = make_model(train.n_cols());
@@ -1429,17 +1418,8 @@ mod tests {
         fn accumulate_grad_proba(&self, x: &[f64], out: &mut [f64]) {
             self.inner.accumulate_grad_proba(x, out);
         }
-        fn has_analytic_hessian(&self) -> bool {
-            self.inner.has_analytic_hessian()
-        }
-        fn accumulate_hessian_vec(&self, x: &[f64], y: f64, v: &[f64], out: &mut [f64]) {
-            self.inner.accumulate_hessian_vec(x, y, v, out);
-        }
-        fn accumulate_hessian(&self, x: &[f64], y: f64, out: &mut gopher_linalg::Matrix) {
-            self.inner.accumulate_hessian(x, y, out);
-        }
-        fn hessian_rank_one(&self, x: &[f64], y: f64, aug: &mut [f64]) -> Option<f64> {
-            self.inner.hessian_rank_one(x, y, aug)
+        fn hessian_rank_one(&self, x: &[f64], y: f64) -> Option<f64> {
+            self.inner.hessian_rank_one(x, y)
         }
     }
 

@@ -14,10 +14,10 @@
 //! the nearest valid one-hot when the final updated dataset is materialized.
 
 use crate::explainer::{Explanation, ExplanationReport};
-use crate::session::{gt_responsibility, ExplainRequest, ExplainSession};
+use crate::session::{ExplainRequest, ExplainSession};
 use gopher_data::{Encoded, EncodedGroup, Value};
 use gopher_fairness::FairnessMetric;
-use gopher_influence::{retrain_updated, HessianBackend, ModelFamily};
+use gopher_influence::{responsibility, retrain_updated, HessianBackend, ModelFamily};
 use gopher_linalg::vecops;
 use gopher_models::Differentiable;
 use gopher_patterns::Candidate;
@@ -265,7 +265,9 @@ where
         let ground_truth_responsibility = if cfg.ground_truth {
             let outcome = retrain_updated(model, &updated);
             let new_bias = gopher_fairness::bias(metric, &outcome.model, self.test());
-            Some(gt_responsibility(precomp.base_hard, new_bias))
+            Some(responsibility(precomp.base_hard, || {
+                precomp.base_hard - new_bias
+            }))
         } else {
             None
         };

@@ -21,7 +21,7 @@
 //! are bit-identical through the trait (pinned by the
 //! `influence_backend` integration tests).
 
-use crate::bias::{BiasEval, BiasInfluence, BiasPrecomp};
+use crate::bias::{responsibility, BiasEval, BiasInfluence, BiasPrecomp};
 use crate::engine::{
     EngineUpdateReport, Estimator, InfluenceConfig, InfluenceEngine, RebuildCause,
 };
@@ -282,19 +282,18 @@ impl InfluenceBackend for UnlearningBackend {
         let base_hard = precomp.base_hard;
         let base_smooth = precomp.base_smooth;
         Box::new(move |rows: &[u32]| {
-            if base_hard.abs() < 1e-12 {
-                return 0.0;
-            }
-            let unlearned = self.forest.unlearn(train, rows);
-            let delta = match eval {
-                BiasEval::ReEvalSmooth => {
-                    gopher_fairness::smooth_bias(metric, &unlearned, test) - base_smooth
-                }
-                BiasEval::ChainRule | BiasEval::ReEvalHard => {
-                    gopher_fairness::bias(metric, &unlearned, test) - base_hard
-                }
-            };
-            -delta / base_hard
+            responsibility(base_hard, || {
+                let unlearned = self.forest.unlearn(train, rows);
+                let delta = match eval {
+                    BiasEval::ReEvalSmooth => {
+                        gopher_fairness::smooth_bias(metric, &unlearned, test) - base_smooth
+                    }
+                    BiasEval::ChainRule | BiasEval::ReEvalHard => {
+                        gopher_fairness::bias(metric, &unlearned, test) - base_hard
+                    }
+                };
+                -delta
+            })
         })
     }
 

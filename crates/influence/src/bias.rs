@@ -6,6 +6,24 @@ use gopher_fairness::FairnessMetric;
 use gopher_linalg::vecops;
 use gopher_models::Differentiable;
 
+/// Causal responsibility `R_F(S) = (F(θ*) − F(θ̄_S)) / F(θ*)` (paper
+/// Definition 3.2): the bias reduction `F(θ*) − F(θ̄_S)` that removing `S`
+/// brings, relative to the baseline bias `base = F(θ*)`.
+///
+/// Positive values mean removing `S` reduces bias. Returns 0 when the
+/// baseline bias is (numerically) zero — an unbiased model has no root
+/// causes to attribute — and then never evaluates `reduction`, so callers
+/// skip the estimate, unlearning or retrain behind it. Every
+/// responsibility in the workspace goes through this one formula: the
+/// influence estimates, the forest's unlearning, and the ground truth.
+pub fn responsibility(base: f64, reduction: impl FnOnce() -> f64) -> f64 {
+    if base.abs() < 1e-12 {
+        0.0
+    } else {
+        reduction() / base
+    }
+}
+
 /// How to turn an estimated parameter change into an estimated bias change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BiasEval {
@@ -135,12 +153,8 @@ impl<'a, M: Differentiable> BiasInfluence<'a, M> {
         }
     }
 
-    /// Causal responsibility `R_F(S) = (F(θ*) − F(θ̄_S)) / F(θ*)`
-    /// (paper Definition 3.2), using the estimated bias change.
-    ///
-    /// Positive values mean removing `S` reduces bias. Returns 0 when the
-    /// baseline bias is (numerically) zero — an unbiased model has no root
-    /// causes to attribute.
+    /// Causal responsibility (see [`responsibility`]) of removing the
+    /// given training rows, using the estimated bias change.
     pub fn responsibility(
         &self,
         train: &Encoded,
@@ -148,11 +162,9 @@ impl<'a, M: Differentiable> BiasInfluence<'a, M> {
         estimator: Estimator,
         eval: BiasEval,
     ) -> f64 {
-        if self.base_hard.abs() < 1e-12 {
-            return 0.0;
-        }
-        let delta_f = self.bias_change(train, rows, estimator, eval);
-        -delta_f / self.base_hard
+        responsibility(self.base_hard, || {
+            -self.bias_change(train, rows, estimator, eval)
+        })
     }
 
     fn shifted_model(&self, delta: &[f64]) -> M {

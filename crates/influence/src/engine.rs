@@ -3,7 +3,7 @@
 use gopher_data::Encoded;
 use gopher_linalg::{conjugate_gradient, vecops, Cholesky, Matrix};
 use gopher_models::train::{fit_default, full_gradient, objective, NewtonConfig, TrainReport};
-use gopher_models::Differentiable;
+use gopher_models::{rank_one, Differentiable};
 
 /// Relative parameter drift (since the last full Hessian assembly) beyond
 /// which an incremental update gives up and rebuilds the engine from scratch.
@@ -17,6 +17,13 @@ const UPDATE_DRIFT_TOL: f64 = 1e-2;
 /// Quasi-Newton iterations allowed for the warm retrain inside
 /// [`InfluenceEngine::update`] before handing over to the full trainer.
 const WARM_RETRAIN_MAX_ITER: usize = 12;
+
+/// Relative residual target of [`Estimator::NewtonStep`]'s conjugate
+/// gradient solve.
+const NEWTON_CG_TOL: f64 = 1e-10;
+
+/// Iteration cap of that solve (further capped at `4p`).
+const NEWTON_CG_MAX_ITER: usize = 500;
 
 /// Which approximation of the retraining effect to use.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,23 +61,11 @@ pub struct InfluenceConfig {
     /// model's own λ). Escalated automatically if factorization fails, which
     /// happens for the non-convex MLP.
     pub damping: f64,
-    /// Relative step for finite-difference Hessian assembly (models without
-    /// analytic Hessians).
-    pub fd_eps: f64,
-    /// CG tolerance and iteration cap for [`Estimator::NewtonStep`].
-    pub cg_tol: f64,
-    /// Maximum CG iterations.
-    pub cg_max_iter: usize,
 }
 
 impl Default for InfluenceConfig {
     fn default() -> Self {
-        Self {
-            damping: 1e-6,
-            fd_eps: 1e-5,
-            cg_tol: 1e-10,
-            cg_max_iter: 500,
-        }
+        Self { damping: 1e-6 }
     }
 }
 
@@ -78,8 +73,8 @@ impl Default for InfluenceConfig {
 /// absorbing the delta incrementally.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RebuildCause {
-    /// The model has no rank-one Hessian structure to patch (no analytic
-    /// Hessian, e.g. the MLP), so every delta retrains and rebuilds.
+    /// The model has no rank-one Hessian structure to patch (the MLP), so
+    /// every delta retrains and rebuilds.
     NoRankOneHessian,
     /// The warm quasi-Newton retrain did not meet the trainer's gradient
     /// tolerance; the line-searched trainer took over.
@@ -128,8 +123,8 @@ impl EngineUpdateReport {
 ///
 /// Construction costs one pass to collect per-example gradients (`n × p`)
 /// and per-row Hessian weights, plus the Hessian assembly (`O(n p²)` from
-/// the weights for rank-one models, `2p` full-data gradient passes
-/// otherwise — this mirrors the paper's "pre-compute the gradients and
+/// the weights for rank-one models, `p` exact Hessian–vector products per
+/// row otherwise — this mirrors the paper's "pre-compute the gradients and
 /// Hessian at start-up"). Each subsequent query is `O(m p)` for the subset
 /// gradient plus `O(p²)` per solve.
 pub struct InfluenceEngine<M: Differentiable> {
@@ -173,46 +168,24 @@ impl<M: Differentiable> InfluenceEngine<M> {
         let mut grads = Matrix::zeros(n, p);
         let mut grad_sum = vec![0.0; p];
         let mut hess_weights = Some(Vec::with_capacity(n));
-        let mut aug = vec![0.0; p];
         for r in 0..n {
             let (x, y) = (train.x.row(r), train.y[r]);
             model.accumulate_grad(x, y, grads.row_mut(r));
             vecops::axpy(1.0, grads.row(r), &mut grad_sum);
-            hess_weights = push_rank_one_weight(&model, x, y, &mut aug, hess_weights);
+            hess_weights = push_rank_one_weight(&model, x, y, hess_weights);
         }
 
         // Hessian assembly: `Σ w x̃ x̃ᵀ` from the weights just stored, or
-        // central differences for models without rank-one structure.
+        // the model's own per-row Hessian without rank-one structure.
         let mut hessian = Matrix::zeros(p, p);
-        if let Some(weights) = &hess_weights {
-            for (r, &w) in weights.iter().enumerate() {
-                add_rank_one(&mut hessian, w, train.x.row(r));
+        for r in 0..n {
+            let x = train.x.row(r);
+            match &hess_weights {
+                Some(weights) => rank_one::add_hessian(&mut hessian, weights[r], x),
+                None => model.accumulate_hessian(x, train.y[r], &mut hessian),
             }
-            hessian.scale(1.0 / n as f64);
-        } else {
-            // Column-wise central differences of the mean data gradient:
-            // H[:, j] ≈ (ḡ(θ + εeⱼ) − ḡ(θ − εeⱼ)) / 2ε.
-            let eps = config.fd_eps;
-            let mut gp = vec![0.0; p];
-            let mut gm = vec![0.0; p];
-            for j in 0..p {
-                let mut plus = model.clone();
-                plus.params_mut()[j] += eps;
-                let mut minus = model.clone();
-                minus.params_mut()[j] -= eps;
-                gp.iter_mut().for_each(|v| *v = 0.0);
-                gm.iter_mut().for_each(|v| *v = 0.0);
-                for r in 0..n {
-                    plus.accumulate_grad(train.x.row(r), train.y[r], &mut gp);
-                    minus.accumulate_grad(train.x.row(r), train.y[r], &mut gm);
-                }
-                let scale = 1.0 / (2.0 * eps * n as f64);
-                for i in 0..p {
-                    hessian[(i, j)] = (gp[i] - gm[i]) * scale;
-                }
-            }
-            hessian.symmetrize();
         }
+        hessian.scale(1.0 / n as f64);
         hessian.add_diagonal(model.l2());
 
         let (chol, damping_used) = Cholesky::factor_damped(&hessian, config.damping, 24)
@@ -266,7 +239,7 @@ impl<M: Differentiable> InfluenceEngine<M> {
     ) -> EngineUpdateReport {
         let n_new = new_train.n_rows();
         assert!(n_new > 0, "influence engine needs a non-empty training set");
-        if !self.model.has_analytic_hessian() {
+        if self.hess_weights.is_none() {
             // No per-row Hessian structure to patch: retrain and rebuild.
             let retrain = self.rebuild_from_scratch(new_train);
             return EngineUpdateReport {
@@ -386,7 +359,6 @@ impl<M: Differentiable> InfluenceEngine<M> {
         // Gradient sum and Hessian weights follow `new`'s row order too.
         let mut data_loss = 0.0;
         let mut grad_sum = vec![0.0; p];
-        let mut aug = vec![0.0; p];
         let mut hess_weights = Some(Vec::with_capacity(n_new));
         for r in 0..n_new {
             let (x, y) = (new_train.x.row(r), new_train.y[r]);
@@ -394,7 +366,7 @@ impl<M: Differentiable> InfluenceEngine<M> {
             row.fill(0.0);
             data_loss += model.accumulate_grad_and_loss(x, y, row);
             vecops::axpy(1.0, row, &mut grad_sum);
-            hess_weights = push_rank_one_weight(&model, x, y, &mut aug, hess_weights);
+            hess_weights = push_rank_one_weight(&model, x, y, hess_weights);
         }
         let theta = model.params();
         let final_loss = data_loss / n_new as f64 + 0.5 * model.l2() * vecops::dot(theta, theta);
@@ -476,10 +448,9 @@ impl<M: Differentiable> InfluenceEngine<M> {
     /// Applies the subset's mean Hessian (plus λI): `out = H̃_S · v`.
     ///
     /// Models with rank-one per-row Hessians read each row's stored weight
-    /// `w` and add `w (x̃ᵀv) x̃` — the arithmetic of their own per-row
-    /// Hessian–vector product, without re-evaluating the model. The rest
-    /// (the MLP) use a single central difference of the subset gradient
-    /// along `v` (two subset-gradient passes).
+    /// through the [`rank_one`] kernel — the arithmetic of their own
+    /// per-row Hessian–vector product, without re-evaluating the model.
+    /// The rest (the MLP) run their own exact per-row product.
     pub fn subset_hessian_vec(&self, train: &Encoded, rows: &[u32], v: &[f64]) -> Vec<f64> {
         let p = self.n_params();
         let m = rows.len().max(1) as f64;
@@ -487,43 +458,12 @@ impl<M: Differentiable> InfluenceEngine<M> {
         if rows.is_empty() {
             return out;
         }
-        if let Some(weights) = &self.hess_weights {
-            let d = p - 1;
-            for &r in rows {
-                let r = r as usize;
-                let w = weights[r];
-                if w == 0.0 {
-                    continue;
-                }
-                let x = train.x.row(r);
-                let scale = w * (vecops::dot(x, &v[..d]) + v[d]);
-                vecops::axpy(scale, x, &mut out[..d]);
-                out[d] += scale;
-            }
-        } else {
-            let vnorm = vecops::norm_inf(v);
-            if vnorm == 0.0 {
-                return out;
-            }
-            let eps = self.config.fd_eps / vnorm;
-            let mut plus = self.model.clone();
-            for (t, vi) in plus.params_mut().iter_mut().zip(v) {
-                *t += eps * vi;
-            }
-            let mut minus = self.model.clone();
-            for (t, vi) in minus.params_mut().iter_mut().zip(v) {
-                *t -= eps * vi;
-            }
-            let mut gp = vec![0.0; p];
-            let mut gm = vec![0.0; p];
-            for &r in rows {
-                let r = r as usize;
-                plus.accumulate_grad(train.x.row(r), train.y[r], &mut gp);
-                minus.accumulate_grad(train.x.row(r), train.y[r], &mut gm);
-            }
-            let scale = 1.0 / (2.0 * eps);
-            for ((o, a), b) in out.iter_mut().zip(&gp).zip(&gm) {
-                *o = (a - b) * scale;
+        for &r in rows {
+            let r = r as usize;
+            let (x, y) = (train.x.row(r), train.y[r]);
+            match &self.hess_weights {
+                Some(weights) => rank_one::add_hessian_vec(weights[r], x, v, &mut out),
+                None => self.model.accumulate_hessian_vec(x, y, v, &mut out),
             }
         }
         // Mean over the subset, then the subset's regularizer share.
@@ -577,8 +517,8 @@ impl<M: Differentiable> InfluenceEngine<M> {
                 let out = conjugate_gradient(
                     apply,
                     &g_tilde,
-                    self.config.cg_tol,
-                    self.config.cg_max_iter.min(4 * p),
+                    NEWTON_CG_TOL,
+                    NEWTON_CG_MAX_ITER.min(4 * p),
                 );
                 out.x
             }
@@ -605,49 +545,16 @@ impl<M: Differentiable> InfluenceEngine<M> {
     }
 }
 
-/// `out += w · x̃ x̃ᵀ` with `x̃ = [x, 1]`: the arithmetic of the rank-one
-/// models' own [`Differentiable::accumulate_hessian`] (rows and products
-/// that are zero add nothing), so the assembled Hessian is bit-identical to
-/// theirs.
-fn add_rank_one(out: &mut Matrix, w: f64, x: &[f64]) {
-    if w == 0.0 {
-        return;
-    }
-    let d = x.len();
-    for i in 0..d {
-        let s = w * x[i];
-        if s == 0.0 {
-            continue;
-        }
-        let row = out.row_mut(i);
-        vecops::axpy(s, x, &mut row[..d]);
-        row[d] += s;
-    }
-    let last = out.row_mut(d);
-    vecops::axpy(w, x, &mut last[..d]);
-    last[d] += w;
-}
-
 /// Appends row `(x, y)`'s rank-one Hessian weight to `weights`, or drops
-/// them all (`None`) once a row has no rank-one structure. `aug` is a
-/// work buffer of length `n_params`.
+/// them all (`None`) once a row has no rank-one structure.
 fn push_rank_one_weight<M: Differentiable>(
     model: &M,
     x: &[f64],
     y: f64,
-    aug: &mut [f64],
     weights: Option<Vec<f64>>,
 ) -> Option<Vec<f64>> {
     let mut weights = weights?;
-    weights.push(model.hessian_rank_one(x, y, aug)?);
-    debug_assert!(
-        aug.len() == x.len() + 1
-            && aug
-                .iter()
-                .zip(x.iter().chain([&1.0]))
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-        "stored Hessian weights assume x̃ = [x, 1]"
-    );
+    weights.push(model.hessian_rank_one(x, y)?);
     Some(weights)
 }
 
@@ -706,17 +613,7 @@ mod tests {
             vecops::axpy(1.0, x, &mut out[..self.n_inputs]);
             out[self.n_inputs] += 1.0;
         }
-        fn has_analytic_hessian(&self) -> bool {
-            true
-        }
-        fn accumulate_hessian_vec(&self, x: &[f64], _y: f64, v: &[f64], out: &mut [f64]) {
-            let xv = vecops::dot(x, &v[..self.n_inputs]) + v[self.n_inputs];
-            vecops::axpy(xv, x, &mut out[..self.n_inputs]);
-            out[self.n_inputs] += xv;
-        }
-        fn hessian_rank_one(&self, x: &[f64], _y: f64, aug: &mut [f64]) -> Option<f64> {
-            aug[..self.n_inputs].copy_from_slice(x);
-            aug[self.n_inputs] = 1.0;
+        fn hessian_rank_one(&self, _x: &[f64], _y: f64) -> Option<f64> {
             Some(1.0)
         }
     }
@@ -773,14 +670,7 @@ mod tests {
         let data = random_encoded(200, 5, 1);
         let l2 = 0.1;
         let model = ridge_fit(&data, l2);
-        let engine = InfluenceEngine::new(
-            model.clone(),
-            &data,
-            InfluenceConfig {
-                damping: 0.0,
-                ..Default::default()
-            },
-        );
+        let engine = InfluenceEngine::new(model.clone(), &data, InfluenceConfig { damping: 0.0 });
         // Remove 15% of rows.
         let rows: Vec<u32> = (0..30).collect();
         let delta = engine.param_change(&data, &rows, Estimator::NewtonStep);
@@ -803,14 +693,7 @@ mod tests {
         let data = random_encoded(300, 4, 2);
         let l2 = 0.05;
         let model = ridge_fit(&data, l2);
-        let engine = InfluenceEngine::new(
-            model.clone(),
-            &data,
-            InfluenceConfig {
-                damping: 0.0,
-                ..Default::default()
-            },
-        );
+        let engine = InfluenceEngine::new(model.clone(), &data, InfluenceConfig { damping: 0.0 });
         let mut fo_err = 0.0;
         let mut so_err = 0.0;
         let mut rng = Rng::new(3);
@@ -1151,12 +1034,8 @@ mod tests {
         let data = Encoder::fit(&raw).transform(&raw);
         let mut svm = gopher_models::LinearSvm::new(data.n_cols(), 1e-3);
         gopher_models::train::fit_default(&mut svm, &data);
-        let mut aug = vec![0.0; svm.n_params()];
         let weights: Vec<f64> = (0..data.n_rows())
-            .map(|r| {
-                svm.hessian_rank_one(data.x.row(r), data.y[r], &mut aug)
-                    .unwrap()
-            })
+            .map(|r| svm.hessian_rank_one(data.x.row(r), data.y[r]).unwrap())
             .collect();
         assert!(weights.contains(&0.0), "some rows must sit at zero slack");
         assert!(

@@ -43,6 +43,6 @@ mod engine;
 mod retrain;
 
 pub use backend::{HessianBackend, InfluenceBackend, ModelFamily, SubsetScorer, UnlearningBackend};
-pub use bias::{BiasEval, BiasInfluence, BiasPrecomp};
+pub use bias::{responsibility, BiasEval, BiasInfluence, BiasPrecomp};
 pub use engine::{EngineUpdateReport, Estimator, InfluenceConfig, InfluenceEngine, RebuildCause};
 pub use retrain::{retrain_updated, retrain_without, retrain_without_many, RetrainOutcome};

@@ -1,9 +1,9 @@
 //! Conjugate gradient for matrix-free solves `A x = b` with symmetric
 //! positive-definite `A` given only through matrix–vector products.
 //!
-//! Used by the influence engine when the Hessian is too large (or too
-//! expensive) to materialize — e.g. Hessian-vector products of the MLP
-//! obtained by finite differences of the analytic gradient.
+//! Used by the influence engine's Newton-step estimator, whose operator
+//! `nH − mH̃_S` is the stored Hessian minus a subset's exact
+//! Hessian–vector products and is never materialized.
 
 use crate::vecops;
 

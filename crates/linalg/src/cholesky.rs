@@ -38,8 +38,9 @@ pub struct Cholesky {
 impl Cholesky {
     /// Factors a symmetric positive-definite matrix.
     ///
-    /// Only the lower triangle of `a` is read, so slightly asymmetric inputs
-    /// (e.g. Hessians assembled from finite differences) are tolerated.
+    /// Only the lower triangle of `a` is read, so inputs whose two triangles
+    /// differ by rounding (e.g. a Hessian assembled from Hessian–vector
+    /// products) are tolerated.
     pub fn factor(a: &Matrix) -> Result<Self, CholeskyError> {
         assert_eq!(a.rows(), a.cols(), "cholesky: matrix not square");
         let n = a.rows();

@@ -151,7 +151,7 @@ impl Matrix {
     }
 
     /// Adds `alpha * x xᵀ` to this (square) matrix — the symmetric rank-1
-    /// update used to accumulate Hessians of generalized linear models.
+    /// update.
     ///
     /// # Panics
     /// If the matrix is not `x.len() × x.len()`.
@@ -200,19 +200,6 @@ impl Matrix {
     /// True if every entry is finite.
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
-    }
-
-    /// Symmetrizes in place: `A ← (A + Aᵀ)/2`. Useful after accumulating a
-    /// Hessian from finite differences, which can be slightly asymmetric.
-    pub fn symmetrize(&mut self) {
-        assert_eq!(self.rows, self.cols, "symmetrize: matrix not square");
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                let avg = 0.5 * (self[(i, j)] + self[(j, i)]);
-                self[(i, j)] = avg;
-                self[(j, i)] = avg;
-            }
-        }
     }
 }
 
@@ -296,14 +283,6 @@ mod tests {
         assert_eq!(m[(0, 0)], 1.0);
         assert_eq!(m[(1, 1)], 1.0);
         assert_eq!(m[(0, 1)], 0.0);
-    }
-
-    #[test]
-    fn symmetrize_averages_off_diagonals() {
-        let mut m = Matrix::from_rows(&[vec![1.0, 2.0], vec![4.0, 1.0]]);
-        m.symmetrize();
-        assert_eq!(m[(0, 1)], 3.0);
-        assert_eq!(m[(1, 0)], 3.0);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! update-based explanations) needs, for a trained model with parameters θ:
 //!
 //! * the per-example data loss `L(z, θ)` and its gradient `∇θ L(z, θ)`;
-//! * Hessian–vector products `∇²θ L(z, θ) · v` (analytic where cheap,
-//!   finite-difference otherwise);
+//! * exact Hessian–vector products `∇²θ L(z, θ) · v`: the [`rank_one`]
+//!   kernel for the linear models, Pearlmutter's R-operator for the MLP;
 //! * the predicted probability `p(x; θ)` and its parameter gradient
 //!   `∇θ p(x; θ)` (used by the smooth fairness metrics).
 //!
@@ -25,6 +25,7 @@
 mod forest;
 mod logistic;
 mod mlp;
+pub mod rank_one;
 mod svm;
 pub mod train;
 
@@ -104,92 +105,58 @@ pub trait Differentiable: Model {
     /// Accumulates `∇θ p(x; θ)` into `out`.
     fn accumulate_grad_proba(&self, x: &[f64], out: &mut [f64]);
 
-    /// Whether [`accumulate_hessian`](Self::accumulate_hessian) and
-    /// [`accumulate_hessian_vec`](Self::accumulate_hessian_vec) are analytic
-    /// (exact). When false, the finite-difference defaults are used.
-    fn has_analytic_hessian(&self) -> bool {
-        false
-    }
-
-    /// Accumulates the per-example Hessian–vector product
-    /// `∇²θ L(z, θ) · v` into `out`.
+    /// The rank-one structure of the per-example Hessian, when the model
+    /// has one: the weight `w` such that `∇²θ L(z, θ) = w · x̃ x̃ᵀ` with
+    /// `x̃ = [x, 1]` (so `n_params == n_inputs + 1`). A weight may be `0.0`
+    /// (e.g. a non-support vector), in which case the contribution is the
+    /// zero matrix.
     ///
-    /// Default: central finite difference of the analytic gradient along `v`
-    /// (two gradient evaluations; error O(ε²)).
-    fn accumulate_hessian_vec(&self, x: &[f64], y: f64, v: &[f64], out: &mut [f64]) {
-        finite_diff_hvp(self, x, y, v, out);
-    }
-
-    /// Accumulates the per-example Hessian `∇²θ L(z, θ)` into `out`.
-    ///
-    /// Default: `n_params` Hessian–vector products against basis vectors.
-    /// Models with structured Hessians (rank-1 for GLMs) should override.
-    fn accumulate_hessian(&self, x: &[f64], y: f64, out: &mut Matrix) {
-        let p = self.n_params();
-        debug_assert_eq!(out.rows(), p);
-        debug_assert_eq!(out.cols(), p);
-        let mut basis = vec![0.0; p];
-        let mut col = vec![0.0; p];
-        for j in 0..p {
-            basis[j] = 1.0;
-            col.iter_mut().for_each(|c| *c = 0.0);
-            self.accumulate_hessian_vec(x, y, &basis, &mut col);
-            for (i, &ci) in col.iter().enumerate() {
-                out[(i, j)] += ci;
-            }
-            basis[j] = 0.0;
-        }
-    }
-
-    /// Exposes the rank-1 structure of the per-example Hessian, when the
-    /// model has one: writes the augmented feature vector `x̃ = [x, 1]`
-    /// (length `n_params`) into `aug` and returns the weight `w` such that
-    /// `∇²θ L(z, θ) = w · x̃ x̃ᵀ`. Returns `None` for models without that
-    /// structure (the finite-difference / full-assembly paths apply); a
-    /// returned weight may be `0.0` (e.g. a non-support vector), in which
-    /// case the contribution is the zero matrix and `aug` may be ignored.
-    ///
-    /// This is what lets the influence engine patch its Hessian factor with
-    /// rank-1 Cholesky updates and downdates instead of refactoring, and
-    /// store one weight per training row for its subset
-    /// Hessian–vector products. The weight must be the one the model's own
-    /// [`accumulate_hessian_vec`](Self::accumulate_hessian_vec) uses, so
-    /// that `w · (x̃ᵀv) · x̃` reproduces it bit for bit.
-    fn hessian_rank_one(&self, x: &[f64], y: f64, aug: &mut [f64]) -> Option<f64> {
-        let _ = (x, y, aug);
+    /// Returning `Some` is all a rank-one model implements of its Hessian:
+    /// the provided [`accumulate_hessian_vec`](Self::accumulate_hessian_vec)
+    /// and [`accumulate_hessian`](Self::accumulate_hessian) apply the weight
+    /// through the [`rank_one`] kernel, as do the influence engine's
+    /// stored-weight paths and its incremental update. `None` (the default)
+    /// is a property of the model, not of the example: such a model states
+    /// its Hessian through `accumulate_hessian_vec` instead.
+    fn hessian_rank_one(&self, x: &[f64], y: f64) -> Option<f64> {
+        let _ = (x, y);
         None
     }
-}
 
-/// Relative step used by the finite-difference Hessian–vector product.
-const FD_EPS: f64 = 1e-5;
+    /// Accumulates the exact per-example Hessian–vector product
+    /// `∇²θ L(z, θ) · v` into `out`.
+    ///
+    /// Provided for rank-one models (see
+    /// [`hessian_rank_one`](Self::hessian_rank_one)); every other model
+    /// must override it.
+    ///
+    /// # Panics
+    /// If the model implements neither this method nor `hessian_rank_one`.
+    fn accumulate_hessian_vec(&self, x: &[f64], y: f64, v: &[f64], out: &mut [f64]) {
+        let w = self
+            .hessian_rank_one(x, y)
+            .expect("a model without a rank-one Hessian must implement accumulate_hessian_vec");
+        rank_one::add_hessian_vec(w, x, v, out);
+    }
 
-/// Central-difference Hessian–vector product shared by the trait default.
-fn finite_diff_hvp<M: Differentiable>(model: &M, x: &[f64], y: f64, v: &[f64], out: &mut [f64]) {
-    let p = model.n_params();
-    debug_assert_eq!(v.len(), p);
-    debug_assert_eq!(out.len(), p);
-    let vnorm = gopher_linalg::vecops::norm_inf(v);
-    if vnorm == 0.0 {
-        return;
-    }
-    // Scale the step to the direction's magnitude for stable differencing.
-    let eps = FD_EPS / vnorm.max(1e-12);
-    let mut plus = model.clone();
-    for (t, vi) in plus.params_mut().iter_mut().zip(v) {
-        *t += eps * vi;
-    }
-    let mut minus = model.clone();
-    for (t, vi) in minus.params_mut().iter_mut().zip(v) {
-        *t -= eps * vi;
-    }
-    let mut gp = vec![0.0; p];
-    let mut gm = vec![0.0; p];
-    plus.accumulate_grad(x, y, &mut gp);
-    minus.accumulate_grad(x, y, &mut gm);
-    let scale = 1.0 / (2.0 * eps);
-    for ((o, a), b) in out.iter_mut().zip(&gp).zip(&gm) {
-        *o += (a - b) * scale;
+    /// Accumulates the per-example Hessian `∇²θ L(z, θ)` into `out`: the
+    /// rank-one outer product when the model states one, otherwise
+    /// `n_params` Hessian–vector products against basis vectors, each
+    /// added as a row (`H eⱼ` is column `j`, and the exact Hessian is
+    /// symmetric).
+    fn accumulate_hessian(&self, x: &[f64], y: f64, out: &mut Matrix) {
+        if let Some(w) = self.hessian_rank_one(x, y) {
+            rank_one::add_hessian(out, w, x);
+            return;
+        }
+        let p = self.n_params();
+        debug_assert_eq!((out.rows(), out.cols()), (p, p));
+        let mut basis = vec![0.0; p];
+        for j in 0..p {
+            basis[j] = 1.0;
+            self.accumulate_hessian_vec(x, y, &basis, out.row_mut(j));
+            basis[j] = 0.0;
+        }
     }
 }
 

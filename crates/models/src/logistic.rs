@@ -1,7 +1,7 @@
 //! L2-regularized logistic regression.
 
 use crate::{log_sigmoid, sigmoid, Differentiable, Model};
-use gopher_linalg::{vecops, Matrix};
+use gopher_linalg::vecops;
 
 /// Logistic regression: `p(x) = σ(wᵀx + b)` with cross-entropy loss.
 ///
@@ -10,7 +10,7 @@ use gopher_linalg::{vecops, Matrix};
 /// Per-example quantities (with `x̃ = [x, 1]`, `p = σ(θᵀx̃)`):
 /// * loss `L = −[y ln p + (1−y) ln(1−p)]`
 /// * gradient `∇θL = (p − y) x̃`
-/// * Hessian `∇²θL = p(1−p) x̃ x̃ᵀ` (rank-1, analytic)
+/// * Hessian `∇²θL = p(1−p) x̃ x̃ᵀ`, stated as its rank-one weight `p(1−p)`
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogisticRegression {
     params: Vec<f64>,
@@ -111,44 +111,7 @@ impl Differentiable for LogisticRegression {
         out[self.n_inputs] += w;
     }
 
-    fn has_analytic_hessian(&self) -> bool {
-        true
-    }
-
-    fn accumulate_hessian_vec(&self, x: &[f64], _y: f64, v: &[f64], out: &mut [f64]) {
-        let p = self.predict_proba(x);
-        let w = p * (1.0 - p);
-        // (x̃ᵀ v) with x̃ = [x, 1].
-        let xv = vecops::dot(x, &v[..self.n_inputs]) + v[self.n_inputs];
-        let scale = w * xv;
-        vecops::axpy(scale, x, &mut out[..self.n_inputs]);
-        out[self.n_inputs] += scale;
-    }
-
-    fn accumulate_hessian(&self, x: &[f64], _y: f64, out: &mut Matrix) {
-        let p = self.predict_proba(x);
-        let w = p * (1.0 - p);
-        let d = self.n_inputs;
-        // Rank-1 update with x̃ = [x, 1] without materializing x̃.
-        for i in 0..d {
-            let s = w * x[i];
-            if s == 0.0 {
-                continue;
-            }
-            let row = out.row_mut(i);
-            vecops::axpy(s, x, &mut row[..d]);
-            row[d] += s;
-        }
-        let last = out.row_mut(d);
-        vecops::axpy(w, x, &mut last[..d]);
-        last[d] += w;
-    }
-
-    fn hessian_rank_one(&self, x: &[f64], _y: f64, aug: &mut [f64]) -> Option<f64> {
-        let d = self.n_inputs;
-        debug_assert_eq!(aug.len(), d + 1);
-        aug[..d].copy_from_slice(x);
-        aug[d] = 1.0;
+    fn hessian_rank_one(&self, x: &[f64], _y: f64) -> Option<f64> {
         let p = self.predict_proba(x);
         Some(p * (1.0 - p))
     }
@@ -157,6 +120,7 @@ impl Differentiable for LogisticRegression {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gopher_linalg::Matrix;
 
     fn model() -> LogisticRegression {
         let mut m = LogisticRegression::new(2, 0.0);
@@ -222,7 +186,7 @@ mod tests {
         let m = model();
         let x = [0.7, -1.3];
         let y = 0.0;
-        // Full Hessian via the analytic override.
+        // Full Hessian through the rank-one kernel.
         let mut h = Matrix::zeros(3, 3);
         m.accumulate_hessian(&x, y, &mut h);
         // Hessian-vector product against a probe, two ways.
@@ -233,15 +197,24 @@ mod tests {
         for j in 0..3 {
             assert!((hv_analytic[j] - hv_from_matrix[j]).abs() < 1e-12);
         }
-        // And against finite differences of the gradient.
-        let mut hv_fd = vec![0.0; 3];
-        crate::finite_diff_hvp(&m, &x, y, &v, &mut hv_fd);
+        // And against a central difference of the gradient along v.
+        let eps = 1e-5;
+        let shifted = |sign: f64| {
+            let mut s = m.clone();
+            for (t, vi) in s.params_mut().iter_mut().zip(&v) {
+                *t += sign * eps * vi;
+            }
+            let mut g = vec![0.0; 3];
+            s.accumulate_grad(&x, y, &mut g);
+            g
+        };
+        let (gp, gm) = (shifted(1.0), shifted(-1.0));
         for j in 0..3 {
+            let fd = (gp[j] - gm[j]) / (2.0 * eps);
             assert!(
-                (hv_analytic[j] - hv_fd[j]).abs() < 1e-5,
-                "param {j}: {} vs {}",
-                hv_analytic[j],
-                hv_fd[j]
+                (hv_analytic[j] - fd).abs() < 1e-9,
+                "param {j}: {} vs {fd}",
+                hv_analytic[j]
             );
         }
     }
@@ -264,13 +237,13 @@ mod tests {
     fn rank_one_structure_matches_full_hessian() {
         let m = model();
         let x = [0.7, -1.3];
-        let mut aug = vec![0.0; 3];
-        let w = m.hessian_rank_one(&x, 1.0, &mut aug).expect("LR is rank-1");
-        assert_eq!(aug, vec![0.7, -1.3, 1.0]);
+        let w = m.hessian_rank_one(&x, 1.0).expect("LR is rank-1");
+        let p = m.predict_proba(&x);
+        assert_eq!(w, p * (1.0 - p));
         let mut h = Matrix::zeros(3, 3);
         m.accumulate_hessian(&x, 1.0, &mut h);
         let mut outer = Matrix::zeros(3, 3);
-        outer.rank1_update(w, &aug);
+        outer.rank1_update(w, &[0.7, -1.3, 1.0]);
         for i in 0..3 {
             for j in 0..3 {
                 assert!((h[(i, j)] - outer[(i, j)]).abs() < 1e-12);

@@ -8,17 +8,17 @@ use gopher_prng::Rng;
 /// matching the paper's "1 layer, 10 nodes" configuration.
 ///
 /// Architecture: `p(x) = σ(w₂ᵀ tanh(W₁ x + b₁) + b₂)` with cross-entropy
-/// loss. Parameter layout (a single flat vector, enabling generic
-/// finite-difference Hessians):
+/// loss. Parameter layout (a single flat vector):
 ///
 /// ```text
 /// [ W₁ row 0 | W₁ row 1 | … | W₁ row h−1 | b₁ | w₂ | b₂ ]
 /// ```
 ///
-/// The loss is non-convex, so the Hessian at the optimum may be indefinite;
-/// the influence engine damps it (see `gopher-influence`). There is no cheap
-/// exact per-example Hessian, so this model keeps the trait's
-/// finite-difference defaults (`has_analytic_hessian() == false`).
+/// The per-example Hessian has no rank-one structure, so the model states
+/// it through an exact Hessian–vector product, Pearlmutter's R-operator
+/// (see [`accumulate_hessian_vec`](Differentiable::accumulate_hessian_vec)).
+/// The loss is non-convex, so the Hessian at the optimum may be
+/// indefinite; the influence engine damps it (see `gopher-influence`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
     params: Vec<f64>,
@@ -180,6 +180,43 @@ impl Differentiable for Mlp {
         let fwd = self.forward(x);
         self.backprop(x, &fwd, fwd.p * (1.0 - fwd.p), out);
     }
+
+    /// Pearlmutter's R-operator (Pearlmutter 1994, "Fast Exact
+    /// Multiplication by the Hessian"): with `R{·}` the directional
+    /// derivative along `v`, `∇²θ L · v = R{∇θ L}`. One forward pass, one
+    /// R-forward pass through the hidden layer to `R{z}`, and one backward
+    /// pass that differentiates each term of the gradient's backpropagation.
+    fn accumulate_hessian_vec(&self, x: &[f64], y: f64, v: &[f64], out: &mut [f64]) {
+        let fwd = self.forward(x);
+        let (d, hidden) = (self.n_inputs, self.hidden);
+        let b1_start = hidden * d;
+        let w2_start = b1_start + hidden;
+        let w2 = self.w2();
+        let v_w2 = &v[w2_start..w2_start + hidden];
+        // R-forward: R{aₖ} = v_W₁ₖᵀx + v_b₁ₖ, R{hₖ} = (1 − hₖ²) R{aₖ},
+        // R{z} = v_w₂ᵀh + w₂ᵀR{h} + v_b₂.
+        let mut r_h = Vec::with_capacity(hidden);
+        let mut r_z = v[w2_start + hidden];
+        for (unit, &h) in fwd.h.iter().enumerate() {
+            let r_a = vecops::dot(&v[unit * d..(unit + 1) * d], x) + v[b1_start + unit];
+            let rh = (1.0 - h * h) * r_a;
+            r_z += v_w2[unit] * h + w2[unit] * rh;
+            r_h.push(rh);
+        }
+        // Backward: δz = p − y and R{δz} = p(1 − p) R{z}.
+        let dz = fwd.p - y;
+        let r_dz = fwd.p * (1.0 - fwd.p) * r_z;
+        for (unit, (&h, &rh)) in fwd.h.iter().zip(&r_h).enumerate() {
+            out[w2_start + unit] += r_dz * h + dz * rh;
+            // δaₖ = δz w₂ₖ (1 − hₖ²), so R{δaₖ} =
+            // (1 − hₖ²)(R{δz} w₂ₖ + δz v_w₂ₖ) − 2 δz w₂ₖ hₖ R{hₖ}.
+            let r_da =
+                (1.0 - h * h) * (r_dz * w2[unit] + dz * v_w2[unit]) - 2.0 * dz * w2[unit] * h * rh;
+            vecops::axpy(r_da, x, &mut out[unit * d..(unit + 1) * d]);
+            out[b1_start + unit] += r_da;
+        }
+        out[w2_start + hidden] += r_dz;
+    }
 }
 
 #[cfg(test)]
@@ -248,52 +285,72 @@ mod tests {
         }
     }
 
+    /// A German-encoded training set and a briefly trained 10-unit MLP on
+    /// it: the size and regime the influence engine sees.
+    fn german_model() -> (gopher_data::Encoded, Mlp) {
+        let raw = gopher_data::generators::german(300, 11);
+        let data = gopher_data::Encoder::fit(&raw).transform(&raw);
+        let mut model = Mlp::new(data.n_cols(), 10, 1e-3, &mut Rng::new(5));
+        let cfg = crate::train::GdConfig {
+            max_epochs: 200,
+            ..Default::default()
+        };
+        crate::train::fit_gd(&mut model, &data, &cfg);
+        (data, model)
+    }
+
     #[test]
-    fn finite_diff_hessian_is_symmetric_enough() {
-        let m = model();
-        let x = [0.5, -1.0, 2.0];
+    fn analytic_hessian_is_symmetric() {
+        let (data, m) = german_model();
         let p = m.n_params();
-        let mut h = gopher_linalg::Matrix::zeros(p, p);
-        m.accumulate_hessian(&x, 1.0, &mut h);
-        for i in 0..p {
-            for j in 0..p {
-                assert!(
-                    (h[(i, j)] - h[(j, i)]).abs() < 1e-4,
-                    "asymmetry at ({i},{j}): {} vs {}",
-                    h[(i, j)],
-                    h[(j, i)]
-                );
+        for r in [0, 7, 123] {
+            let mut h = gopher_linalg::Matrix::zeros(p, p);
+            m.accumulate_hessian(data.x.row(r), data.y[r], &mut h);
+            let scale = h.max_abs();
+            assert!(scale > 0.0);
+            for i in 0..p {
+                for j in 0..i {
+                    assert!(
+                        (h[(i, j)] - h[(j, i)]).abs() <= 1e-12 * scale,
+                        "row {r}: asymmetry at ({i},{j}): {} vs {}",
+                        h[(i, j)],
+                        h[(j, i)]
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn hessian_vec_matches_gradient_difference() {
-        // Directly validate H·v ≈ (∇L(θ+εv) − ∇L(θ−εv)) / 2ε with an
-        // independent ε from the one the default uses.
-        let m = model();
-        let x = [0.5, -1.0, 2.0];
-        let y = 0.0;
+        // H·v against the central difference (∇L(θ+εv) − ∇L(θ−εv)) / 2ε,
+        // on German-encoded rows of both labels.
+        use gopher_linalg::vecops::{norm_inf, sub};
+        let (data, m) = german_model();
         let pn = m.n_params();
-        let v: Vec<f64> = (0..pn).map(|i| ((i % 5) as f64 - 2.0) * 0.3).collect();
-        let mut hv = vec![0.0; pn];
-        m.accumulate_hessian_vec(&x, y, &v, &mut hv);
-        let eps = 3e-5;
-        let mut mp = m.clone();
-        for (t, vi) in mp.params_mut().iter_mut().zip(&v) {
-            *t += eps * vi;
-        }
-        let mut mm = m.clone();
-        for (t, vi) in mm.params_mut().iter_mut().zip(&v) {
-            *t -= eps * vi;
-        }
-        let mut gp = vec![0.0; pn];
-        let mut gm = vec![0.0; pn];
-        mp.accumulate_grad(&x, y, &mut gp);
-        mm.accumulate_grad(&x, y, &mut gm);
-        for j in 0..pn {
-            let fd = (gp[j] - gm[j]) / (2.0 * eps);
-            assert!((hv[j] - fd).abs() < 1e-4, "param {j}: {} vs {fd}", hv[j]);
+        let mut rng = Rng::new(9);
+        let v: Vec<f64> = (0..pn).map(|_| rng.normal()).collect();
+        let eps = 1e-5 / norm_inf(&v);
+        let shifted_grad = |sign: f64, r: usize| {
+            let mut s = m.clone();
+            for (t, vi) in s.params_mut().iter_mut().zip(&v) {
+                *t += sign * eps * vi;
+            }
+            let mut g = vec![0.0; pn];
+            s.accumulate_grad(data.x.row(r), data.y[r], &mut g);
+            g
+        };
+        for r in [0, 1, 2, 50, 99, 200] {
+            let mut hv = vec![0.0; pn];
+            m.accumulate_hessian_vec(data.x.row(r), data.y[r], &v, &mut hv);
+            let (gp, gm) = (shifted_grad(1.0, r), shifted_grad(-1.0, r));
+            let fd: Vec<f64> = gp
+                .iter()
+                .zip(&gm)
+                .map(|(a, b)| (a - b) / (2.0 * eps))
+                .collect();
+            let rel = norm_inf(&sub(&hv, &fd)) / norm_inf(&hv);
+            assert!(rel <= 1e-7, "row {r}: relative error {rel}");
         }
     }
 

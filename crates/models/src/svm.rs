@@ -1,7 +1,7 @@
 //! Linear SVM with squared-hinge loss.
 
 use crate::{sigmoid, Differentiable, Model};
-use gopher_linalg::{vecops, Matrix};
+use gopher_linalg::vecops;
 
 /// A linear support vector machine trained with the *squared* hinge loss,
 /// which (unlike the plain hinge) is differentiable everywhere and twice
@@ -11,7 +11,8 @@ use gopher_linalg::{vecops, Matrix};
 /// With `ỹ = 2y − 1 ∈ {−1, +1}` and margin `m = ỹ (wᵀx + b)`:
 /// * loss `L = max(0, 1 − m)²`
 /// * gradient `∇θL = −2 max(0, 1 − m) ỹ x̃`
-/// * Hessian `∇²θL = 2 x̃ x̃ᵀ` if `m < 1`, else `0` (rank-1, analytic)
+/// * Hessian `∇²θL = 2 x̃ x̃ᵀ` if `m < 1`, else `0`, stated as its rank-one
+///   weight (2 or 0)
 ///
 /// Probabilities use the sigmoid of the decision value (a fixed-scale Platt
 /// calibration). This surrogate is what the smooth fairness metrics and
@@ -106,43 +107,7 @@ impl Differentiable for LinearSvm {
         out[self.n_inputs] += w;
     }
 
-    fn has_analytic_hessian(&self) -> bool {
-        true
-    }
-
-    fn accumulate_hessian_vec(&self, x: &[f64], y: f64, v: &[f64], out: &mut [f64]) {
-        let (slack, _) = self.slack(x, y);
-        if slack == 0.0 {
-            return;
-        }
-        let xv = vecops::dot(x, &v[..self.n_inputs]) + v[self.n_inputs];
-        let scale = 2.0 * xv;
-        vecops::axpy(scale, x, &mut out[..self.n_inputs]);
-        out[self.n_inputs] += scale;
-    }
-
-    fn accumulate_hessian(&self, x: &[f64], y: f64, out: &mut Matrix) {
-        let (slack, _) = self.slack(x, y);
-        if slack == 0.0 {
-            return;
-        }
-        let d = self.n_inputs;
-        for i in 0..d {
-            let s = 2.0 * x[i];
-            let row = out.row_mut(i);
-            vecops::axpy(s, x, &mut row[..d]);
-            row[d] += s;
-        }
-        let last = out.row_mut(d);
-        vecops::axpy(2.0, x, &mut last[..d]);
-        last[d] += 2.0;
-    }
-
-    fn hessian_rank_one(&self, x: &[f64], y: f64, aug: &mut [f64]) -> Option<f64> {
-        let d = self.n_inputs;
-        debug_assert_eq!(aug.len(), d + 1);
-        aug[..d].copy_from_slice(x);
-        aug[d] = 1.0;
+    fn hessian_rank_one(&self, x: &[f64], y: f64) -> Option<f64> {
         let (slack, _) = self.slack(x, y);
         Some(if slack > 0.0 { 2.0 } else { 0.0 })
     }
@@ -151,6 +116,7 @@ impl Differentiable for LinearSvm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gopher_linalg::Matrix;
 
     fn model() -> LinearSvm {
         let mut m = LinearSvm::new(2, 0.0);
@@ -222,17 +188,14 @@ mod tests {
     #[test]
     fn rank_one_structure_matches_full_hessian() {
         let m = model();
-        let mut aug = vec![0.0; 3];
         // Inside the margin: weight 2, x̃ = [x, 1].
         let x = [0.3, 0.4];
-        let w = m
-            .hessian_rank_one(&x, 0.0, &mut aug)
-            .expect("SVM is rank-1");
+        let w = m.hessian_rank_one(&x, 0.0).expect("SVM is rank-1");
         assert_eq!(w, 2.0);
         let mut h = Matrix::zeros(3, 3);
         m.accumulate_hessian(&x, 0.0, &mut h);
         let mut outer = Matrix::zeros(3, 3);
-        outer.rank1_update(w, &aug);
+        outer.rank1_update(w, &[0.3, 0.4, 1.0]);
         for i in 0..3 {
             for j in 0..3 {
                 assert!((h[(i, j)] - outer[(i, j)]).abs() < 1e-12);
@@ -240,7 +203,7 @@ mod tests {
         }
         // Beyond the margin: zero weight matches the zero Hessian.
         let far = [3.0, 0.2];
-        assert_eq!(m.hessian_rank_one(&far, 1.0, &mut aug), Some(0.0));
+        assert_eq!(m.hessian_rank_one(&far, 1.0), Some(0.0));
     }
 
     #[test]

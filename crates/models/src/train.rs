@@ -149,9 +149,10 @@ impl Default for NewtonConfig {
 /// `J` and `∇J` are evaluated once per accepted point and carried forward
 /// into the next step and the report.
 ///
-/// Practical for models with analytic Hessians (logistic regression, SVM);
-/// for the MLP each step assembles the Hessian by finite differences, which
-/// is usable for testing but slow — prefer [`fit_gd`] there.
+/// Practical for models with rank-one Hessians (logistic regression, SVM);
+/// for the MLP each step assembles the Hessian from `n_params` exact
+/// Hessian–vector products per row, which is usable for testing but slow —
+/// prefer [`fit_gd`] there.
 pub fn fit_newton<M: Differentiable>(
     model: &mut M,
     data: &Encoded,
@@ -236,9 +237,12 @@ pub fn fit_newton<M: Differentiable>(
 }
 
 /// Trains with the method best suited to the model: Newton for models with
-/// analytic Hessians, gradient descent otherwise.
+/// a rank-one Hessian, gradient descent otherwise.
 pub fn fit_default<M: Differentiable>(model: &mut M, data: &Encoded) -> TrainReport {
-    if model.has_analytic_hessian() {
+    // Having a rank-one Hessian is a property of the model, not of the
+    // example, so any input answers it.
+    let probe = vec![0.0; model.n_inputs()];
+    if model.hessian_rank_one(&probe, 0.0).is_some() {
         fit_newton(model, data, &NewtonConfig::default())
     } else {
         fit_gd(model, data, &GdConfig::default())
@@ -367,8 +371,8 @@ mod tests {
         fn accumulate_grad_proba(&self, x: &[f64], out: &mut [f64]) {
             self.inner.accumulate_grad_proba(x, out);
         }
-        fn accumulate_hessian(&self, x: &[f64], y: f64, out: &mut Matrix) {
-            self.inner.accumulate_hessian(x, y, out);
+        fn hessian_rank_one(&self, x: &[f64], y: f64) -> Option<f64> {
+            self.inner.hessian_rank_one(x, y)
         }
     }
 

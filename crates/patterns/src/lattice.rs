@@ -44,9 +44,6 @@ pub struct LatticeConfig {
     /// responsibility strictly exceeds both parents'. Disable for the
     /// ablation study (recovers more candidates at a steep cost).
     pub prune_by_responsibility: bool,
-    /// Optional safety valve: keep at most this many candidates per level
-    /// (the best by responsibility). `None` reproduces the paper exactly.
-    pub max_level_candidates: Option<usize>,
 }
 
 impl Default for LatticeConfig {
@@ -55,7 +52,6 @@ impl Default for LatticeConfig {
             support_threshold: 0.05,
             max_predicates: 4,
             prune_by_responsibility: true,
-            max_level_candidates: None,
         }
     }
 }
@@ -294,7 +290,6 @@ pub fn compute_candidates_multi(
                     interestingness: responsibility / support,
                 });
             }
-            truncate_level(&mut next, config.max_level_candidates);
             run.stats.total_scored += generated;
             kept.push((generated, next.len()));
             if next.is_empty() {
@@ -495,16 +490,6 @@ pub fn min_count_for(support_threshold: f64, n_rows: usize) -> usize {
     (support_threshold * n_rows as f64).ceil().max(1.0) as usize
 }
 
-/// Keeps at most `cap` candidates (the best by responsibility).
-fn truncate_level(level: &mut Vec<Candidate>, cap: Option<usize>) {
-    if let Some(cap) = cap {
-        if level.len() > cap {
-            level.sort_by(|a, b| b.responsibility.total_cmp(&a.responsibility));
-            level.truncate(cap);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -588,7 +573,6 @@ mod tests {
                 support_threshold: 0.05,
                 prune_by_responsibility: false,
                 max_predicates: 3,
-                max_level_candidates: None,
             },
         )
         .0
@@ -610,7 +594,6 @@ mod tests {
                 support_threshold: 0.05,
                 prune_by_responsibility: false,
                 max_predicates: 3,
-                max_level_candidates: None,
             },
         );
         let mut seen = std::collections::HashSet::new();
@@ -634,7 +617,6 @@ mod tests {
                 support_threshold: 0.03,
                 prune_by_responsibility: false,
                 max_predicates: 3,
-                max_level_candidates: None,
             },
         );
         for c in &cands {
@@ -672,30 +654,6 @@ mod tests {
             assert!(level.duration >= level.structural);
         }
         assert!(stats.structural_time() <= stats.levels.iter().map(|l| l.duration).sum());
-    }
-
-    #[test]
-    fn level_cap_limits_frontier() {
-        let d = german(300, 67);
-        let table = generate_predicates(&d, 4);
-        let (_, stats) = compute_candidates(
-            &table,
-            toy_score(d.labels()),
-            &LatticeConfig {
-                support_threshold: 0.02,
-                prune_by_responsibility: false,
-                max_predicates: 3,
-                max_level_candidates: Some(20),
-            },
-        );
-        for level in &stats.levels {
-            assert!(
-                level.kept <= 20,
-                "level {} kept {}",
-                level.level,
-                level.kept
-            );
-        }
     }
 
     #[test]

@@ -127,8 +127,8 @@ fn pipeline_is_deterministic() {
 
 #[test]
 fn mlp_pipeline_works_on_small_data() {
-    // Small MLP keeps the finite-difference Hessian assembly fast enough
-    // for a debug-mode test.
+    // Small MLP keeps the Hessian assembly (one exact Hessian–vector
+    // product per parameter and row) fast enough for a debug-mode test.
     let mut rng = Rng::new(207);
     let (train, test) = german(350, 207).train_test_split(0.3, &mut rng);
     let mut init_rng = Rng::new(208);

@@ -110,18 +110,14 @@ proptest! {
         support_choice in 0usize..3,
         depth in 2usize..4,
         prune_bit in 0u64..2,
-        cap_choice in 0usize..3,
         kinds in proptest::collection::vec(0u64..3, 1..4),
     ) {
         let (d, table) = table();
         let labels = d.labels();
         let privileged = d.privileged_mask();
-        // Unpruned deep lattices explode combinatorially, so the uncapped
-        // prune-off arm keeps a higher support floor; the per-level cap arms
-        // (which also exercise `truncate_level` under the staged engine)
-        // may go lower.
-        let cap = [None, Some(20), Some(40)][cap_choice];
-        let support = if prune_bit == 0 && cap.is_none() {
+        // Unpruned deep lattices explode combinatorially, so the prune-off
+        // arm keeps a higher support floor than the pruned one.
+        let support = if prune_bit == 0 {
             [0.08, 0.1, 0.15][support_choice]
         } else {
             [0.04, 0.06, 0.1][support_choice]
@@ -130,7 +126,6 @@ proptest! {
             support_threshold: support,
             max_predicates: depth,
             prune_by_responsibility: prune_bit == 1,
-            max_level_candidates: cap,
         };
         let _cpu = CPU_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let (serial, cache_1) =
@@ -169,8 +164,8 @@ proptest! {
                     ids
                 );
             }
-            // A pair may lack an entry (unsupported, conflicting, or outside
-            // a capped frontier), but an entry is always exact and supported.
+            // A pair may lack an entry (unsupported or conflicting), but an
+            // entry is always exact and supported.
             for ids in &pairs {
                 if let Some(coverage) = cache.peek(ids) {
                     let truth = exact_coverage(table, ids);
@@ -205,8 +200,8 @@ proptest! {
     /// count over a coverage cache warmed at a looser one is bit-identical
     /// to a cold sweep, and materializes no coverage (adds no cache miss) —
     /// at 1 and 4 threads, across depths, pruning modes, and scorers.
-    /// Support is anti-monotone, and up to depth 3 without a level cap the
-    /// tighter sweep's frontiers are subsets of the looser one's, so every
+    /// Support is anti-monotone, and up to depth 3 the tighter sweep's
+    /// frontiers are subsets of the looser one's, so every
     /// merge it supports was supported, and materialized, at the looser τ.
     #[test]
     fn refiltered_view_sweeps_bit_identical_to_cold_build(
@@ -225,7 +220,6 @@ proptest! {
             support_threshold: tau_loose,
             max_predicates: depth,
             prune_by_responsibility: prune_bit == 1,
-            max_level_candidates: None,
         };
         let tight_cfg = LatticeConfig {
             support_threshold: tau_tight,
@@ -362,7 +356,6 @@ fn cold_structural_pass_speeds_up_on_multicore_hosts() {
         support_threshold: 0.02,
         max_predicates: 3,
         prune_by_responsibility: false,
-        max_level_candidates: None,
     };
 
     let _cpu = CPU_LOCK.lock().unwrap_or_else(|e| e.into_inner());

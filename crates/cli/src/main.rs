@@ -98,7 +98,8 @@ EXPLAIN/QUERY OPTIONS:
     --stats                 (query) wrap the output as {\"responses\": [...],
                             \"session_stats\": {...}} with the session's cache
                             counters: scored-sweep and coverage
-                            hit/miss/eviction rates
+                            hit/miss/eviction rates, ground-truth-memo
+                            hits and misses
 
 UPDATE OPTIONS:
     --delta-remove <N>      training rows to remove (seeded random sample of

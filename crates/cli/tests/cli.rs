@@ -225,6 +225,10 @@ fn query_stats_block_shows_cross_metric_structure_reuse() {
     );
     assert!(counter("cached_coverages") > 0.0);
     assert_eq!(counter("coverage_inserts_refused"), 0.0);
+    // Ground truth is off, so the ground-truth memo is never consulted.
+    for memo in ["truth_memo_hits", "truth_memo_misses"] {
+        assert_eq!(counter(memo), 0.0, "{memo}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

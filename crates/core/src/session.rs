@@ -20,7 +20,8 @@
 //!
 //! Results are **bit-identical** to a fresh session answering the request
 //! alone: the session only caches pure functions of the trained model
-//! (coverage bitsets, per-metric bias gradients, finished sweeps), never
+//! (coverage bitsets, per-metric bias gradients, finished sweeps, and the
+//! retrained test predictions behind ground truth), never
 //! approximations.
 //!
 //! ```
@@ -55,7 +56,7 @@ use gopher_influence::{
 use gopher_models::Differentiable;
 use gopher_patterns::{
     generate_predicates, lattice, min_count_for, topk, BitSet, Candidate, CoverageCache,
-    LatticeConfig, PredicateIndex, PredicateTable, ScoreFn, SearchStats,
+    LatticeConfig, Pattern, PredicateIndex, PredicateTable, ScoreFn, SearchStats,
 };
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -228,6 +229,7 @@ impl SessionBuilder {
             updates_applied: AtomicU64::new(0),
             update_rebuilds: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
+            truth_memo: TruthMemo::default(),
         }
     }
 }
@@ -594,6 +596,64 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     }
 }
 
+/// Past this many patterns the ground-truth memo refuses inserts until the
+/// next update. An entry is one bit per test row.
+const TRUTH_MEMO_CAP: usize = 1 << 10;
+
+/// What a session remembers per model state: the retrained test
+/// predictions behind each top-k pattern's ground truth. They are a pure
+/// function of (pattern rows, model), so reading them back gives the same
+/// bits; an update clears them. The hit/miss counters keep the session's
+/// history across updates.
+#[derive(Default)]
+struct TruthMemo {
+    /// Per pattern, the test rows the model retrained without its rows
+    /// predicts positive (at most [`TRUTH_MEMO_CAP`] patterns). The retrain
+    /// ignores the metric, so every metric reads the same entry.
+    positives: Mutex<HashMap<Pattern, Arc<BitSet>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl TruthMemo {
+    /// Forgets every ground truth: the model state they were computed
+    /// under is gone.
+    fn clear(&mut self) {
+        lock_recover(&self.positives).clear();
+    }
+
+    /// The stored positive test predictions for `pattern`, counting the
+    /// lookup.
+    fn get(&self, pattern: &Pattern) -> Option<Arc<BitSet>> {
+        let stored = lock_recover(&self.positives).get(pattern).cloned();
+        let counter = if stored.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        stored
+    }
+
+    /// Stores a retrained model's hard test `predictions` for `pattern`,
+    /// unless the memo is full or a prediction is neither 0 nor 1 (one
+    /// bit per row could not give it back).
+    fn remember(&self, pattern: &Pattern, predictions: &[f64]) {
+        let mut positives = BitSet::new(predictions.len());
+        for (r, &p) in predictions.iter().enumerate() {
+            if p == 1.0 {
+                positives.insert(r);
+            } else if p != 0.0 {
+                return;
+            }
+        }
+        let mut stored = lock_recover(&self.positives);
+        if stored.len() < TRUTH_MEMO_CAP {
+            stored.insert(pattern.clone(), Arc::new(positives));
+        }
+    }
+}
+
 /// Linear sub-buckets per power of two in the latency histogram: every
 /// bucket from 16 µs up spans at most 1/16 of its lower bound, so a
 /// reported quantile is within 6.25% of the recorded value (values under
@@ -720,6 +780,11 @@ pub struct SessionStats {
     pub explain_p50_us: u64,
     /// 99th-percentile per-request explain latency in µs (same histogram).
     pub explain_p99_us: u64,
+    /// Top-k ground truths read from the stored test predictions of an
+    /// earlier retrain without the same pattern.
+    pub truth_memo_hits: u64,
+    /// Top-k ground truths that retrained the model.
+    pub truth_memo_misses: u64,
 }
 
 /// A long-lived explainer bound to one trained model.
@@ -758,6 +823,8 @@ pub struct ExplainSession<M: ModelFamily> {
     update_rebuilds: AtomicU64,
     /// Per-request explain latency, fed from each response's `query_time`.
     latency: LatencyHistogram,
+    /// Ground truths remembered under the current model state.
+    truth_memo: TruthMemo,
 }
 
 impl<M: ModelFamily> ExplainSession<M> {
@@ -819,8 +886,9 @@ impl<M: ModelFamily> ExplainSession<M> {
     }
 
     /// Snapshot of the session's serving counters: hits, misses, and
-    /// evictions of the scored sweep cache and the coverage cache, plus
-    /// retained entries and the thread count.
+    /// evictions of the scored sweep cache and the coverage cache, hits and
+    /// misses of the ground-truth memo, plus retained entries and the
+    /// thread count.
     pub fn stats(&self) -> SessionStats {
         let coverage = self.coverage.stats();
         let sweep = lock_recover(&self.sweep_cache);
@@ -840,6 +908,8 @@ impl<M: ModelFamily> ExplainSession<M> {
             update_rebuilds: self.update_rebuilds.load(Ordering::Relaxed),
             explain_p50_us: self.latency.quantile_upper_us(0.50),
             explain_p99_us: self.latency.quantile_upper_us(0.99),
+            truth_memo_hits: self.truth_memo.hits.load(Ordering::Relaxed),
+            truth_memo_misses: self.truth_memo.misses.load(Ordering::Relaxed),
         }
     }
 
@@ -880,7 +950,9 @@ impl<M: ModelFamily> ExplainSession<M> {
     ///   any sweep-cache cap), after it has finished its own sweeps;
     /// * all sweeps consult the session's coverage cache, so later batches
     ///   and queries skip intersections any earlier query materialized;
-    /// * ground-truth retrains for each answer's top-k fan out per pattern.
+    /// * ground-truth retrains for each answer's top-k fan out per pattern,
+    ///   and a pattern retrained for an earlier answer (any metric) is read
+    ///   back from its stored test predictions.
     ///
     /// Responses come back in request order, each with content identical to
     /// a cold run of that request alone — at any thread count.
@@ -1062,23 +1134,10 @@ impl<M: ModelFamily> ExplainSession<M> {
         let selected = topk::top_k(&sweep.candidates, req.k, req.containment_threshold);
         let search_time = sweep.duration + t_select.elapsed();
 
-        // Ground truth is the per-answer hot path (one full retrain per
-        // pattern), so the k retrains fan out across the worker threads;
-        // everything else about finalization is cheap and stays inline.
         let ground_truth: Vec<Option<(f64, f64)>> = if req.ground_truth_for_topk {
-            let subsets: Vec<Vec<u32>> = selected
-                .iter()
-                .map(|candidate| candidate.coverage.to_indices())
-                .collect();
-            let models = self.backend.ground_truth_models(
-                &self.train,
-                &subsets,
-                self.threads.min(subsets.len()),
-            );
-            models
-                .iter()
-                .map(|model| {
-                    let new_bias = gopher_fairness::bias(req.metric, model, &self.test);
+            self.ground_truth_biases(req.metric, &selected)
+                .into_iter()
+                .map(|new_bias| {
                     Some((responsibility(base_bias, || base_bias - new_bias), new_bias))
                 })
                 .collect()
@@ -1115,8 +1174,48 @@ impl<M: ModelFamily> ExplainSession<M> {
         }
     }
 
+    /// The hard bias under `metric` of the model retrained without each
+    /// candidate's rows. A pattern in the ground-truth memo is read back
+    /// from its stored test predictions; the rest are retrained — the
+    /// per-answer hot path, so those retrains fan out across the worker
+    /// threads — and remembered.
+    fn ground_truth_biases(&self, metric: FairnessMetric, selected: &[Candidate]) -> Vec<f64> {
+        let stored: Vec<Option<Arc<BitSet>>> = selected
+            .iter()
+            .map(|candidate| self.truth_memo.get(&candidate.pattern))
+            .collect();
+        let subsets: Vec<Vec<u32>> = selected
+            .iter()
+            .zip(&stored)
+            .filter(|(_, stored)| stored.is_none())
+            .map(|(candidate, _)| candidate.coverage.to_indices())
+            .collect();
+        let mut retrained = self
+            .backend
+            .ground_truth_models(&self.train, &subsets, self.threads.min(subsets.len()))
+            .into_iter();
+        let test = &self.test;
+        selected
+            .iter()
+            .zip(stored)
+            .map(|(candidate, stored)| match stored {
+                Some(positives) => gopher_fairness::bias_from_predictions(metric, test, |r| {
+                    f64::from(u8::from(positives.contains(r)))
+                }),
+                None => {
+                    let model = retrained.next().expect("one retrain per memo miss");
+                    let predictions: Vec<f64> = (0..test.n_rows())
+                        .map(|r| model.predict(test.x.row(r)))
+                        .collect();
+                    self.truth_memo.remember(&candidate.pattern, &predictions);
+                    gopher_fairness::bias_from_predictions(metric, test, |r| predictions[r])
+                }
+            })
+            .collect()
+    }
+
     /// Ground-truth responsibility of an arbitrary row subset under
-    /// `metric` (retrains without the subset).
+    /// `metric` (retrains without the subset; never memoized).
     pub fn ground_truth_responsibility(&self, metric: FairnessMetric, rows: &[u32]) -> (f64, f64) {
         let model = self.backend.ground_truth_model(&self.train, rows);
         let new_bias = gopher_fairness::bias(metric, &model, &self.test);
@@ -1150,8 +1249,9 @@ impl<M: ModelFamily> ExplainSession<M> {
     ///   merged-pattern coverages range over the old rows and are dropped
     ///   (counted in [`UpdateReport::artifacts_invalidated`]), so later
     ///   sweeps re-intersect what they need;
-    /// * **scored sweeps and bias gradients** are invalidated wholesale
-    ///   (they depend on the model's parameters, which moved).
+    /// * **scored sweeps, bias gradients, and the ground-truth memo** are
+    ///   invalidated wholesale (they depend on the model's parameters,
+    ///   which moved).
     ///
     /// # Panics
     /// If a removed index is out of range or listed twice, if `added`'s
@@ -1207,10 +1307,11 @@ impl<M: ModelFamily> ExplainSession<M> {
         let coverage = CoverageCache::with_capacity_cap(self.coverage.cap());
         let index = PredicateIndex::build(&table, &coverage);
 
-        // Scored sweeps and bias gradients are functions of the parameters,
-        // which just moved: invalid wholesale.
+        // Scored sweeps, bias gradients, and ground truths are
+        // functions of the parameters, which just moved: invalid wholesale.
         lock_recover(&self.sweep_cache).clear_values();
         lock_recover(&self.bias_cache).clear();
+        self.truth_memo.clear();
 
         self.train_raw = new_raw;
         self.train = new_train;
@@ -1278,6 +1379,7 @@ impl<M: ModelFamily> ExplainSession<M> {
             updates_applied: AtomicU64::new(0),
             update_rebuilds: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
+            truth_memo: TruthMemo::default(),
         }
     }
 
@@ -1990,6 +2092,25 @@ mod tests {
             let max = latency_bucket_max(idx);
             assert!(max >= v && max - v <= v / 16, "{v} reads as {max}");
         }
+    }
+
+    /// The ground-truth memo stores only 0/1 predictions and refuses
+    /// inserts at its cap.
+    #[test]
+    fn truth_memo_refuses_inserts_past_its_cap() {
+        let memo = TruthMemo::default();
+        let pattern = Pattern::from_ids(vec![3, 7]);
+        memo.remember(&pattern, &[1.0, 0.5]);
+        assert!(memo.get(&pattern).is_none(), "0.5 has no bit");
+        for id in 0..TRUTH_MEMO_CAP as u16 {
+            memo.remember(&Pattern::singleton(id), &[1.0, 0.0]);
+        }
+        memo.remember(&pattern, &[1.0, 0.0]);
+        assert!(memo.get(&pattern).is_none(), "past the cap");
+        let stored = memo.get(&Pattern::singleton(0)).expect("stored");
+        assert_eq!((stored.contains(0), stored.contains(1)), (true, false));
+        assert_eq!(memo.hits.load(Ordering::Relaxed), 1);
+        assert_eq!(memo.misses.load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -113,8 +113,21 @@ fn average_odds(test: &Encoded, mut pred: impl FnMut(usize) -> f64) -> f64 {
 /// Groups with an empty denominator contribute a rate of 0 (documented
 /// convention; the synthetic benchmarks never trigger it).
 pub fn bias<M: Model>(metric: FairnessMetric, model: &M, test: &Encoded) -> f64 {
+    bias_from_predictions(metric, test, |r| model.predict(test.x.row(r)))
+}
+
+/// The hard bias of whatever model made the predictions `pred(r)` on test
+/// row `r`: [`bias`] is this with `model.predict`, and a caller that kept
+/// a model's hard predictions gets the same bits from them (the sums run
+/// over the same rows in the same order). `pred` is only called for the
+/// rows the metric reads.
+pub fn bias_from_predictions(
+    metric: FairnessMetric,
+    test: &Encoded,
+    mut pred: impl FnMut(usize) -> f64,
+) -> f64 {
     match metric {
-        FairnessMetric::AverageOdds => average_odds(test, |r| model.predict(test.x.row(r))),
+        FairnessMetric::AverageOdds => average_odds(test, pred),
         FairnessMetric::StatisticalParity | FairnessMetric::EqualOpportunity => {
             // rate = Σ ŷ / count per group.
             let mut num = [0.0f64; 2];
@@ -125,7 +138,7 @@ pub fn bias<M: Model>(metric: FairnessMetric, model: &M, test: &Encoded) -> f64 
                     continue;
                 }
                 let g = usize::from(test.privileged[r]);
-                num[g] += model.predict(test.x.row(r));
+                num[g] += pred(r);
                 den[g] += 1.0;
             }
             rate(num[1], den[1]) - rate(num[0], den[0])
@@ -135,10 +148,10 @@ pub fn bias<M: Model>(metric: FairnessMetric, model: &M, test: &Encoded) -> f64 
             let mut num = [0.0f64; 2];
             let mut den = [0.0f64; 2];
             for r in 0..test.n_rows() {
-                let pred = model.predict(test.x.row(r));
+                let y_hat = pred(r);
                 let g = usize::from(test.privileged[r]);
-                num[g] += test.y[r] * pred;
-                den[g] += pred;
+                num[g] += test.y[r] * y_hat;
+                den[g] += y_hat;
             }
             rate(num[1], den[1]) - rate(num[0], den[0])
         }
@@ -338,6 +351,21 @@ mod tests {
             assert!(
                 b > 0.0,
                 "{metric} should favor the privileged group, got {b}"
+            );
+        }
+    }
+
+    #[test]
+    fn stored_predictions_give_the_same_bits_as_the_model() {
+        let (model, data) = trained_german();
+        let preds: Vec<f64> = (0..data.n_rows())
+            .map(|r| model.predict(data.x.row(r)))
+            .collect();
+        for metric in FairnessMetric::EXTENDED {
+            assert_eq!(
+                bias_from_predictions(metric, &data, |r| preds[r]).to_bits(),
+                bias(metric, &model, &data).to_bits(),
+                "{metric}"
             );
         }
     }

@@ -150,23 +150,6 @@ impl Matrix {
         out
     }
 
-    /// Adds `alpha * x xᵀ` to this (square) matrix — the symmetric rank-1
-    /// update.
-    ///
-    /// # Panics
-    /// If the matrix is not `x.len() × x.len()`.
-    pub fn rank1_update(&mut self, alpha: f64, x: &[f64]) {
-        assert_eq!(self.rows, x.len(), "rank1_update: dimension mismatch");
-        assert_eq!(self.cols, x.len(), "rank1_update: matrix not square");
-        for (i, &xi) in x.iter().enumerate() {
-            let scaled = alpha * xi;
-            if scaled == 0.0 {
-                continue;
-            }
-            vecops::axpy(scaled, x, self.row_mut(i));
-        }
-    }
-
     /// Adds `alpha * I` in place (square matrices only).
     pub fn add_diagonal(&mut self, alpha: f64) {
         assert_eq!(self.rows, self.cols, "add_diagonal: matrix not square");
@@ -262,17 +245,6 @@ mod tests {
         let b = Matrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]);
         let c = a.matmul(&b);
         assert_eq!(c, Matrix::from_rows(&[vec![2.0, 1.0], vec![4.0, 3.0]]));
-    }
-
-    #[test]
-    fn rank1_update_builds_outer_product() {
-        let mut m = Matrix::zeros(3, 3);
-        m.rank1_update(2.0, &[1.0, 0.0, -1.0]);
-        assert_eq!(m[(0, 0)], 2.0);
-        assert_eq!(m[(0, 2)], -2.0);
-        assert_eq!(m[(2, 0)], -2.0);
-        assert_eq!(m[(2, 2)], 2.0);
-        assert_eq!(m[(1, 1)], 0.0);
     }
 
     #[test]

@@ -35,12 +35,6 @@ pub fn norm2(x: &[f64]) -> f64 {
     dot(x, x).sqrt()
 }
 
-/// Infinity norm (maximum absolute value); 0 for an empty slice.
-#[inline]
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0, |acc, v| acc.max(v.abs()))
-}
-
 /// Element-wise difference `a - b` as a new vector.
 pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
     debug_assert_eq!(a.len(), b.len(), "sub: length mismatch");
@@ -94,8 +88,6 @@ mod tests {
     fn dot_and_norm() {
         assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
         assert_eq!(norm2(&[3.0, 4.0]), 5.0);
-        assert_eq!(norm_inf(&[1.0, -7.0, 3.0]), 7.0);
-        assert_eq!(norm_inf(&[]), 0.0);
     }
 
     #[test]

@@ -242,11 +242,11 @@ mod tests {
         assert_eq!(w, p * (1.0 - p));
         let mut h = Matrix::zeros(3, 3);
         m.accumulate_hessian(&x, 1.0, &mut h);
-        let mut outer = Matrix::zeros(3, 3);
-        outer.rank1_update(w, &[0.7, -1.3, 1.0]);
+        // Reference: w·x̃x̃ᵀ with x̃ = [x, 1].
+        let aug = [0.7, -1.3, 1.0];
         for i in 0..3 {
             for j in 0..3 {
-                assert!((h[(i, j)] - outer[(i, j)]).abs() < 1e-12);
+                assert!((h[(i, j)] - w * aug[i] * aug[j]).abs() < 1e-12);
             }
         }
     }

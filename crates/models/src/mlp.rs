@@ -325,7 +325,8 @@ mod tests {
     fn hessian_vec_matches_gradient_difference() {
         // H·v against the central difference (∇L(θ+εv) − ∇L(θ−εv)) / 2ε,
         // on German-encoded rows of both labels.
-        use gopher_linalg::vecops::{norm_inf, sub};
+        use gopher_linalg::vecops::sub;
+        let norm_inf = |x: &[f64]| x.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
         let (data, m) = german_model();
         let pn = m.n_params();
         let mut rng = Rng::new(9);

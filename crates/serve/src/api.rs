@@ -207,8 +207,8 @@ pub fn explain_response_json(response: &ExplainResponse) -> Json {
     ])
 }
 
-/// The `session_stats` / `GET .../stats` block: every cache-layer counter a
-/// serving deployment watches, straight from
+/// The `session_stats` / `GET .../stats` block: every cache-layer and memo
+/// counter a serving deployment watches, straight from
 /// [`ExplainSession::stats`](gopher_core::ExplainSession::stats), plus the
 /// traffic counters. Concurrent callers asking one question share its
 /// sweep, so `sweep_misses` counts the sweeps actually run.
@@ -232,6 +232,11 @@ pub fn session_stats_json(stats: &SessionStats) -> Json {
         ("update_rebuilds", Json::num(stats.update_rebuilds as f64)),
         ("explain_p50_us", Json::num(stats.explain_p50_us as f64)),
         ("explain_p99_us", Json::num(stats.explain_p99_us as f64)),
+        ("truth_memo_hits", Json::num(stats.truth_memo_hits as f64)),
+        (
+            "truth_memo_misses",
+            Json::num(stats.truth_memo_misses as f64),
+        ),
     ])
 }
 

@@ -71,6 +71,13 @@ use std::time::{Duration, Instant};
 // brick the session for the next.
 use gopher_par::lock_recover;
 
+thread_local! {
+    /// The covered rows of the candidate a sweep worker is scoring, refilled
+    /// from the coverage words for every score, so scoring allocates no
+    /// row list per candidate.
+    static SCORED_ROWS: std::cell::RefCell<Vec<u32>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
 /// Environment variable consulted when [`SessionBuilder::threads`] is left
 /// on auto: `GOPHER_THREADS=<n>` pins the worker count (used by CI to run
 /// the whole test suite single- and multi-threaded).
@@ -1092,7 +1099,12 @@ impl<M: ModelFamily> ExplainSession<M> {
                     req.estimator,
                     req.bias_eval,
                 );
-                Box::new(move |cov: &BitSet| scorer(&cov.to_indices())) as ScoreFn<'_>
+                Box::new(move |cov: &BitSet| {
+                    SCORED_ROWS.with_borrow_mut(|rows| {
+                        cov.indices_into(rows);
+                        scorer(rows)
+                    })
+                }) as ScoreFn<'_>
             })
             .collect();
         let results = lattice::compute_candidates_multi(
@@ -1520,8 +1532,8 @@ mod tests {
         fn accumulate_grad_proba(&self, x: &[f64], out: &mut [f64]) {
             self.inner.accumulate_grad_proba(x, out);
         }
-        fn hessian_rank_one(&self, x: &[f64], y: f64) -> Option<f64> {
-            self.inner.hessian_rank_one(x, y)
+        fn rank_one(&self, x: &[f64], y: f64) -> Option<gopher_models::rank_one::Terms> {
+            self.inner.rank_one(x, y)
         }
     }
 

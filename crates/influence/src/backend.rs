@@ -195,11 +195,11 @@ impl<M: Differentiable> InfluenceBackend for HessianBackend<M> {
         &mut self,
         _old_train: &Encoded,
         new_train: &Encoded,
-        _removed_rows: &[usize],
+        removed_rows: &[usize],
         removed: &[(&[f64], f64)],
         added: &[(&[f64], f64)],
     ) -> EngineUpdateReport {
-        self.engine.update(new_train, removed, added)
+        self.engine.update(new_train, removed_rows, removed, added)
     }
 }
 

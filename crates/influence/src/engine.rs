@@ -1,7 +1,7 @@
 //! The influence engine: precomputation and parameter-change estimators.
 
 use gopher_data::Encoded;
-use gopher_linalg::{conjugate_gradient, vecops, Cholesky, Matrix};
+use gopher_linalg::{conjugate_gradient, vecops, Cholesky, Matrix, SparseRows};
 use gopher_models::train::{fit_default, full_gradient, objective, NewtonConfig, TrainReport};
 use gopher_models::{rank_one, Differentiable};
 
@@ -121,24 +121,30 @@ impl EngineUpdateReport {
 
 /// Precomputed state for influence queries against one trained model.
 ///
-/// Construction costs one pass to collect per-example gradients (`n × p`)
-/// and per-row Hessian weights, plus the Hessian assembly (`O(n p²)` from
-/// the weights for rank-one models, `p` exact Hessian–vector products per
-/// row otherwise — this mirrors the paper's "pre-compute the gradients and
-/// Hessian at start-up"). Each subsequent query is `O(m p)` for the subset
-/// gradient plus `O(p²)` per solve.
+/// Construction costs one pass to collect per-example gradients and
+/// per-row Hessian weights, plus the Hessian assembly (`O(n·nnz²)` over
+/// each row's nonzero features for rank-one models, `p` exact
+/// Hessian–vector products per row otherwise — this mirrors the paper's
+/// "pre-compute the gradients and Hessian at start-up").
+///
+/// Per-row state is stored sparse. A model with rank-one per-row Hessians
+/// keeps each row's nonzero features ([`SparseRows`]) and two scalars, its
+/// gradient scale and Hessian weight (the gradient is the scale times
+/// `x̃ = [x, 1]`); any other model keeps each row's nonzero gradient
+/// entries. One-hot encoded rows are mostly zeros (German: 13 nonzero
+/// features of 35), so a query over `m` rows costs `O(m·nnz)` for the
+/// subset gradient and for each rank-one subset Hessian–vector product,
+/// plus `O(p²)` per solve. The gathers add the dense loops' nonzero terms
+/// in the dense loops' order, so every answer is bit-identical to a dense
+/// layout's.
 pub struct InfluenceEngine<M: Differentiable> {
     model: M,
-    /// Per-example data-term gradients at θ*, one row per training example.
-    grads: Matrix,
-    /// `Σ_r grads[r]`, summed in row order: the full-data gradient one-step
-    /// GD reads on every call.
+    /// Per-example gradients and Hessian state at θ*, one row per training
+    /// example.
+    rows: RowState,
+    /// `Σ_r ∇L(z_r, θ*)`, summed in row order: the full-data gradient
+    /// one-step GD reads on every call.
     grad_sum: Vec<f64>,
-    /// Each training row's rank-one Hessian weight at the model's current
-    /// θ (see [`Differentiable::hessian_rank_one`]), so subset
-    /// Hessian–vector products skip re-evaluating the model per row;
-    /// `None` for models without that structure.
-    hess_weights: Option<Vec<f64>>,
     /// Damped full Hessian `H = (1/n) Σ ∇²L + λI + damping·I`.
     hessian: Matrix,
     chol: Cholesky,
@@ -149,6 +155,82 @@ pub struct InfluenceEngine<M: Differentiable> {
     /// Parameters at which the Hessian was last assembled in full; the drift
     /// bound in [`update`](Self::update) is measured against this point.
     hessian_theta: Vec<f64>,
+}
+
+/// What the engine keeps per training row.
+enum RowState {
+    /// A model with rank-one per-example structure (see
+    /// [`Differentiable::rank_one`]): gradient `g x̃` and Hessian `w x̃ x̃ᵀ`.
+    /// Each row keeps its nonzero features and its two scalars, so the
+    /// subset gradient and the subset Hessian–vector product walk the same
+    /// entries and never re-evaluate the model.
+    RankOne {
+        /// Each row's nonzero encoded features.
+        features: SparseRows,
+        /// Each row's gradient scale `g` at θ*.
+        scales: Vec<f64>,
+        /// Each row's Hessian weight `w` at θ*.
+        weights: Vec<f64>,
+    },
+    /// Any other model (the MLP): each row's gradient as its nonzero
+    /// entries; Hessian–vector products run the model's own per-row
+    /// product.
+    General {
+        /// Per-example gradients at θ*.
+        grads: SparseRows,
+    },
+}
+
+impl RowState {
+    /// Every row of `train` at the model's parameters, and the sum of
+    /// their gradients in row order.
+    fn new<M: Differentiable>(model: &M, train: &Encoded) -> (Self, Vec<f64>) {
+        let (n, p) = (train.n_rows(), model.n_params());
+        let mut grad_sum = vec![0.0; p];
+        if model.rank_one(train.x.row(0), train.y[0]).is_some() {
+            let mut rows = Self::RankOne {
+                features: SparseRows::from_dense(&train.x),
+                scales: Vec::with_capacity(n),
+                weights: Vec::with_capacity(n),
+            };
+            for r in 0..n {
+                rows.push_rank_one(model, train.x.row(r), train.y[r], &mut grad_sum);
+            }
+            return (rows, grad_sum);
+        }
+        let mut grads = SparseRows::new(p);
+        let mut grad = vec![0.0; p];
+        for r in 0..n {
+            grad.fill(0.0);
+            model.accumulate_grad(train.x.row(r), train.y[r], &mut grad);
+            vecops::axpy(1.0, &grad, &mut grad_sum);
+            grads.push_dense(&grad);
+        }
+        (Self::General { grads }, grad_sum)
+    }
+
+    /// Records the scalars of rank-one row `(x, y)` (its features are
+    /// already stored) and adds its gradient `g x̃` to `grad_sum`.
+    fn push_rank_one<M: Differentiable>(
+        &mut self,
+        model: &M,
+        x: &[f64],
+        y: f64,
+        grad_sum: &mut [f64],
+    ) {
+        let Self::RankOne {
+            scales, weights, ..
+        } = self
+        else {
+            unreachable!("only rank-one rows record rank-one scalars")
+        };
+        let terms = model
+            .rank_one(x, y)
+            .expect("rank-one structure is a property of the model, not of the row");
+        rank_one::add_grad(terms.grad, x, grad_sum);
+        scales.push(terms.grad);
+        weights.push(terms.weight);
+    }
 }
 
 impl<M: Differentiable> InfluenceEngine<M> {
@@ -163,26 +245,22 @@ impl<M: Differentiable> InfluenceEngine<M> {
         assert!(n > 0, "influence engine needs a non-empty training set");
         let p = model.n_params();
 
-        // Per-example gradients, their sum, and the rank-one Hessian
-        // weights, in one pass.
-        let mut grads = Matrix::zeros(n, p);
-        let mut grad_sum = vec![0.0; p];
-        let mut hess_weights = Some(Vec::with_capacity(n));
-        for r in 0..n {
-            let (x, y) = (train.x.row(r), train.y[r]);
-            model.accumulate_grad(x, y, grads.row_mut(r));
-            vecops::axpy(1.0, grads.row(r), &mut grad_sum);
-            hess_weights = push_rank_one_weight(&model, x, y, hess_weights);
-        }
+        // Per-example gradients (or rank-one scalars) and their sum, in one
+        // pass.
+        let (rows, grad_sum) = RowState::new(&model, train);
 
-        // Hessian assembly: `Σ w x̃ x̃ᵀ` from the weights just stored, or
-        // the model's own per-row Hessian without rank-one structure.
+        // Hessian assembly: `Σ w x̃ x̃ᵀ` over each row's nonzero features
+        // from the weights just stored, or the model's own per-row Hessian
+        // without rank-one structure.
         let mut hessian = Matrix::zeros(p, p);
         for r in 0..n {
-            let x = train.x.row(r);
-            match &hess_weights {
-                Some(weights) => rank_one::add_hessian(&mut hessian, weights[r], x),
-                None => model.accumulate_hessian(x, train.y[r], &mut hessian),
+            match &rows {
+                RowState::RankOne {
+                    features, weights, ..
+                } => rank_one::add_hessian(&mut hessian, weights[r], features.row(r)),
+                RowState::General { .. } => {
+                    model.accumulate_hessian(train.x.row(r), train.y[r], &mut hessian)
+                }
             }
         }
         hessian.scale(1.0 / n as f64);
@@ -196,9 +274,8 @@ impl<M: Differentiable> InfluenceEngine<M> {
         let hessian_theta = model.params().to_vec();
         Self {
             model,
-            grads,
+            rows,
             grad_sum,
-            hess_weights,
             hessian,
             chol,
             damping_used,
@@ -210,8 +287,10 @@ impl<M: Differentiable> InfluenceEngine<M> {
 
     /// Absorbs a training-set delta without rebuilding from scratch.
     ///
-    /// `new_train` is the post-delta training set; `removed` and `added` are
-    /// the encoded `(x, y)` rows that left and entered it. The engine
+    /// `new_train` is the post-delta training set: the engine's training
+    /// rows without `removed_rows` (in order), then the `added` rows, as
+    /// `Encoded::patched` builds it. `removed` and `added` are the encoded
+    /// `(x, y)` rows that left and entered it. The engine
     /// 1. patches its damped mean Hessian exactly at the current parameters
     ///    (`S_new = S_old − Σ h_removed + Σ h_added`, `O(|Δ| p²)`) and
     ///    factors the patched matrix afresh (`O(p³)`, escalating the
@@ -220,7 +299,9 @@ impl<M: Differentiable> InfluenceEngine<M> {
     ///    true gradient norm on `new_train` meets the Newton trainer's
     ///    tolerance, and
     /// 3. recomputes all per-row gradients, their sum, and the per-row
-    ///    Hessian weights at the new optimum (`O(n p)`).
+    ///    gradient scales and Hessian weights at the new optimum (`O(n p)`)
+    ///    into the storage they already had, and patches the stored
+    ///    features from the delta.
     ///
     /// Fallback: a model without rank-one Hessians, a warm-retrain stall,
     /// or accumulated parameter drift beyond `UPDATE_DRIFT_TOL` (`1e-2`,
@@ -229,17 +310,19 @@ impl<M: Differentiable> InfluenceEngine<M> {
     /// `new_train`.
     ///
     /// # Panics
-    /// If `new_train` is empty or the patched Hessian cannot be made
+    /// If `new_train` is empty, if its row count is not the engine's minus
+    /// `removed_rows` plus `added`, or if the patched Hessian cannot be made
     /// positive definite even with escalated damping.
     pub fn update(
         &mut self,
         new_train: &Encoded,
+        removed_rows: &[usize],
         removed: &[(&[f64], f64)],
         added: &[(&[f64], f64)],
     ) -> EngineUpdateReport {
         let n_new = new_train.n_rows();
         assert!(n_new > 0, "influence engine needs a non-empty training set");
-        if self.hess_weights.is_none() {
+        if let RowState::General { .. } = self.rows {
             // No per-row Hessian structure to patch: retrain and rebuild.
             let retrain = self.rebuild_from_scratch(new_train);
             return EngineUpdateReport {
@@ -342,31 +425,43 @@ impl<M: Differentiable> InfluenceEngine<M> {
         }
 
         // Commit: per-row gradients are always recomputed in full at the new
-        // optimum (exact, O(n p)); the Hessian keeps its patched form.
-        // Reuse the existing gradient storage when the row count is
-        // unchanged (the common balanced-delta case): a fresh `zeros`
-        // allocation of `n × p` would fault in every page again on each
-        // update. Rows are zeroed immediately before accumulation, so the
-        // recycled contents never leak through.
-        let mut grads = std::mem::replace(&mut self.grads, Matrix::zeros(0, 0));
-        if grads.rows() != n_new || grads.cols() != p {
-            grads = Matrix::zeros(n_new, p);
+        // optimum (exact, O(n p)); the Hessian keeps its patched form. The
+        // features move only where rows left or arrived, and the per-row
+        // scalars refill the storage they already have: fresh allocations
+        // would fault in every page again on each update.
+        let RowState::RankOne {
+            features,
+            scales,
+            weights,
+        } = &mut self.rows
+        else {
+            unreachable!("a model without rank-one structure rebuilt above")
+        };
+        let mut keep = vec![true; self.n];
+        for &r in removed_rows {
+            keep[r] = false;
         }
+        features.retain_rows(&keep);
+        for &(x, _) in added {
+            features.push_dense(x);
+        }
+        assert_eq!(
+            features.rows(),
+            n_new,
+            "update: new_train must be the training rows without removed_rows, then added"
+        );
+        scales.clear();
+        weights.clear();
         // The same pass also sums the per-row losses, replacing a separate
-        // `objective` sweep; the fused trait method is bit-identical to
-        // loss-after-grad, and the row order matches `objective`'s, so the
-        // reported final loss is exactly what the two-pass form computes.
-        // Gradient sum and Hessian weights follow `new`'s row order too.
+        // `objective` sweep in `objective`'s row order, so the reported
+        // final loss is exactly what `objective` computes. Gradient sum and
+        // per-row scalars follow `new`'s row order too.
         let mut data_loss = 0.0;
         let mut grad_sum = vec![0.0; p];
-        let mut hess_weights = Some(Vec::with_capacity(n_new));
         for r in 0..n_new {
             let (x, y) = (new_train.x.row(r), new_train.y[r]);
-            let row = grads.row_mut(r);
-            row.fill(0.0);
-            data_loss += model.accumulate_grad_and_loss(x, y, row);
-            vecops::axpy(1.0, row, &mut grad_sum);
-            hess_weights = push_rank_one_weight(&model, x, y, hess_weights);
+            data_loss += model.loss(x, y);
+            self.rows.push_rank_one(&model, x, y, &mut grad_sum);
         }
         let theta = model.params();
         let final_loss = data_loss / n_new as f64 + 0.5 * model.l2() * vecops::dot(theta, theta);
@@ -377,9 +472,7 @@ impl<M: Differentiable> InfluenceEngine<M> {
             converged: true,
         };
         self.model = model;
-        self.grads = grads;
         self.grad_sum = grad_sum;
-        self.hess_weights = hess_weights;
         self.hessian = hessian_new;
         self.chol = chol;
         self.n = n_new;
@@ -424,11 +517,6 @@ impl<M: Differentiable> InfluenceEngine<M> {
         self.damping_used
     }
 
-    /// The precomputed per-example gradient of training row `r`.
-    pub fn row_gradient(&self, r: usize) -> &[f64] {
-        self.grads.row(r)
-    }
-
     /// `Σ_r ∇L(z_r, θ*)` over the whole training set: the per-row
     /// gradients summed in row order, kept current by build and
     /// [`update`](Self::update).
@@ -436,11 +524,26 @@ impl<M: Differentiable> InfluenceEngine<M> {
         &self.grad_sum
     }
 
-    /// `g_S = Σ_{z∈S} ∇L(z, θ*)` for the given training rows.
+    /// `g_S = Σ_{z∈S} ∇L(z, θ*)` for the given training rows, added in row
+    /// order: `g x̃` over each row's nonzero features for rank-one models,
+    /// each row's stored gradient entries otherwise.
     pub fn subset_gradient(&self, rows: &[u32]) -> Vec<f64> {
-        let mut g = vec![0.0; self.n_params()];
-        for &r in rows {
-            vecops::axpy(1.0, self.grads.row(r as usize), &mut g);
+        let p = self.n_params();
+        let mut g = vec![0.0; p];
+        match &self.rows {
+            RowState::RankOne {
+                features, scales, ..
+            } => {
+                for &r in rows {
+                    let r = r as usize;
+                    rank_one::add_grad(scales[r], features.row(r), &mut g);
+                }
+            }
+            RowState::General { grads } => {
+                for &r in rows {
+                    grads.row(r as usize).axpy(1.0, &mut g);
+                }
+            }
         }
         g
     }
@@ -448,9 +551,10 @@ impl<M: Differentiable> InfluenceEngine<M> {
     /// Applies the subset's mean Hessian (plus λI): `out = H̃_S · v`.
     ///
     /// Models with rank-one per-row Hessians read each row's stored weight
-    /// through the [`rank_one`] kernel — the arithmetic of their own
-    /// per-row Hessian–vector product, without re-evaluating the model.
-    /// The rest (the MLP) run their own exact per-row product.
+    /// and nonzero features through the [`rank_one`] kernel — the
+    /// arithmetic of their own per-row Hessian–vector product, without
+    /// re-evaluating the model or walking zero features. The rest (the
+    /// MLP) run their own exact per-row product.
     pub fn subset_hessian_vec(&self, train: &Encoded, rows: &[u32], v: &[f64]) -> Vec<f64> {
         let p = self.n_params();
         let m = rows.len().max(1) as f64;
@@ -460,10 +564,14 @@ impl<M: Differentiable> InfluenceEngine<M> {
         }
         for &r in rows {
             let r = r as usize;
-            let (x, y) = (train.x.row(r), train.y[r]);
-            match &self.hess_weights {
-                Some(weights) => rank_one::add_hessian_vec(weights[r], x, v, &mut out),
-                None => self.model.accumulate_hessian_vec(x, y, v, &mut out),
+            match &self.rows {
+                RowState::RankOne {
+                    features, weights, ..
+                } => rank_one::add_hessian_vec(weights[r], features.row(r), v, &mut out),
+                RowState::General { .. } => {
+                    self.model
+                        .accumulate_hessian_vec(train.x.row(r), train.y[r], v, &mut out)
+                }
             }
         }
         // Mean over the subset, then the subset's regularizer share.
@@ -545,19 +653,6 @@ impl<M: Differentiable> InfluenceEngine<M> {
     }
 }
 
-/// Appends row `(x, y)`'s rank-one Hessian weight to `weights`, or drops
-/// them all (`None`) once a row has no rank-one structure.
-fn push_rank_one_weight<M: Differentiable>(
-    model: &M,
-    x: &[f64],
-    y: f64,
-    weights: Option<Vec<f64>>,
-) -> Option<Vec<f64>> {
-    let mut weights = weights?;
-    weights.push(model.hessian_rank_one(x, y)?);
-    Some(weights)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -603,18 +698,16 @@ mod tests {
             let z = vecops::dot(&self.params[..self.n_inputs], x) + self.params[self.n_inputs];
             0.5 * (z - y) * (z - y)
         }
-        fn accumulate_grad(&self, x: &[f64], y: f64, out: &mut [f64]) {
-            let z = vecops::dot(&self.params[..self.n_inputs], x) + self.params[self.n_inputs];
-            let resid = z - y;
-            vecops::axpy(resid, x, &mut out[..self.n_inputs]);
-            out[self.n_inputs] += resid;
-        }
         fn accumulate_grad_proba(&self, x: &[f64], out: &mut [f64]) {
             vecops::axpy(1.0, x, &mut out[..self.n_inputs]);
             out[self.n_inputs] += 1.0;
         }
-        fn hessian_rank_one(&self, _x: &[f64], _y: f64) -> Option<f64> {
-            Some(1.0)
+        fn rank_one(&self, x: &[f64], y: f64) -> Option<rank_one::Terms> {
+            let z = vecops::dot(&self.params[..self.n_inputs], x) + self.params[self.n_inputs];
+            Some(rank_one::Terms {
+                grad: z - y,
+                weight: 1.0,
+            })
         }
     }
 
@@ -842,9 +935,14 @@ mod tests {
         let new_train = with_delta(&data, &removed, &dup);
         let rm = delta_pairs(&data, &removed);
         let add = delta_pairs(&data, &dup);
-        let report = engine.update(&new_train, &as_refs(&rm), &as_refs(&add));
+        let report = engine.update(&new_train, &removed, &as_refs(&rm), &as_refs(&add));
         assert_eq!(report.rebuild, None, "small delta must stay incremental");
         assert!(report.retrain.converged);
+        // The reported norm is the full gradient's at the retrained θ.
+        let mut grad = vec![0.0; engine.n_params()];
+        full_gradient(engine.model(), &new_train, &mut grad);
+        assert_eq!(report.retrain.grad_norm, vecops::norm2(&grad));
+        assert!(report.retrain.grad_norm < NewtonConfig::default().grad_tol);
         // Assemble the Hessian in full at the *old* parameters — the point
         // the incremental patch was evaluated at — and compare.
         let mut frozen = engine.model().clone();
@@ -878,9 +976,10 @@ mod tests {
         let new_train = with_delta(&data, &removed, &dup);
         let rm = delta_pairs(&data, &removed);
         let add = delta_pairs(&data, &dup);
-        let report = engine.update(&new_train, &as_refs(&rm), &as_refs(&add));
+        let report = engine.update(&new_train, &removed, &as_refs(&rm), &as_refs(&add));
         assert!(report.retrain.converged);
         assert_eq!(report.rebuild, None, "small delta must stay incremental");
+        assert!(report.retrain.grad_norm < NewtonConfig::default().grad_tol);
         // A from-scratch session on the post-delta data reaches the same
         // (unique, convex) optimum.
         let mut fresh = LogisticRegression::new(new_train.n_cols(), 1e-3);
@@ -920,7 +1019,7 @@ mod tests {
         let rm: Vec<(Vec<f64>, f64)> = (0..120)
             .map(|_| (data.x.row(0).to_vec(), data.y[0]))
             .collect();
-        let report = engine.update(&data, &as_refs(&rm), &[]);
+        let report = engine.update(&data, &[], &as_refs(&rm), &[]);
         assert!(
             engine.damping_used() > damping_before,
             "an indefinite patch must escalate the damping: {} -> {}",
@@ -942,7 +1041,7 @@ mod tests {
         let removed: Vec<usize> = vec![5, 6, 700];
         let new_train = with_delta(&data, &removed, &[]);
         let rm = delta_pairs(&data, &removed);
-        let report = engine.update(&new_train, &as_refs(&rm), &[]);
+        let report = engine.update(&new_train, &removed, &as_refs(&rm), &[]);
         assert_eq!(report.rebuild, None, "small delta must stay incremental");
         assert_eq!(engine.n_train(), new_train.n_rows());
         let residual = factor_residual(&engine);
@@ -969,7 +1068,7 @@ mod tests {
         let new_train = with_delta(&data, &[0], &[1]);
         let rm = delta_pairs(&data, &[0]);
         let add = delta_pairs(&data, &[1]);
-        let report = engine.update(&new_train, &as_refs(&rm), &as_refs(&add));
+        let report = engine.update(&new_train, &[0], &as_refs(&rm), &as_refs(&add));
         assert_eq!(
             report.rebuild,
             Some(RebuildCause::NoRankOneHessian),
@@ -1013,7 +1112,7 @@ mod tests {
         let row_sum = |engine: &InfluenceEngine<LogisticRegression>| {
             let mut sum = vec![0.0; engine.n_params()];
             for r in 0..engine.n_train() {
-                vecops::axpy(1.0, engine.row_gradient(r), &mut sum);
+                vecops::axpy(1.0, &engine.subset_gradient(&[r as u32]), &mut sum);
             }
             sum
         };
@@ -1024,7 +1123,7 @@ mod tests {
         let new_train = with_delta(&data, &[4, 90], &[7, 8]);
         let rm = delta_pairs(&data, &[4, 90]);
         let add = delta_pairs(&data, &[7, 8]);
-        let report = engine.update(&new_train, &as_refs(&rm), &as_refs(&add));
+        let report = engine.update(&new_train, &[4, 90], &as_refs(&rm), &as_refs(&add));
         assert_eq!(report.rebuild, None, "small delta must stay incremental");
         assert_weighted_hvp_matches_per_row(&engine, &new_train);
         assert_eq!(engine.gradient_sum(), row_sum(&engine).as_slice());
@@ -1035,7 +1134,7 @@ mod tests {
         let mut svm = gopher_models::LinearSvm::new(data.n_cols(), 1e-3);
         gopher_models::train::fit_default(&mut svm, &data);
         let weights: Vec<f64> = (0..data.n_rows())
-            .map(|r| svm.hessian_rank_one(data.x.row(r), data.y[r]).unwrap())
+            .map(|r| svm.rank_one(data.x.row(r), data.y[r]).unwrap().weight)
             .collect();
         assert!(weights.contains(&0.0), "some rows must sit at zero slack");
         assert!(
@@ -1047,7 +1146,7 @@ mod tests {
         let new_train = with_delta(&data, &[11, 300], &[12, 13]);
         let rm = delta_pairs(&data, &[11, 300]);
         let add = delta_pairs(&data, &[12, 13]);
-        engine.update(&new_train, &as_refs(&rm), &as_refs(&add));
+        engine.update(&new_train, &[11, 300], &as_refs(&rm), &as_refs(&add));
         assert_weighted_hvp_matches_per_row(&engine, &new_train);
     }
 
@@ -1055,11 +1154,253 @@ mod tests {
     fn subset_gradient_sums_rows() {
         let data = random_encoded(20, 3, 5);
         let model = ridge_fit(&data, 0.2);
-        let engine = InfluenceEngine::new(model, &data, InfluenceConfig::default());
+        let engine = InfluenceEngine::new(model.clone(), &data, InfluenceConfig::default());
         let g = engine.subset_gradient(&[2, 7]);
-        let expected = vecops::add(engine.row_gradient(2), engine.row_gradient(7));
+        let mut expected = vec![0.0; engine.n_params()];
+        for r in [2, 7] {
+            model.accumulate_grad(data.x.row(r), data.y[r], &mut expected);
+        }
         for (a, b) in g.iter().zip(&expected) {
             assert!((a - b).abs() < 1e-12);
         }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The dense per-row gradient loop: each row's gradient (`g x̃` over
+    /// every feature for rank-one models) accumulated into a zeroed
+    /// `p`-vector, then added whole, in row order.
+    fn dense_subset_gradient<M: Differentiable>(
+        engine: &InfluenceEngine<M>,
+        train: &Encoded,
+        rows: &[u32],
+    ) -> Vec<f64> {
+        let p = engine.n_params();
+        let mut g = vec![0.0; p];
+        for &r in rows {
+            let (x, y) = (train.x.row(r as usize), train.y[r as usize]);
+            let mut row = vec![0.0; p];
+            match engine.model().rank_one(x, y) {
+                Some(terms) => {
+                    vecops::axpy(terms.grad, x, &mut row[..p - 1]);
+                    row[p - 1] += terms.grad;
+                }
+                None => engine.model().accumulate_grad(x, y, &mut row),
+            }
+            vecops::axpy(1.0, &row, &mut g);
+        }
+        g
+    }
+
+    /// The dense subset Hessian–vector product: rank-one rows through
+    /// `w (x̃ᵀv) x̃` over every feature of the dense row, the rest through
+    /// the model's own per-row product.
+    fn dense_subset_hessian_vec<M: Differentiable>(
+        engine: &InfluenceEngine<M>,
+        train: &Encoded,
+        rows: &[u32],
+        v: &[f64],
+    ) -> Vec<f64> {
+        let model = engine.model();
+        let mut out = vec![0.0; engine.n_params()];
+        if rows.is_empty() {
+            return out;
+        }
+        for &r in rows {
+            let (x, y) = (train.x.row(r as usize), train.y[r as usize]);
+            match model.rank_one(x, y).map(|t| t.weight) {
+                Some(0.0) => {}
+                Some(w) => {
+                    let d = x.len();
+                    let scale = w * (vecops::dot(x, &v[..d]) + v[d]);
+                    vecops::axpy(scale, x, &mut out[..d]);
+                    out[d] += scale;
+                }
+                None => model.accumulate_hessian_vec(x, y, v, &mut out),
+            }
+        }
+        let m = rows.len() as f64;
+        let l2 = model.l2() + engine.damping_used();
+        for (o, vi) in out.iter_mut().zip(v) {
+            *o = *o / m + l2 * vi;
+        }
+        out
+    }
+
+    /// `param_change` over the dense loops above.
+    fn dense_param_change<M: Differentiable>(
+        engine: &InfluenceEngine<M>,
+        train: &Encoded,
+        rows: &[u32],
+        estimator: Estimator,
+    ) -> Vec<f64> {
+        let p = engine.n_params();
+        if rows.is_empty() {
+            return vec![0.0; p];
+        }
+        let (n, m) = (engine.n_train() as f64, rows.len() as f64);
+        let g_s = dense_subset_gradient(engine, train, rows);
+        let mut g_tilde = g_s.clone();
+        let l2 = engine.model().l2() + engine.damping_used();
+        vecops::axpy(m * l2, engine.model().params(), &mut g_tilde);
+        match estimator {
+            Estimator::FirstOrder => vecops::scaled(1.0 / n, &engine.chol.solve(&g_s)),
+            Estimator::SecondOrder => {
+                let d1 = vecops::scaled(1.0 / n, &engine.chol.solve(&g_tilde));
+                let hs_d1 = dense_subset_hessian_vec(engine, train, rows, &d1);
+                let mut corr = vecops::scaled(m / n, &engine.chol.solve(&hs_d1));
+                vecops::axpy(1.0, &d1, &mut corr);
+                corr
+            }
+            Estimator::NewtonStep => {
+                let apply = |v: &[f64]| -> Vec<f64> {
+                    let mut hv = vecops::scaled(n, &engine.hessian.matvec(v));
+                    let hs_v = dense_subset_hessian_vec(engine, train, rows, v);
+                    vecops::axpy(-m, &hs_v, &mut hv);
+                    hv
+                };
+                let cap = NEWTON_CG_MAX_ITER.min(4 * p);
+                conjugate_gradient(apply, &g_tilde, NEWTON_CG_TOL, cap).x
+            }
+            Estimator::OneStepGd { learning_rate } => {
+                let all: Vec<u32> = (0..engine.n_train() as u32).collect();
+                let mean_grad =
+                    vecops::scaled(1.0 / n, &dense_subset_gradient(engine, train, &all));
+                (0..p)
+                    .map(|i| -learning_rate * (mean_grad[i] - g_s[i] / n))
+                    .collect()
+            }
+        }
+    }
+
+    /// The sparse gathers against the dense loops, bit for bit, on three
+    /// subsets and under every estimator.
+    fn assert_matches_dense_reference<M: Differentiable>(
+        engine: &InfluenceEngine<M>,
+        train: &Encoded,
+        label: &str,
+    ) {
+        let n = train.n_rows() as u32;
+        assert_eq!(engine.n_train(), train.n_rows(), "{label}");
+        let v: Vec<f64> = (0..engine.n_params())
+            .map(|i| (i % 7) as f64 * 0.29 - 0.8)
+            .collect();
+        let subsets: [Vec<u32>; 3] = [
+            (0..n).step_by(3).collect(),
+            (n / 4..n / 2).collect(),
+            vec![0, n - 1],
+        ];
+        for rows in &subsets {
+            assert_eq!(
+                bits(&engine.subset_gradient(rows)),
+                bits(&dense_subset_gradient(engine, train, rows)),
+                "{label}: subset gradient"
+            );
+            assert_eq!(
+                bits(&engine.subset_hessian_vec(train, rows, &v)),
+                bits(&dense_subset_hessian_vec(engine, train, rows, &v)),
+                "{label}: subset Hessian-vector product"
+            );
+            for est in [
+                Estimator::FirstOrder,
+                Estimator::SecondOrder,
+                Estimator::NewtonStep,
+                Estimator::OneStepGd { learning_rate: 0.5 },
+            ] {
+                assert_eq!(
+                    bits(&engine.param_change(train, rows, est)),
+                    bits(&dense_param_change(engine, train, rows, est)),
+                    "{label}: {}",
+                    est.label()
+                );
+            }
+        }
+    }
+
+    /// Checks `engine` against the dense reference as built, after a small
+    /// delta, and after a delta large enough to rebuild; returns the two
+    /// updates' rebuild causes.
+    fn check_through_updates<M: Differentiable>(
+        mut engine: InfluenceEngine<M>,
+        data: &Encoded,
+        label: &str,
+    ) -> [Option<RebuildCause>; 2] {
+        assert_matches_dense_reference(&engine, data, label);
+        let small = with_delta(data, &[4], &[7]);
+        let rm = delta_pairs(data, &[4]);
+        let add = delta_pairs(data, &[7]);
+        let first = engine.update(&small, &[4], &as_refs(&rm), &as_refs(&add));
+        assert_matches_dense_reference(&engine, &small, &format!("{label} after update"));
+        let removed: Vec<usize> = (0..small.n_rows() / 4).collect();
+        let large = with_delta(&small, &removed, &[]);
+        let rm = delta_pairs(&small, &removed);
+        let second = engine.update(&large, &removed, &as_refs(&rm), &[]);
+        assert_matches_dense_reference(&engine, &large, &format!("{label} after rebuild"));
+        [first.rebuild, second.rebuild]
+    }
+
+    /// `subset_gradient`, `subset_hessian_vec` and `param_change` walk only
+    /// stored nonzeros, and must give the dense loops' bits: German LR,
+    /// the SVM (whose zero-slack rows carry weight 0 and a zero gradient),
+    /// the MLP, and a design with injected `0.0` and `-0.0` features and a
+    /// zero-residual row, each as built, after an incremental update and
+    /// after a rebuild.
+    #[test]
+    fn sparse_gathers_match_the_dense_loops_bit_for_bit() {
+        let (data, engine) = fitted_engine(4000, 41);
+        let causes = check_through_updates(engine, &data, "lr");
+        assert_eq!(causes[0], None, "lr: a small delta stays incremental");
+        assert!(
+            matches!(causes[1], Some(RebuildCause::Drift { .. })),
+            "lr: {causes:?}"
+        );
+
+        let raw = german(1500, 42);
+        let data = Encoder::fit(&raw).transform(&raw);
+        let mut svm = gopher_models::LinearSvm::new(data.n_cols(), 1e-3);
+        gopher_models::train::fit_default(&mut svm, &data);
+        assert!((0..data.n_rows())
+            .any(|r| svm.rank_one(data.x.row(r), data.y[r]).unwrap().weight == 0.0));
+        let engine = InfluenceEngine::new(svm, &data, InfluenceConfig::default());
+        let causes = check_through_updates(engine, &data, "svm");
+        assert!(causes[1].is_some(), "svm: {causes:?}");
+
+        let raw = german(150, 43);
+        let data = Encoder::fit(&raw).transform(&raw);
+        let mut mlp = gopher_models::Mlp::new(data.n_cols(), 4, 1e-3, &mut Rng::new(8));
+        gopher_models::train::fit_gd(
+            &mut mlp,
+            &data,
+            &gopher_models::train::GdConfig {
+                max_epochs: 200,
+                ..Default::default()
+            },
+        );
+        let engine = InfluenceEngine::new(mlp, &data, InfluenceConfig::default());
+        let causes = check_through_updates(engine, &data, "mlp");
+        assert_eq!(causes, [Some(RebuildCause::NoRankOneHessian); 2]);
+
+        let mut data = random_encoded(400, 6, 44);
+        let mut rng = Rng::new(45);
+        for r in 0..data.n_rows() {
+            for c in 0..data.n_cols() {
+                if rng.bernoulli(0.5) {
+                    data.x[(r, c)] = if rng.bernoulli(0.5) { 0.0 } else { -0.0 };
+                }
+            }
+        }
+        data.x.row_mut(3).fill(-0.0);
+        let model = ridge_fit(&data, 0.1);
+        let d = data.n_cols();
+        data.y[5] = vecops::dot(&model.params()[..d], data.x.row(5)) + model.params()[d];
+        let engine = InfluenceEngine::new(model, &data, InfluenceConfig::default());
+        assert!(
+            engine.subset_gradient(&[5]).iter().all(|&g| g == 0.0),
+            "row 5 has zero residual"
+        );
+        let causes = check_through_updates(engine, &data, "sparse design");
+        assert!(causes[1].is_some(), "sparse design: {causes:?}");
     }
 }

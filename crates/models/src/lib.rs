@@ -89,14 +89,27 @@ pub trait Differentiable: Model {
     fn loss(&self, x: &[f64], y: f64) -> f64;
 
     /// Accumulates `∇θ L(z, θ)` into `out` (`out += grad`).
-    fn accumulate_grad(&self, x: &[f64], y: f64, out: &mut [f64]);
+    ///
+    /// Provided for rank-one models (see [`rank_one`](Self::rank_one)):
+    /// it adds `g x̃` through [`rank_one::add_grad`]. Every other model
+    /// must override it.
+    ///
+    /// # Panics
+    /// If the model implements neither this method nor `rank_one`.
+    fn accumulate_grad(&self, x: &[f64], y: f64, out: &mut [f64]) {
+        let terms = self
+            .rank_one(x, y)
+            .expect("a model without rank-one structure must implement accumulate_grad");
+        rank_one::add_grad(terms.grad, x, out);
+    }
 
     /// Accumulates `∇θ L(z, θ)` into `out` and returns `L(z, θ)` from the
     /// same pass. The default evaluates gradient and loss separately;
     /// models whose gradient and loss share a decision value should
     /// override to compute it once. Implementations must return exactly
-    /// [`loss`](Self::loss) — callers rely on the fused pass being
-    /// bit-identical to the two-pass form.
+    /// [`loss`](Self::loss) and add exactly what
+    /// [`accumulate_grad`](Self::accumulate_grad) adds — callers rely on
+    /// the fused pass being bit-identical to the two-pass form.
     fn accumulate_grad_and_loss(&self, x: &[f64], y: f64, out: &mut [f64]) -> f64 {
         self.accumulate_grad(x, y, out);
         self.loss(x, y)
@@ -105,20 +118,22 @@ pub trait Differentiable: Model {
     /// Accumulates `∇θ p(x; θ)` into `out`.
     fn accumulate_grad_proba(&self, x: &[f64], out: &mut [f64]);
 
-    /// The rank-one structure of the per-example Hessian, when the model
-    /// has one: the weight `w` such that `∇²θ L(z, θ) = w · x̃ x̃ᵀ` with
-    /// `x̃ = [x, 1]` (so `n_params == n_inputs + 1`). A weight may be `0.0`
-    /// (e.g. a non-support vector), in which case the contribution is the
-    /// zero matrix.
+    /// The rank-one structure of the per-example loss, when the model has
+    /// one: the gradient scale `g` and Hessian weight `w` with
+    /// `∇θ L(z, θ) = g x̃` and `∇²θ L(z, θ) = w x̃ x̃ᵀ`, where `x̃ = [x, 1]`
+    /// (so `n_params == n_inputs + 1`). Any loss of `θᵀx̃` has this shape.
+    /// A weight may be `0.0` (e.g. a non-support vector), in which case the
+    /// Hessian contribution is the zero matrix.
     ///
-    /// Returning `Some` is all a rank-one model implements of its Hessian:
-    /// the provided [`accumulate_hessian_vec`](Self::accumulate_hessian_vec)
-    /// and [`accumulate_hessian`](Self::accumulate_hessian) apply the weight
-    /// through the [`rank_one`] kernel, as do the influence engine's
-    /// stored-weight paths and its incremental update. `None` (the default)
-    /// is a property of the model, not of the example: such a model states
-    /// its Hessian through `accumulate_hessian_vec` instead.
-    fn hessian_rank_one(&self, x: &[f64], y: f64) -> Option<f64> {
+    /// Returning `Some` is all a rank-one model implements of its gradient
+    /// and Hessian: the provided [`accumulate_grad`](Self::accumulate_grad),
+    /// [`accumulate_hessian_vec`](Self::accumulate_hessian_vec) and
+    /// [`accumulate_hessian`](Self::accumulate_hessian) apply the two
+    /// scalars through the [`rank_one`] kernels, as do the influence
+    /// engine's stored per-row state and its incremental update. `None`
+    /// (the default) is a property of the model, not of the example: such
+    /// a model overrides those three methods instead.
+    fn rank_one(&self, x: &[f64], y: f64) -> Option<rank_one::Terms> {
         let _ = (x, y);
         None
     }
@@ -126,37 +141,31 @@ pub trait Differentiable: Model {
     /// Accumulates the exact per-example Hessian–vector product
     /// `∇²θ L(z, θ) · v` into `out`.
     ///
-    /// Provided for rank-one models (see
-    /// [`hessian_rank_one`](Self::hessian_rank_one)); every other model
-    /// must override it.
+    /// Provided for rank-one models (see [`rank_one`](Self::rank_one));
+    /// every other model must override it.
     ///
     /// # Panics
-    /// If the model implements neither this method nor `hessian_rank_one`.
+    /// If the model implements neither this method nor `rank_one`.
     fn accumulate_hessian_vec(&self, x: &[f64], y: f64, v: &[f64], out: &mut [f64]) {
-        let w = self
-            .hessian_rank_one(x, y)
-            .expect("a model without a rank-one Hessian must implement accumulate_hessian_vec");
-        rank_one::add_hessian_vec(w, x, v, out);
+        let terms = self
+            .rank_one(x, y)
+            .expect("a model without rank-one structure must implement accumulate_hessian_vec");
+        rank_one::add_hessian_vec(terms.weight, x, v, out);
     }
 
-    /// Accumulates the per-example Hessian `∇²θ L(z, θ)` into `out`: the
-    /// rank-one outer product when the model states one, otherwise
-    /// `n_params` Hessian–vector products against basis vectors, each
-    /// added as a row (`H eⱼ` is column `j`, and the exact Hessian is
-    /// symmetric).
+    /// Accumulates the per-example Hessian `∇²θ L(z, θ)` into `out`.
+    ///
+    /// Provided for rank-one models (see [`rank_one`](Self::rank_one)):
+    /// it adds the outer product `w x̃ x̃ᵀ`. Every other model must
+    /// override it.
+    ///
+    /// # Panics
+    /// If the model implements neither this method nor `rank_one`.
     fn accumulate_hessian(&self, x: &[f64], y: f64, out: &mut Matrix) {
-        if let Some(w) = self.hessian_rank_one(x, y) {
-            rank_one::add_hessian(out, w, x);
-            return;
-        }
-        let p = self.n_params();
-        debug_assert_eq!((out.rows(), out.cols()), (p, p));
-        let mut basis = vec![0.0; p];
-        for j in 0..p {
-            basis[j] = 1.0;
-            self.accumulate_hessian_vec(x, y, &basis, out.row_mut(j));
-            basis[j] = 0.0;
-        }
+        let terms = self
+            .rank_one(x, y)
+            .expect("a model without rank-one structure must implement accumulate_hessian");
+        rank_one::add_hessian(out, terms.weight, x);
     }
 }
 

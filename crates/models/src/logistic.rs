@@ -1,5 +1,6 @@
 //! L2-regularized logistic regression.
 
+use crate::rank_one::{self, Terms};
 use crate::{log_sigmoid, sigmoid, Differentiable, Model};
 use gopher_linalg::vecops;
 
@@ -10,7 +11,9 @@ use gopher_linalg::vecops;
 /// Per-example quantities (with `x̃ = [x, 1]`, `p = σ(θᵀx̃)`):
 /// * loss `L = −[y ln p + (1−y) ln(1−p)]`
 /// * gradient `∇θL = (p − y) x̃`
-/// * Hessian `∇²θL = p(1−p) x̃ x̃ᵀ`, stated as its rank-one weight `p(1−p)`
+/// * Hessian `∇²θL = p(1−p) x̃ x̃ᵀ`
+///
+/// stated as the rank-one terms `g = p − y` and `w = p(1−p)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogisticRegression {
     params: Vec<f64>,
@@ -41,6 +44,17 @@ impl LogisticRegression {
     pub fn decision(&self, x: &[f64]) -> f64 {
         debug_assert_eq!(x.len(), self.n_inputs);
         vecops::dot(&self.params[..self.n_inputs], x) + self.params[self.n_inputs]
+    }
+
+    /// The rank-one terms at decision value `z`: `g = σ(z) − y` and
+    /// `w = σ(z)(1 − σ(z))`.
+    #[inline]
+    fn terms(z: f64, y: f64) -> Terms {
+        let p = sigmoid(z);
+        Terms {
+            grad: p - y,
+            weight: p * (1.0 - p),
+        }
     }
 }
 
@@ -87,20 +101,12 @@ impl Differentiable for LogisticRegression {
         -(y * log_sigmoid(z) + (1.0 - y) * log_sigmoid(-z))
     }
 
-    fn accumulate_grad(&self, x: &[f64], y: f64, out: &mut [f64]) {
-        let residual = self.predict_proba(x) - y;
-        vecops::axpy(residual, x, &mut out[..self.n_inputs]);
-        out[self.n_inputs] += residual;
-    }
-
     fn accumulate_grad_and_loss(&self, x: &[f64], y: f64, out: &mut [f64]) -> f64 {
         // One decision evaluation serves both: `sigmoid(z)` drives the
         // gradient residual, `log_sigmoid(±z)` the cross-entropy. Matches
         // `accumulate_grad` + `loss` bit for bit (identical `z`).
         let z = self.decision(x);
-        let residual = sigmoid(z) - y;
-        vecops::axpy(residual, x, &mut out[..self.n_inputs]);
-        out[self.n_inputs] += residual;
+        rank_one::add_grad(Self::terms(z, y).grad, x, out);
         -(y * log_sigmoid(z) + (1.0 - y) * log_sigmoid(-z))
     }
 
@@ -111,9 +117,9 @@ impl Differentiable for LogisticRegression {
         out[self.n_inputs] += w;
     }
 
-    fn hessian_rank_one(&self, x: &[f64], _y: f64) -> Option<f64> {
-        let p = self.predict_proba(x);
-        Some(p * (1.0 - p))
+    #[inline]
+    fn rank_one(&self, x: &[f64], y: f64) -> Option<Terms> {
+        Some(Self::terms(self.decision(x), y))
     }
 }
 
@@ -237,9 +243,10 @@ mod tests {
     fn rank_one_structure_matches_full_hessian() {
         let m = model();
         let x = [0.7, -1.3];
-        let w = m.hessian_rank_one(&x, 1.0).expect("LR is rank-1");
-        let p = m.predict_proba(&x);
+        let terms = m.rank_one(&x, 1.0).expect("LR is rank-1");
+        let (p, w) = (m.predict_proba(&x), terms.weight);
         assert_eq!(w, p * (1.0 - p));
+        assert_eq!(terms.grad, p - 1.0);
         let mut h = Matrix::zeros(3, 3);
         m.accumulate_hessian(&x, 1.0, &mut h);
         // Reference: w·x̃x̃ᵀ with x̃ = [x, 1].

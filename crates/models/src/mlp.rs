@@ -1,7 +1,7 @@
 //! One-hidden-layer feed-forward network (the paper's neural classifier).
 
 use crate::{log_sigmoid, sigmoid, Differentiable, Model};
-use gopher_linalg::vecops;
+use gopher_linalg::{vecops, Matrix};
 use gopher_prng::Rng;
 
 /// A feed-forward network with one tanh hidden layer and a sigmoid output,
@@ -14,9 +14,11 @@ use gopher_prng::Rng;
 /// [ W₁ row 0 | W₁ row 1 | … | W₁ row h−1 | b₁ | w₂ | b₂ ]
 /// ```
 ///
-/// The per-example Hessian has no rank-one structure, so the model states
-/// it through an exact Hessian–vector product, Pearlmutter's R-operator
-/// (see [`accumulate_hessian_vec`](Differentiable::accumulate_hessian_vec)).
+/// The per-example loss has no rank-one structure, so the model states its
+/// gradient and its Hessian itself: the Hessian through an exact
+/// Hessian–vector product, Pearlmutter's R-operator (see
+/// [`accumulate_hessian_vec`](Differentiable::accumulate_hessian_vec)), and
+/// the full per-example Hessian as `p` such products against basis vectors.
 /// The loss is non-convex, so the Hessian at the optimum may be
 /// indefinite; the influence engine damps it (see `gopher-influence`).
 #[derive(Debug, Clone, PartialEq)]
@@ -188,6 +190,39 @@ impl Differentiable for Mlp {
     /// pass that differentiates each term of the gradient's backpropagation.
     fn accumulate_hessian_vec(&self, x: &[f64], y: f64, v: &[f64], out: &mut [f64]) {
         let fwd = self.forward(x);
+        self.hessian_vec_at(x, y, &fwd, v, &mut Vec::with_capacity(self.hidden), out);
+    }
+
+    /// The per-example Hessian, one basis product `H eⱼ` per row `j` (the
+    /// exact Hessian is symmetric); the `p` products share one forward pass
+    /// and one scratch buffer.
+    fn accumulate_hessian(&self, x: &[f64], y: f64, out: &mut Matrix) {
+        let p = self.n_params();
+        debug_assert_eq!((out.rows(), out.cols()), (p, p));
+        let fwd = self.forward(x);
+        let mut r_h = Vec::with_capacity(self.hidden);
+        let mut basis = vec![0.0; p];
+        for j in 0..p {
+            basis[j] = 1.0;
+            self.hessian_vec_at(x, y, &fwd, &basis, &mut r_h, out.row_mut(j));
+            basis[j] = 0.0;
+        }
+    }
+}
+
+impl Mlp {
+    /// The R-operator's R-forward and backward passes of
+    /// [`accumulate_hessian_vec`](Differentiable::accumulate_hessian_vec)
+    /// at `fwd`, the forward pass of `x`; `r_h` is scratch for `R{h}`.
+    fn hessian_vec_at(
+        &self,
+        x: &[f64],
+        y: f64,
+        fwd: &Forward,
+        v: &[f64],
+        r_h: &mut Vec<f64>,
+        out: &mut [f64],
+    ) {
         let (d, hidden) = (self.n_inputs, self.hidden);
         let b1_start = hidden * d;
         let w2_start = b1_start + hidden;
@@ -195,7 +230,7 @@ impl Differentiable for Mlp {
         let v_w2 = &v[w2_start..w2_start + hidden];
         // R-forward: R{aₖ} = v_W₁ₖᵀx + v_b₁ₖ, R{hₖ} = (1 − hₖ²) R{aₖ},
         // R{z} = v_w₂ᵀh + w₂ᵀR{h} + v_b₂.
-        let mut r_h = Vec::with_capacity(hidden);
+        r_h.clear();
         let mut r_z = v[w2_start + hidden];
         for (unit, &h) in fwd.h.iter().enumerate() {
             let r_a = vecops::dot(&v[unit * d..(unit + 1) * d], x) + v[b1_start + unit];
@@ -206,7 +241,7 @@ impl Differentiable for Mlp {
         // Backward: δz = p − y and R{δz} = p(1 − p) R{z}.
         let dz = fwd.p - y;
         let r_dz = fwd.p * (1.0 - fwd.p) * r_z;
-        for (unit, (&h, &rh)) in fwd.h.iter().zip(&r_h).enumerate() {
+        for (unit, (&h, &rh)) in fwd.h.iter().zip(r_h.iter()).enumerate() {
             out[w2_start + unit] += r_dz * h + dz * rh;
             // δaₖ = δz w₂ₖ (1 − hₖ²), so R{δaₖ} =
             // (1 − hₖ²)(R{δz} w₂ₖ + δz v_w₂ₖ) − 2 δz w₂ₖ hₖ R{hₖ}.
@@ -304,7 +339,7 @@ mod tests {
         let (data, m) = german_model();
         let p = m.n_params();
         for r in [0, 7, 123] {
-            let mut h = gopher_linalg::Matrix::zeros(p, p);
+            let mut h = Matrix::zeros(p, p);
             m.accumulate_hessian(data.x.row(r), data.y[r], &mut h);
             let scale = h.max_abs();
             assert!(scale > 0.0);
@@ -352,6 +387,28 @@ mod tests {
                 .collect();
             let rel = norm_inf(&sub(&hv, &fd)) / norm_inf(&hv);
             assert!(rel <= 1e-7, "row {r}: relative error {rel}");
+        }
+    }
+
+    /// The shared-forward Hessian is the basis Hessian–vector products,
+    /// bit for bit.
+    #[test]
+    fn hessian_rows_are_basis_hessian_vector_products() {
+        let (data, m) = german_model();
+        let p = m.n_params();
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for r in [0, 7, 123] {
+            let (x, y) = (data.x.row(r), data.y[r]);
+            let mut h = Matrix::zeros(p, p);
+            m.accumulate_hessian(x, y, &mut h);
+            let mut basis = vec![0.0; p];
+            for j in 0..p {
+                basis[j] = 1.0;
+                let mut column = vec![0.0; p];
+                m.accumulate_hessian_vec(x, y, &basis, &mut column);
+                basis[j] = 0.0;
+                assert_eq!(bits(h.row(j)), bits(&column), "row {r}, basis {j}");
+            }
         }
     }
 

@@ -1,5 +1,6 @@
 //! Linear SVM with squared-hinge loss.
 
+use crate::rank_one::Terms;
 use crate::{sigmoid, Differentiable, Model};
 use gopher_linalg::vecops;
 
@@ -11,8 +12,9 @@ use gopher_linalg::vecops;
 /// With `ỹ = 2y − 1 ∈ {−1, +1}` and margin `m = ỹ (wᵀx + b)`:
 /// * loss `L = max(0, 1 − m)²`
 /// * gradient `∇θL = −2 max(0, 1 − m) ỹ x̃`
-/// * Hessian `∇²θL = 2 x̃ x̃ᵀ` if `m < 1`, else `0`, stated as its rank-one
-///   weight (2 or 0)
+/// * Hessian `∇²θL = 2 x̃ x̃ᵀ` if `m < 1`, else `0`
+///
+/// stated as the rank-one terms `g = −2 max(0, 1 − m) ỹ` and `w` (2 or 0).
 ///
 /// Probabilities use the sigmoid of the decision value (a fixed-scale Platt
 /// calibration). This surrogate is what the smooth fairness metrics and
@@ -90,16 +92,6 @@ impl Differentiable for LinearSvm {
         slack * slack
     }
 
-    fn accumulate_grad(&self, x: &[f64], y: f64, out: &mut [f64]) {
-        let (slack, ty) = self.slack(x, y);
-        if slack == 0.0 {
-            return;
-        }
-        let scale = -2.0 * slack * ty;
-        vecops::axpy(scale, x, &mut out[..self.n_inputs]);
-        out[self.n_inputs] += scale;
-    }
-
     fn accumulate_grad_proba(&self, x: &[f64], out: &mut [f64]) {
         let p = self.predict_proba(x);
         let w = p * (1.0 - p);
@@ -107,9 +99,14 @@ impl Differentiable for LinearSvm {
         out[self.n_inputs] += w;
     }
 
-    fn hessian_rank_one(&self, x: &[f64], y: f64) -> Option<f64> {
-        let (slack, _) = self.slack(x, y);
-        Some(if slack > 0.0 { 2.0 } else { 0.0 })
+    #[inline]
+    fn rank_one(&self, x: &[f64], y: f64) -> Option<Terms> {
+        // Beyond the margin the slack is zero, and so are both terms.
+        let (slack, ty) = self.slack(x, y);
+        Some(Terms {
+            grad: -2.0 * slack * ty,
+            weight: if slack > 0.0 { 2.0 } else { 0.0 },
+        })
     }
 }
 
@@ -190,7 +187,7 @@ mod tests {
         let m = model();
         // Inside the margin: weight 2, x̃ = [x, 1].
         let x = [0.3, 0.4];
-        let w = m.hessian_rank_one(&x, 0.0).expect("SVM is rank-1");
+        let w = m.rank_one(&x, 0.0).expect("SVM is rank-1").weight;
         assert_eq!(w, 2.0);
         let mut h = Matrix::zeros(3, 3);
         m.accumulate_hessian(&x, 0.0, &mut h);
@@ -200,9 +197,10 @@ mod tests {
                 assert!((h[(i, j)] - w * aug[i] * aug[j]).abs() < 1e-12);
             }
         }
-        // Beyond the margin: zero weight matches the zero Hessian.
+        // Beyond the margin: zero terms match the zero gradient and Hessian.
         let far = [3.0, 0.2];
-        assert_eq!(m.hessian_rank_one(&far, 1.0), Some(0.0));
+        let terms = m.rank_one(&far, 1.0).expect("SVM is rank-1");
+        assert_eq!((terms.grad, terms.weight), (0.0, 0.0));
     }
 
     #[test]

@@ -242,7 +242,7 @@ pub fn fit_default<M: Differentiable>(model: &mut M, data: &Encoded) -> TrainRep
     // Having a rank-one Hessian is a property of the model, not of the
     // example, so any input answers it.
     let probe = vec![0.0; model.n_inputs()];
-    if model.hessian_rank_one(&probe, 0.0).is_some() {
+    if model.rank_one(&probe, 0.0).is_some() {
         fit_newton(model, data, &NewtonConfig::default())
     } else {
         fit_gd(model, data, &GdConfig::default())
@@ -371,8 +371,8 @@ mod tests {
         fn accumulate_grad_proba(&self, x: &[f64], out: &mut [f64]) {
             self.inner.accumulate_grad_proba(x, out);
         }
-        fn hessian_rank_one(&self, x: &[f64], y: f64) -> Option<f64> {
-            self.inner.hessian_rank_one(x, y)
+        fn rank_one(&self, x: &[f64], y: f64) -> Option<crate::rank_one::Terms> {
+            self.inner.rank_one(x, y)
         }
     }
 

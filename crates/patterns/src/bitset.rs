@@ -194,6 +194,15 @@ impl BitSet {
     /// Members as sorted row ids.
     pub fn to_indices(&self) -> Vec<u32> {
         let mut out = Vec::with_capacity(self.count());
+        self.indices_into(&mut out);
+        out
+    }
+
+    /// Members as sorted row ids, written into `out` after clearing it:
+    /// [`to_indices`](Self::to_indices) for a caller that reuses one buffer
+    /// across many sets.
+    pub fn indices_into(&self, out: &mut Vec<u32>) {
+        out.clear();
         for (w_idx, &word) in self.words.iter().enumerate() {
             let mut w = word;
             while w != 0 {
@@ -202,7 +211,6 @@ impl BitSet {
                 w &= w - 1;
             }
         }
-        out
     }
 
     /// Iterates members as row ids in increasing order.
@@ -337,6 +345,11 @@ mod tests {
         let s = BitSet::from_indices(200, &idx);
         assert_eq!(s.to_indices(), idx);
         assert_eq!(s.iter().collect::<Vec<_>>(), idx);
+        let mut reused = vec![9, 9, 9, 9, 9, 9, 9, 9];
+        s.indices_into(&mut reused);
+        assert_eq!(reused, idx);
+        BitSet::new(200).indices_into(&mut reused);
+        assert!(reused.is_empty());
     }
 
     #[test]

@@ -326,10 +326,40 @@ struct Proposal {
     parents: Option<(usize, usize)>,
 }
 
+/// Merge pairs below which a level enumerates on the calling thread.
+/// Measured on German-10k first-order sessions (2 vCPUs): below about
+/// 50,000 pairs two workers were slower than one, at 51,000–54,000 they
+/// broke even (2.6–2.7 against 2.7–2.9 ms), and from 84,000 on they were
+/// 25–35% faster.
+const INLINE_PAIRS: usize = 50_000;
+
+/// Bitset words of a merge's coverage that only pay for its bookkeeping.
+/// Resolving a merge costs a fixed part (coverage-cache lookups and
+/// inserts, which workers serialize on the cache's lock) plus an
+/// AND-count over the words; only the words beyond this many are work a
+/// second worker takes off the first.
+const RESOLVE_BOOKKEEPING_WORDS: usize = 250;
+
+/// Distinct merges times their words beyond [`RESOLVE_BOOKKEEPING_WORDS`]
+/// below which a level resolves its merges on the calling thread.
+///
+/// Both constants come from 1-vs-2-worker timings of every level of twelve
+/// cold first-order questions per dataset (2 vCPUs). Two workers never won
+/// at 110 words (German-10k, up to 4,697 merges; at 4,600 they took 2.9
+/// against 2.2 ms), 219 (Adult-20k) or 329 (SQF-30k), nor on SQF-50k (547
+/// words, 273 merges: 0.34 against 0.29 ms). German-40k (438 words) lost
+/// at 738 merges and won at 1,443 (1.3 against 1.5 ms). At 1,094 words
+/// they lost at 203 merges, broke even at 236 and won from 242
+/// (German-100k; SQF-100k won at 252: 0.42 against 0.53 ms). This rule puts
+/// every measured level on the side that was faster or even.
+const INLINE_RESOLVE_WORK: usize = 200_000;
+
 /// The structural phase of a merged level, for every live frontier:
 /// enumerates its merges in serial pair order, resolves each distinct one
-/// across up to `threads` workers (see [`resolve_merge`]), and returns each
-/// frontier's supported merges in that order.
+/// (see [`resolve_merge`]), and returns each frontier's supported merges in
+/// that order. Each step fans out over up to `threads` workers only when
+/// its work reaches [`INLINE_PAIRS`] or [`INLINE_RESOLVE_WORK`]; below,
+/// spawning them costs more than it saves.
 fn propose_merges(
     table: &PredicateTable,
     cache: &CoverageCache,
@@ -339,16 +369,21 @@ fn propose_merges(
 ) -> Vec<Vec<Proposal>> {
     // Enumerate, chunked across workers; each chunk drops the repeats it
     // generates itself.
+    let pairs: usize = frontiers
+        .iter()
+        .map(|f| f.len() * f.len().saturating_sub(1) / 2)
+        .sum();
+    let enumerate_threads = if pairs < INLINE_PAIRS { 1 } else { threads };
     let work: Vec<(usize, std::ops::Range<usize>)> = frontiers
         .iter()
         .enumerate()
         .flat_map(|(f, frontier)| {
-            pair_chunks(frontier.len(), threads)
+            pair_chunks(frontier.len(), enumerate_threads)
                 .into_iter()
                 .map(move |range| (f, range))
         })
         .collect();
-    let found = gopher_par::par_map(threads, &work, |_, (f, range)| {
+    let found = gopher_par::par_map(enumerate_threads, &work, |_, (f, range)| {
         let frontier = frontiers[*f];
         let mut out: Vec<(Pattern, usize, usize)> = Vec::new();
         let mut local_seen: HashSet<Pattern> = HashSet::new();
@@ -398,7 +433,14 @@ fn propose_merges(
                 .collect()
         })
         .collect();
-    let resolved = gopher_par::par_map(threads, &first, |_, &(ids, f, i, j)| {
+    let words = table.n_rows().div_ceil(64);
+    let resolve_work = first.len() * words.saturating_sub(RESOLVE_BOOKKEEPING_WORDS);
+    let resolve_threads = if resolve_work < INLINE_RESOLVE_WORK {
+        1
+    } else {
+        threads
+    };
+    let resolved = gopher_par::par_map(resolve_threads, &first, |_, &(ids, f, i, j)| {
         let (a, b) = (&frontiers[f][i], &frontiers[f][j]);
         resolve_merge(ids, cache, min_count, &a.coverage, &b.coverage)
     });

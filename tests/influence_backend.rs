@@ -127,7 +127,7 @@ fn lr_update_through_the_backend_matches_the_direct_engine_path() {
     let added_pairs: Vec<(&[f64], f64)> = (keep..new_train.n_rows())
         .map(|r| (new_train.x.row(r), new_train.y[r]))
         .collect();
-    let direct = engine.update(&new_train, &removed_pairs, &added_pairs);
+    let direct = engine.update(&new_train, &removed, &removed_pairs, &added_pairs);
 
     assert_eq!(report.engine.rebuild, direct.rebuild);
     let session_bits: Vec<u64> = session

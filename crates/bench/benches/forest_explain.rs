@@ -48,7 +48,7 @@ fn bench_forest_explain(c: &mut Criterion) {
         gopher_influence::InfluenceConfig::default(),
     );
     group.bench_function("german2k/retrain_ground_truth", |b| {
-        b.iter(|| backend.ground_truth_model(&train, &rows));
+        b.iter(|| backend.ground_truth_models(&train, std::slice::from_ref(&rows), 1));
     });
 
     group.finish();

@@ -2,15 +2,16 @@
 //! HTTP load.
 //!
 //! One daemon answers a mixed workload: four persistent keep-alive clients
-//! spraying mixed-metric explains across two tenant sessions. Both tenants
-//! run with `sweep_cache_cap: 0`, so no request is answered from the scored
-//! cache — each one either runs its lattice sweep or, when another client is
-//! already sweeping the same question, waits for that sweep (single-flight).
+//! spraying mixed-metric explains across two tenant sessions. Each round
+//! asks a support threshold no earlier round asked, so every round sweeps:
+//! the first request of each (tenant, metric) question in a round runs its
+//! lattice sweep, and the rest of the round's askers either wait for that
+//! sweep (single-flight) or read it from the session's sweep cache.
 //!
 //! After the load the bench prints the tenants' sweep counters:
 //! `sweep_misses` counts the sweeps actually run, `sweep_hits` the requests
-//! answered from another client's in-flight sweep. Round times are the
-//! record for `BENCH_baseline.json`; on shared or small containers they are
+//! answered from another client's sweep. Round times are the record for
+//! `BENCH_baseline.json`; on shared or small containers they are
 //! noise-dominated, so they inform rather than gate.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -29,8 +30,7 @@ const METRICS: [&str; 4] = [
     "average-odds",
 ];
 
-/// Boots the daemon and registers both tenants (German generator, sweep
-/// retention off so every explain really sweeps or shares a sweep).
+/// Boots the daemon and registers both tenants (German generator).
 fn boot() -> Server {
     let server = Server::start(ServeConfig {
         workers: CLIENTS,
@@ -38,9 +38,8 @@ fn boot() -> Server {
     })
     .expect("bind an ephemeral port");
     for (tenant, seed) in TENANTS.iter().zip([7u64, 11]) {
-        let body = format!(
-            r#"{{"name":"{tenant}", "generator":"german", "rows":300, "seed":{seed}, "sweep_cache_cap":0}}"#
-        );
+        let body =
+            format!(r#"{{"name":"{tenant}", "generator":"german", "rows":300, "seed":{seed}}}"#);
         let created = request_once(server.addr(), "POST", "/sessions", Some(&body))
             .expect("create tenant session");
         assert_eq!(created.status, 201, "{}", created.body);
@@ -48,10 +47,13 @@ fn boot() -> Server {
     server
 }
 
-/// One load round: every client keeps one connection alive and walks the
+/// Load round `r`: every client keeps one connection alive and walks the
 /// tenant × metric grid from its own offset, so concurrent requests mix
-/// shapes the way real multi-analyst traffic does.
-fn round(addr: SocketAddr) {
+/// shapes the way real multi-analyst traffic does. Round `r` asks support
+/// τ = 0.05 + 0.005·r, which on a tenant's 210 training rows is a support
+/// count no other round asks, so none of its questions is cached yet.
+fn round(addr: SocketAddr, r: u64) {
+    let support = 0.05 + 0.005 * r as f64;
     std::thread::scope(|scope| {
         for t in 0..CLIENTS {
             scope.spawn(move || {
@@ -59,7 +61,7 @@ fn round(addr: SocketAddr) {
                 for i in 0..REQUESTS_PER_CLIENT {
                     let tenant = TENANTS[(t + i) % TENANTS.len()];
                     let metric = METRICS[(t + i) % METRICS.len()];
-                    let body = format!(r#"{{"metric":"{metric}"}}"#);
+                    let body = format!(r#"{{"metric":"{metric}", "support":{support}}}"#);
                     let answer = conn
                         .request("POST", &format!("/sessions/{tenant}/explain"), Some(&body))
                         .expect("explain");
@@ -95,8 +97,12 @@ fn bench_serve_qps(c: &mut Criterion) {
     let server = boot();
     let mut group = c.benchmark_group("serve_qps_german_300");
     group.sample_size(10);
+    let mut rounds = 0u64;
     group.bench_function("round_32req_4clients", |b| {
-        b.iter(|| round(server.addr()));
+        b.iter(|| {
+            round(server.addr(), rounds);
+            rounds += 1;
+        });
     });
     group.finish();
 
@@ -104,9 +110,10 @@ fn bench_serve_qps(c: &mut Criterion) {
     // sweep, a hit when it shared another client's.
     let (requests, misses, hits) = sweep_counters(server.addr());
     assert_eq!(misses + hits, requests, "one lookup per request");
+    assert!(misses >= rounds, "every round must sweep");
     println!(
         "serve_qps counters: {requests} requests, {misses} sweeps run, \
-         {hits} answered from another client's in-flight sweep"
+         {hits} answered from another client's sweep"
     );
 }
 

@@ -27,7 +27,11 @@ pub fn fotree(kind: DatasetKind, scale: Scale, seed: u64) -> String {
         .report;
 
     // FO-tree side: per-point first-order responsibilities.
-    let bi = BiasInfluence::new(session.engine(), FairnessMetric::StatisticalParity, &p.test);
+    let bi = BiasInfluence::new(
+        session.backend(),
+        FairnessMetric::StatisticalParity,
+        &p.test,
+    );
     let influence: Vec<f64> = (0..p.train.n_rows())
         .map(|r| {
             bi.responsibility(

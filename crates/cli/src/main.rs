@@ -23,7 +23,7 @@
 use gopher_cli::json::{self, Json};
 use gopher_core::{ExplainRequest, ExplainResponse, ExplainSession, SessionBuilder, UpdateReport};
 use gopher_data::csv::{parse_protected_spec, read_csv_infer};
-use gopher_data::generators::{adult, german, sqf};
+use gopher_data::generators::{self, DELTA_SEED_XOR};
 use gopher_data::{Dataset, Encoder};
 use gopher_fairness::{
     bias, disparate_impact_ratio, equalized_odds_gap, group_confusion, smooth_bias,
@@ -339,13 +339,7 @@ enum Action {
 /// `--csv` is set.
 fn load_data(opts: &mut Opts) -> Result<Dataset, UsageError> {
     let Some(path) = opts.csv.clone() else {
-        let generate = match opts.data.as_str() {
-            "german" => german,
-            "adult" => adult,
-            "sqf" => sqf,
-            other => return Err(bad(format!("unknown dataset `{other}`"))),
-        };
-        return Ok(generate(opts.rows, opts.seed));
+        return Ok(generator(opts)?(opts.rows, opts.seed));
     };
     let label = opts
         .label
@@ -506,17 +500,16 @@ fn delta_rows(opts: &Opts, train: &Dataset) -> Result<Dataset, UsageError> {
         return Ok(train.select_rows(&[]));
     }
     if opts.csv.is_some() {
-        let mut rng = Rng::new(opts.seed ^ 0x9e37_79b9);
+        let mut rng = Rng::new(opts.seed ^ DELTA_SEED_XOR);
         let picked = rng.sample_indices(train.n_rows(), opts.delta_add.min(train.n_rows()));
         return Ok(train.select_rows(&picked));
     }
-    let generate = match opts.data.as_str() {
-        "german" => german,
-        "adult" => adult,
-        "sqf" => sqf,
-        other => return Err(bad(format!("unknown dataset `{other}`"))),
-    };
-    Ok(generate(opts.delta_add, opts.seed ^ 0x9e37_79b9))
+    Ok(generator(opts)?(opts.delta_add, opts.seed ^ DELTA_SEED_XOR))
+}
+
+/// The generator `--data` names.
+fn generator(opts: &Opts) -> Result<generators::Generator, UsageError> {
+    generators::by_name(&opts.data).ok_or_else(|| bad(format!("unknown dataset `{}`", opts.data)))
 }
 
 /// Post-update answers must match a cold rebuild on the same data: pattern

@@ -540,3 +540,73 @@ fn serve_boots_answers_and_drains() {
         "drain banner missing from {rest:?}"
     );
 }
+
+/// A session created over HTTP answers `/explain` exactly like `gopher
+/// query` on the same knobs, for every model family: the server builds its
+/// sessions the way the CLI does. The request spells out its knobs because
+/// the two defaults differ (the CLI's `--max-predicates` is 3, the server's
+/// default request searches 4 deep).
+#[test]
+fn served_sessions_answer_like_gopher_query() {
+    use gopher_serve::client::request_once;
+    use gopher_serve::{ServeConfig, Server};
+
+    let request = r#"{"metric": "statistical-parity", "k": 3, "support": 0.06,
+        "max_predicates": 3, "ground_truth": true}"#;
+    let dir = std::env::temp_dir().join(format!("gopher-served-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let requests = dir.join("requests.json");
+    std::fs::write(&requests, format!("[{request}]")).unwrap();
+    // Timing, and the invocation context only the CLI reports.
+    let strip = |mut answer: Json| {
+        if let Json::Obj(fields) = &mut answer {
+            for key in [
+                "query_ms",
+                "search_ms",
+                "command",
+                "dataset",
+                "rows",
+                "model",
+                "seed",
+            ] {
+                fields.remove(key);
+            }
+        }
+        answer
+    };
+
+    let server = Server::start(ServeConfig::default()).expect("bind an ephemeral port");
+    for model in ["lr", "svm", "mlp", "forest"] {
+        let session = format!(
+            r#"{{"name":"{model}", "generator":"german", "rows":600, "seed":7,
+                "model":"{model}", "threads":1}}"#
+        );
+        let created = request_once(server.addr(), "POST", "/sessions", Some(&session)).unwrap();
+        assert_eq!(created.status, 201, "{}", created.body);
+        let path = format!("/sessions/{model}/explain");
+        let served = request_once(server.addr(), "POST", &path, Some(request)).unwrap();
+        assert_eq!(served.status, 200, "{}", served.body);
+        let served = json::parse(served.body.trim()).expect("explain body must be JSON");
+
+        let queried = run_json(&[
+            "query",
+            "--requests",
+            requests.to_str().unwrap(),
+            "--data",
+            "german",
+            "--rows",
+            "600",
+            "--seed",
+            "7",
+            "--model",
+            model,
+            "--threads",
+            "1",
+        ]);
+        let queried = queried.as_arr().expect("query emits a JSON array")[0].clone();
+        assert_eq!(strip(served), strip(queried), "{model}");
+    }
+    server.trigger_shutdown();
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
+}

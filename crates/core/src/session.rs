@@ -50,10 +50,9 @@ use crate::explainer::{Explanation, ExplanationReport};
 use gopher_data::{Dataset, Encoded, Encoder};
 use gopher_fairness::FairnessMetric;
 use gopher_influence::{
-    responsibility, BiasEval, BiasPrecomp, EngineUpdateReport, Estimator, HessianBackend,
-    InfluenceBackend, InfluenceConfig, InfluenceEngine, ModelFamily,
+    responsibility, BiasEval, BiasPrecomp, EngineUpdateReport, Estimator, InfluenceBackend,
+    InfluenceConfig, ModelFamily,
 };
-use gopher_models::Differentiable;
 use gopher_patterns::{
     generate_predicates, lattice, min_count_for, topk, BitSet, Candidate, CoverageCache,
     LatticeConfig, Pattern, PredicateIndex, PredicateTable, ScoreFn, SearchStats,
@@ -107,8 +106,6 @@ const MAX_BINS: usize = 4;
 #[derive(Debug, Clone)]
 pub struct SessionBuilder {
     threads: usize,
-    sweep_cache_cap: usize,
-    coverage_cache_cap: usize,
 }
 
 impl Default for SessionBuilder {
@@ -118,16 +115,12 @@ impl Default for SessionBuilder {
 }
 
 impl SessionBuilder {
-    /// Default session options (automatic thread count, 256-entry scored
-    /// sweep cache, 2¹⁸-entry coverage cache). Every session generates its
-    /// predicates from 4 quantile bins per numeric feature and builds its
-    /// influence backend with the default [`InfluenceConfig`].
+    /// Default session options (automatic thread count). Every session
+    /// generates its predicates from 4 quantile bins per numeric feature,
+    /// builds its influence backend with the default [`InfluenceConfig`],
+    /// and bounds its caches at 256 scored sweeps and 2¹⁸ coverages.
     pub fn new() -> Self {
-        Self {
-            threads: 0,
-            sweep_cache_cap: SWEEP_CACHE_CAP,
-            coverage_cache_cap: gopher_patterns::coverage::DEFAULT_COVERAGE_CACHE_CAP,
-        }
+        Self { threads: 0 }
     }
 
     /// Worker threads for every query: each lattice level's merge
@@ -139,27 +132,6 @@ impl SessionBuilder {
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Retention bound of the scored sweep cache (finished lattice sweeps),
-    /// in entries. Past the cap the least-recently-used sweep is evicted;
-    /// `0` disables retention entirely (every query recomputes its sweep).
-    #[must_use]
-    pub fn sweep_cache_cap(mut self, cap: usize) -> Self {
-        self.sweep_cache_cap = cap;
-        self
-    }
-
-    /// Retention bound of the coverage cache (materialized pattern coverage
-    /// bitsets shared across sweeps — the session's structural memo), in
-    /// entries. Past the cap fresh coverages are still computed and
-    /// returned but not retained; `0` disables retention entirely (every
-    /// sweep re-intersects — the *cold-path* configuration the
-    /// `support_sweep` bench measures against).
-    #[must_use]
-    pub fn coverage_cache_cap(mut self, cap: usize) -> Self {
-        self.coverage_cache_cap = cap;
         self
     }
 
@@ -213,31 +185,15 @@ impl SessionBuilder {
         );
         let backend = M::Backend::build(model, &train, InfluenceConfig::default());
         let table = generate_predicates(train_raw, MAX_BINS);
-        let coverage = CoverageCache::with_capacity_cap(self.coverage_cache_cap);
-        // Materialize every predicate's coverage once, up front: sweeps at
-        // any support threshold or metric start from these shared bitsets.
-        let index = PredicateIndex::build(&table, &coverage);
-        let accuracy = gopher_models::train::accuracy(backend.model(), &test);
-        ExplainSession {
-            train_raw: train_raw.clone(),
+        ExplainSession::new(
+            train_raw,
             encoder,
             train,
             test,
             backend,
             table,
-            index,
-            accuracy,
-            threads: resolve_threads(self.threads),
-            coverage,
-            bias_cache: Mutex::new(HashMap::new()),
-            sweep_cache: Mutex::new(LruCache::new(self.sweep_cache_cap)),
-            flights: Mutex::new(HashMap::new()),
-            requests_served: AtomicU64::new(0),
-            updates_applied: AtomicU64::new(0),
-            update_rebuilds: AtomicU64::new(0),
-            latency: LatencyHistogram::new(),
-            truth_memo: TruthMemo::default(),
-        }
+            resolve_threads(self.threads),
+        )
     }
 }
 
@@ -441,10 +397,9 @@ fn estimator_key(e: Estimator) -> (u8, u64) {
     }
 }
 
-/// Default cap on retained scored sweep results. A sweep's candidate vector
-/// is the largest thing a session caches, so — like the coverage cache —
-/// retention is bounded: past the cap, the least-recently-used sweep is
-/// evicted (tunable via [`SessionBuilder::sweep_cache_cap`]).
+/// Cap on retained scored sweep results. A sweep's candidate vector is the
+/// largest thing a session caches, so — like the coverage cache — retention
+/// is bounded: past the cap, the least-recently-used sweep is evicted.
 const SWEEP_CACHE_CAP: usize = 256;
 
 /// A finished scored lattice sweep, cached per [`SweepKey`] for the
@@ -749,10 +704,9 @@ impl LatencyHistogram {
 pub struct SessionStats {
     /// Worker threads the session fans batched queries across.
     pub threads: usize,
-    /// Finished scored sweeps currently retained.
+    /// Finished scored sweeps currently retained (at most 256; the
+    /// least-recently-used sweep is evicted past that).
     pub sweep_entries: usize,
-    /// Capacity bound on retained scored sweeps (LRU past this).
-    pub sweep_cache_cap: usize,
     /// Requests answered from a cached scored sweep, from another caller's
     /// sweep of the same key still in flight, or from an earlier request of
     /// the same batch.
@@ -834,7 +788,52 @@ pub struct ExplainSession<M: ModelFamily> {
     truth_memo: TruthMemo,
 }
 
+/// A fresh coverage cache holding every predicate's coverage, and the
+/// index over them: sweeps at any support threshold or metric start from
+/// these shared bitsets.
+fn index_predicates(table: &PredicateTable) -> (CoverageCache, PredicateIndex) {
+    let coverage = CoverageCache::new();
+    let index = PredicateIndex::build(table, &coverage);
+    (coverage, index)
+}
+
 impl<M: ModelFamily> ExplainSession<M> {
+    /// A session over `train_raw` (encoded by `encoder` into `train`, with
+    /// the encoded `test`), its built `backend` and predicate `table`, and
+    /// every cache empty.
+    fn new(
+        train_raw: &Dataset,
+        encoder: Encoder,
+        train: Encoded,
+        test: Encoded,
+        backend: M::Backend,
+        table: PredicateTable,
+        threads: usize,
+    ) -> Self {
+        let (coverage, index) = index_predicates(&table);
+        let accuracy = gopher_models::train::accuracy(backend.model(), &test);
+        Self {
+            train_raw: train_raw.clone(),
+            encoder,
+            train,
+            test,
+            backend,
+            table,
+            index,
+            accuracy,
+            threads,
+            coverage,
+            bias_cache: Mutex::new(HashMap::new()),
+            sweep_cache: Mutex::new(LruCache::new(SWEEP_CACHE_CAP)),
+            flights: Mutex::new(HashMap::new()),
+            requests_served: AtomicU64::new(0),
+            updates_applied: AtomicU64::new(0),
+            update_rebuilds: AtomicU64::new(0),
+            latency: LatencyHistogram::new(),
+            truth_memo: TruthMemo::default(),
+        }
+    }
+
     /// The trained model.
     pub fn model(&self) -> &M {
         self.backend.model()
@@ -860,20 +859,12 @@ impl<M: ModelFamily> ExplainSession<M> {
         &self.train_raw
     }
 
-    /// The influence backend behind this session (family-generic).
+    /// The influence backend behind this session. For the Hessian-backed
+    /// families it is the [`InfluenceEngine`](gopher_influence::InfluenceEngine)
+    /// itself, which answers advanced queries too: per-row gradients,
+    /// parameter changes, the factored Hessian.
     pub fn backend(&self) -> &M::Backend {
         &self.backend
-    }
-
-    /// The influence engine (for advanced Hessian-side queries: per-row
-    /// gradients, parameter changes, the factored Hessian). Only available
-    /// when the session's family is Hessian-backed — a forest session fails
-    /// to *type-check* here instead of panicking at runtime.
-    pub fn engine(&self) -> &InfluenceEngine<M>
-    where
-        M: ModelFamily<Backend = HessianBackend<M>> + Differentiable,
-    {
-        self.backend.engine()
     }
 
     /// The candidate predicate table.
@@ -902,7 +893,6 @@ impl<M: ModelFamily> ExplainSession<M> {
         SessionStats {
             threads: self.threads,
             sweep_entries: sweep.entries.len(),
-            sweep_cache_cap: sweep.cap,
             sweep_hits: sweep.hits,
             sweep_misses: sweep.misses,
             sweep_evictions: sweep.evictions,
@@ -953,8 +943,9 @@ impl<M: ModelFamily> ExplainSession<M> {
     /// * requests with identical scoring too (differing only in k,
     ///   containment, or ground-truth flags) share the sweep *result*;
     /// * a sweep another caller is already computing is **not** computed
-    ///   again: this call waits for that caller's result (single-flight, at
-    ///   any sweep-cache cap), after it has finished its own sweeps;
+    ///   again: this call waits for that caller's result (single-flight,
+    ///   whether or not the sweep cache retains it), after it has finished
+    ///   its own sweeps;
     /// * all sweeps consult the session's coverage cache, so later batches
     ///   and queries skip intersections any earlier query materialized;
     /// * ground-truth retrains for each answer's top-k fan out per pattern,
@@ -1229,7 +1220,11 @@ impl<M: ModelFamily> ExplainSession<M> {
     /// Ground-truth responsibility of an arbitrary row subset under
     /// `metric` (retrains without the subset; never memoized).
     pub fn ground_truth_responsibility(&self, metric: FairnessMetric, rows: &[u32]) -> (f64, f64) {
-        let model = self.backend.ground_truth_model(&self.train, rows);
+        let model = self
+            .backend
+            .ground_truth_models(&self.train, &[rows.to_vec()], 1)
+            .pop()
+            .expect("one subset in, one model out");
         let new_bias = gopher_fairness::bias(metric, &model, &self.test);
         let base = self.base_bias(metric);
         (responsibility(base, || base - new_bias), new_bias)
@@ -1316,8 +1311,7 @@ impl<M: ModelFamily> ExplainSession<M> {
         // every entry past the index's own is a merged-pattern coverage.
         let table = self.table.patch(&new_raw, removed);
         let invalidated = self.coverage.len().saturating_sub(self.index.len());
-        let coverage = CoverageCache::with_capacity_cap(self.coverage.cap());
-        let index = PredicateIndex::build(&table, &coverage);
+        let (coverage, index) = index_predicates(&table);
 
         // Scored sweeps, bias gradients, and ground truths are
         // functions of the parameters, which just moved: invalid wholesale.
@@ -1349,10 +1343,10 @@ impl<M: ModelFamily> ExplainSession<M> {
 
     /// The from-scratch reference for [`Self::update`]: a fresh session over
     /// this session's *current* training data under the same frozen
-    /// featurization (encoder statistics, predicate set, cache caps, thread
-    /// count). `make_model` supplies an untrained model of the original
-    /// shape; it is trained to convergence from its own initialization, so
-    /// the oracle carries none of the updated session's warm state.
+    /// featurization (encoder statistics, predicate set) and thread count.
+    /// `make_model` supplies an untrained model of the original shape; it
+    /// is trained to convergence from its own initialization, so the oracle
+    /// carries none of the updated session's warm state.
     ///
     /// Identity contract for the convex families, LR and the SVM
     /// (documented in the README): predicate coverages and pattern
@@ -1368,31 +1362,17 @@ impl<M: ModelFamily> ExplainSession<M> {
         let train = self.encoder.transform(&self.train_raw);
         let mut model = make_model(train.n_cols());
         ModelFamily::fit(&mut model, &train);
-        let backend = M::Backend::build(model, &train, self.backend.config().clone());
+        let backend = M::Backend::build(model, &train, InfluenceConfig::default());
         let table = self.table.rebuild_on(&self.train_raw);
-        let coverage = CoverageCache::with_capacity_cap(self.coverage.cap());
-        let index = PredicateIndex::build(&table, &coverage);
-        let accuracy = gopher_models::train::accuracy(backend.model(), &self.test);
-        ExplainSession {
-            train_raw: self.train_raw.clone(),
-            encoder: self.encoder.clone(),
+        Self::new(
+            &self.train_raw,
+            self.encoder.clone(),
             train,
-            test: self.test.clone(),
+            self.test.clone(),
             backend,
             table,
-            index,
-            accuracy,
-            threads: self.threads,
-            coverage,
-            bias_cache: Mutex::new(HashMap::new()),
-            sweep_cache: Mutex::new(LruCache::new(lock_recover(&self.sweep_cache).cap)),
-            flights: Mutex::new(HashMap::new()),
-            requests_served: AtomicU64::new(0),
-            updates_applied: AtomicU64::new(0),
-            update_rebuilds: AtomicU64::new(0),
-            latency: LatencyHistogram::new(),
-            truth_memo: TruthMemo::default(),
-        }
+            self.threads,
+        )
     }
 
     /// The per-metric bias precomputation (gradient + baselines), cached.
@@ -1412,7 +1392,8 @@ impl<M: ModelFamily> ExplainSession<M> {
 mod tests {
     use super::*;
     use gopher_data::generators::german;
-    use gopher_models::{LogisticRegression, Model};
+    use gopher_influence::InfluenceEngine;
+    use gopher_models::{Differentiable, LogisticRegression, Model};
     use gopher_prng::Rng;
 
     fn session(n: usize, seed: u64) -> ExplainSession<LogisticRegression> {
@@ -1538,7 +1519,7 @@ mod tests {
     }
 
     impl ModelFamily for PanickyModel {
-        type Backend = HessianBackend<Self>;
+        type Backend = InfluenceEngine<Self>;
         fn fit(&mut self, train: &Encoded) -> gopher_models::train::TrainReport {
             gopher_models::train::fit_default(self, train)
         }
@@ -1602,7 +1583,8 @@ mod tests {
             .with_support_threshold(0.08)
             .with_ground_truth(false);
 
-        let s = session_with(500, 46, SessionBuilder::new().sweep_cache_cap(1));
+        let s = session(500, 46);
+        *lock_recover(&s.sweep_cache) = LruCache::new(1);
         let solo_a = s.explain(&req_a); // caches sweep A (the only slot)
                                         // Batch: B misses and sweeps fresh, and inserting B evicts A
                                         // before A's request is answered.
@@ -1620,7 +1602,8 @@ mod tests {
 
     #[test]
     fn sweep_cache_evicts_least_recently_used() {
-        let s = session_with(400, 47, SessionBuilder::new().sweep_cache_cap(2));
+        let s = session(400, 47);
+        *lock_recover(&s.sweep_cache) = LruCache::new(2);
         let req_a = ExplainRequest::default().with_ground_truth(false);
         let req_b = req_a.clone().with_support_threshold(0.07);
         let req_c = req_a.clone().with_support_threshold(0.09);
@@ -1647,7 +1630,6 @@ mod tests {
         assert_eq!(s.threads(), 3);
         let initial = s.stats();
         assert_eq!(initial.threads, 3);
-        assert_eq!(initial.sweep_cache_cap, SWEEP_CACHE_CAP);
         assert_eq!((initial.sweep_hits, initial.sweep_misses), (0, 0));
         // The predicate index materializes every singleton at build.
         assert!(initial.cached_coverages > 0);
@@ -1836,7 +1818,8 @@ mod tests {
     /// until caller B's lookup has been counted.
     #[test]
     fn concurrent_callers_share_one_in_flight_sweep() {
-        let s = session_with(400, 55, SessionBuilder::new().sweep_cache_cap(0));
+        let s = session(400, 55);
+        *lock_recover(&s.sweep_cache) = LruCache::new(0);
         let req = ExplainRequest::default().with_ground_truth(false);
         let (a, b) = std::thread::scope(|scope| {
             let hold = lock_recover(&s.bias_cache);
@@ -1874,9 +1857,8 @@ mod tests {
             inner,
             armed: Arc::clone(&armed),
         };
-        let s = SessionBuilder::new()
-            .sweep_cache_cap(0)
-            .build(model, &train, &test);
+        let s = SessionBuilder::new().build(model, &train, &test);
+        *lock_recover(&s.sweep_cache) = LruCache::new(0);
         let req = ExplainRequest::default().with_ground_truth(false);
         let (owner, waiter) = std::thread::scope(|scope| {
             let hold = lock_recover(&s.bias_cache);
@@ -1905,7 +1887,8 @@ mod tests {
         let k2 = k1.clone().with_metric(FairnessMetric::EqualOpportunity);
         let reference = session(300, 56);
         let solo = [reference.explain(&k1), reference.explain(&k2)];
-        let s = session_with(300, 56, SessionBuilder::new().sweep_cache_cap(0));
+        let s = session(300, 56);
+        *lock_recover(&s.sweep_cache) = LruCache::new(0);
         for _ in 0..20 {
             let (forward, backward) = std::thread::scope(|scope| {
                 let forward = scope.spawn(|| s.explain_batch(&[k1.clone(), k2.clone()]));

@@ -17,43 +17,43 @@ use crate::explainer::{Explanation, ExplanationReport};
 use crate::session::{ExplainRequest, ExplainSession};
 use gopher_data::{Encoded, EncodedGroup, Value};
 use gopher_fairness::FairnessMetric;
-use gopher_influence::{responsibility, retrain_updated, HessianBackend, ModelFamily};
+use gopher_influence::{responsibility, retrain_updated, InfluenceEngine, ModelFamily};
 use gopher_linalg::vecops;
 use gopher_models::Differentiable;
 use gopher_patterns::Candidate;
 
+/// Step size for the δ updates.
+const LEARNING_RATE: f64 = 0.1;
+
+/// The δ search stops when its gradient norm falls below this.
+const GRAD_TOL: f64 = 1e-7;
+
+/// Finite-difference step for `∇_δ J`.
+const FD_EPS: f64 = 1e-4;
+
+/// Learning rate η of the one-step-GD bias estimate (Eq. 14).
+const ONE_STEP_ETA: f64 = 1.0;
+
+/// An update changes at most this many *features* (schema features, so a
+/// whole one-hot block counts as one). The paper's updates touch 2–3
+/// features; unconstrained homogeneous updates tend to nudge every
+/// coordinate a little, which is less interpretable.
+const MAX_CHANGED_FEATURES: usize = 3;
+
 /// Projected-gradient-descent configuration for the update search.
 #[derive(Debug, Clone)]
 pub struct UpdateConfig {
-    /// Step size for the δ updates.
-    pub learning_rate: f64,
     /// Maximum gradient-descent iterations.
     pub max_iters: usize,
-    /// Stop when the δ-gradient norm falls below this.
-    pub grad_tol: f64,
-    /// Finite-difference step for `∇_δ J`.
-    pub fd_eps: f64,
-    /// Learning rate η of the one-step-GD bias estimate (Eq. 14).
-    pub one_step_eta: f64,
     /// Retrain on the updated data to report ground truth.
     pub ground_truth: bool,
-    /// Restrict the update to at most this many *features* (schema features,
-    /// i.e. whole one-hot blocks count as one). The paper's updates touch
-    /// 2–3 features; unconstrained homogeneous updates tend to nudge every
-    /// coordinate a little, which is less interpretable. `None` = no limit.
-    pub max_changed_features: Option<usize>,
 }
 
 impl Default for UpdateConfig {
     fn default() -> Self {
         Self {
-            learning_rate: 0.1,
             max_iters: 120,
-            grad_tol: 1e-7,
-            fd_eps: 1e-4,
-            one_step_eta: 1.0,
             ground_truth: true,
-            max_changed_features: Some(3),
         }
     }
 }
@@ -130,7 +130,7 @@ pub struct UpdateExplanation {
 
 impl<M> ExplainSession<M>
 where
-    M: ModelFamily<Backend = HessianBackend<M>> + Differentiable,
+    M: ModelFamily<Backend = InfluenceEngine<M>> + Differentiable,
 {
     /// Computes the best homogeneous update for one candidate pattern,
     /// optimizing the given metric's one-step-GD bias surrogate.
@@ -186,20 +186,20 @@ where
                             continue;
                         }
                         let orig = delta[j];
-                        delta[j] = orig + cfg.fd_eps;
+                        delta[j] = orig + FD_EPS;
                         let plus = score(&delta, grad_buf, x_buf);
-                        delta[j] = orig - cfg.fd_eps;
+                        delta[j] = orig - FD_EPS;
                         let minus = score(&delta, grad_buf, x_buf);
                         delta[j] = orig;
-                        g[j] = (plus - minus) / (2.0 * cfg.fd_eps);
+                        g[j] = (plus - minus) / (2.0 * FD_EPS);
                     }
                     let gnorm = vecops::norm2(&g);
-                    if gnorm < cfg.grad_tol {
+                    if gnorm < GRAD_TOL {
                         break;
                     }
                     for j in 0..d {
                         delta[j] =
-                            (delta[j] - cfg.learning_rate * g[j]).clamp(delta_lo[j], delta_hi[j]);
+                            (delta[j] - LEARNING_RATE * g[j]).clamp(delta_lo[j], delta_hi[j]);
                     }
                 }
                 delta
@@ -211,27 +211,25 @@ where
         // re-optimize only their coordinates (zeroing a one-hot block keeps
         // the original category after projection, so masked features are
         // genuinely unchanged).
-        if let Some(max_features) = cfg.max_changed_features {
-            let groups = self.encoder().layout().groups().to_vec();
-            if groups.len() > max_features {
-                let baseline = score(&vec![0.0; d], &mut grad_buf, &mut x_buf);
-                // Impact of each feature group alone.
-                let mut impacts: Vec<(usize, f64)> = Vec::with_capacity(groups.len());
-                for (g_idx, group) in groups.iter().enumerate() {
-                    let mut only = vec![0.0; d];
-                    copy_group(group, &delta, &mut only);
-                    let value = score(&only, &mut grad_buf, &mut x_buf);
-                    impacts.push((g_idx, baseline - value));
-                }
-                impacts.sort_by(|a, b| b.1.total_cmp(&a.1));
-                let mut mask = vec![false; d];
-                for &(g_idx, impact) in impacts.iter().take(max_features) {
-                    if impact > 0.0 {
-                        copy_group_mask(&groups[g_idx], &mut mask);
-                    }
-                }
-                delta = run_pgd(Some(&mask), &mut grad_buf, &mut x_buf);
+        let groups = self.encoder().layout().groups();
+        if groups.len() > MAX_CHANGED_FEATURES {
+            let baseline = score(&vec![0.0; d], &mut grad_buf, &mut x_buf);
+            // Impact of each feature group alone.
+            let mut impacts: Vec<(usize, f64)> = Vec::with_capacity(groups.len());
+            for (g_idx, group) in groups.iter().enumerate() {
+                let mut only = vec![0.0; d];
+                copy_group(group, &delta, &mut only);
+                let value = score(&only, &mut grad_buf, &mut x_buf);
+                impacts.push((g_idx, baseline - value));
             }
+            impacts.sort_by(|a, b| b.1.total_cmp(&a.1));
+            let mut mask = vec![false; d];
+            for &(g_idx, impact) in impacts.iter().take(MAX_CHANGED_FEATURES) {
+                if impact > 0.0 {
+                    copy_group_mask(&groups[g_idx], &mut mask);
+                }
+            }
+            delta = run_pgd(Some(&mask), &mut grad_buf, &mut x_buf);
         }
 
         // Materialize the updated training set with per-point projection.
@@ -253,11 +251,11 @@ where
             vecops::axpy(-1.0, &orig, &mut diff);
             // Mean data gradient over the full set ≈ −λθ* at the optimum;
             // include it for fidelity to Eq. 14.
-            let grad_sum = self.engine().gradient_sum();
+            let grad_sum = self.backend().gradient_sum();
             let n = train.n_rows() as f64;
             let mut step = vec![0.0; p];
             for j in 0..p {
-                step[j] = -cfg.one_step_eta * (grad_sum[j] + diff[j]) / n;
+                step[j] = -ONE_STEP_ETA * (grad_sum[j] + diff[j]) / n;
             }
             vecops::dot(&grad_f, &step)
         };

@@ -1,9 +1,8 @@
 //! Minimal CSV export/import for datasets.
 //!
-//! Exports render categorical levels by name; imports either validate
-//! against a provided schema ([`read_csv`]) or *infer* one from the data
-//! ([`read_csv_infer`], the path the CLI's `--csv` flag uses for foreign
-//! datasets). Both directions speak RFC-4180 quoting: a field wrapped in
+//! Exports render categorical levels by name; imports *infer* a schema from
+//! the data ([`read_csv_infer`], the path the CLI's `--csv` flag and session
+//! uploads use). Both directions speak RFC-4180 quoting: a field wrapped in
 //! double quotes may contain commas and escaped (doubled) quotes, and
 //! exports quote exactly the fields that need it. Embedded newlines inside
 //! quoted fields remain unsupported (rejected with a clear error) — no
@@ -12,7 +11,7 @@
 use crate::dataset::{Column, Dataset, Value};
 use crate::schema::{Feature, FeatureKind, PrivilegedIf, ProtectedSpec, Schema};
 use std::borrow::Cow;
-use std::io::{self, BufRead, BufWriter, Seek, SeekFrom, Write};
+use std::io::{BufRead, BufWriter, Seek, SeekFrom, Write};
 
 /// Errors from CSV parsing.
 #[derive(Debug)]
@@ -124,8 +123,8 @@ fn split_record(line: &str, line_no: usize) -> Result<Vec<String>, CsvError> {
 
 /// Writes the dataset as CSV: a header row of feature names plus the label
 /// column, then one row per example. Fields containing separators or quotes
-/// are RFC-4180-quoted, so [`read_csv`] / [`read_csv_infer`] round-trip any
-/// level name without newlines.
+/// are RFC-4180-quoted, so [`read_csv_infer`] round-trips any level name
+/// without newlines.
 pub fn write_csv<W: Write>(data: &Dataset, writer: W) -> Result<(), CsvError> {
     let mut out = BufWriter::new(writer);
     let schema = data.schema();
@@ -148,90 +147,6 @@ pub fn write_csv<W: Write>(data: &Dataset, writer: W) -> Result<(), CsvError> {
     }
     out.flush()?;
     Ok(())
-}
-
-/// Reads a CSV produced by [`write_csv`] back into a [`Dataset`], validating
-/// it against `schema` and attaching `protected`.
-pub fn read_csv<R: BufRead>(
-    reader: R,
-    schema: &Schema,
-    protected: ProtectedSpec,
-) -> Result<Dataset, CsvError> {
-    let mut lines = reader.lines();
-    let header = lines.next().ok_or(CsvError::Parse {
-        line: 1,
-        message: "missing header".into(),
-    })??;
-    let names: Vec<String> = split_record(&header, 1)?;
-    let expected = schema.n_features() + 1;
-    if names.len() != expected {
-        return Err(CsvError::Parse {
-            line: 1,
-            message: format!("expected {expected} columns, found {}", names.len()),
-        });
-    }
-    for (i, feat) in schema.features().iter().enumerate() {
-        if names[i] != feat.name {
-            return Err(CsvError::Parse {
-                line: 1,
-                message: format!("column {i} is {:?}, expected {:?}", names[i], feat.name),
-            });
-        }
-    }
-
-    let mut columns: Vec<Column> = schema
-        .features()
-        .iter()
-        .map(|f| match f.kind {
-            FeatureKind::Categorical { .. } => Column::Categorical(Vec::new()),
-            FeatureKind::Numeric => Column::Numeric(Vec::new()),
-        })
-        .collect();
-    let mut labels = Vec::new();
-
-    for (idx, line) in lines.enumerate() {
-        let line_no = idx + 2;
-        let line = line?;
-        if line.is_empty() {
-            continue;
-        }
-        let fields: Vec<String> = split_record(&line, line_no)?;
-        if fields.len() != expected {
-            return Err(CsvError::Parse {
-                line: line_no,
-                message: format!("expected {expected} fields, found {}", fields.len()),
-            });
-        }
-        for (f, field) in fields[..schema.n_features()].iter().enumerate() {
-            match &mut columns[f] {
-                Column::Categorical(vals) => {
-                    let lvl = schema
-                        .level_index(f, field)
-                        .ok_or_else(|| CsvError::Parse {
-                            line: line_no,
-                            message: format!("unknown level {field:?} for feature {f}"),
-                        })?;
-                    vals.push(lvl);
-                }
-                Column::Numeric(vals) => {
-                    let x: f64 = field.parse().map_err(|_| CsvError::Parse {
-                        line: line_no,
-                        message: format!("invalid number {field:?}"),
-                    })?;
-                    vals.push(x);
-                }
-            }
-        }
-        let y: u8 = fields[schema.n_features()]
-            .parse()
-            .map_err(|_| CsvError::Parse {
-                line: line_no,
-                message: format!("invalid label {:?}", fields[schema.n_features()]),
-            })?;
-        labels.push(y);
-    }
-
-    Ok(Dataset::new(schema.clone(), columns, labels, protected))
 }
 
 /// Who counts as privileged when importing a foreign CSV with
@@ -268,50 +183,6 @@ pub fn parse_protected_spec(spec: &str) -> Result<(&str, InferredPrivileged), St
         "protected spec must be `col=level` or `col>=cutoff`, got `{spec}`"
     ))
 }
-
-/// Reads an arbitrary CSV into a [`Dataset`], inferring the schema:
-///
-/// * a column whose every field parses as a finite `f64` becomes numeric;
-/// * every other column becomes categorical, levels in first-appearance
-///   order;
-/// * `label_column` (by header name) must hold `0`/`1` and becomes the
-///   label;
-/// * `protected_column` + `privileged` become the [`ProtectedSpec`]: an
-///   [`InferredPrivileged::Equals`] rule requires a categorical column with
-///   that level present, an [`InferredPrivileged::AtLeast`] rule a numeric
-///   one.
-///
-/// Rows must all have the header's field count; blank lines are skipped.
-/// RFC-4180 quoting is supported: a quoted field may contain separators,
-/// and doubled quotes escape a literal quote. Malformed quoting (an
-/// unterminated or misplaced quote) is rejected with the offending line
-/// number rather than silently mis-aligned.
-///
-/// This entry point **streams**: it reads the input twice in fixed-size
-/// chunks (inference pass, then a materialization pass after a rewind — the
-/// `Seek` bound) and never holds more than one chunk plus one record in
-/// memory beyond the typed columns themselves, which are preallocated at the
-/// row count the first pass established. Results — datasets *and* errors,
-/// including which error wins when a file has several — are bit-identical
-/// to the buffered reference path, [`read_csv_infer_buffered`]; the
-/// `csv_streaming` property suite pins that equivalence.
-pub fn read_csv_infer<R: BufRead + Seek>(
-    reader: R,
-    label_column: &str,
-    protected_column: &str,
-    privileged: &InferredPrivileged,
-) -> Result<Dataset, CsvError> {
-    read_csv_infer_chunked(
-        reader,
-        label_column,
-        protected_column,
-        privileged,
-        DEFAULT_CHUNK_BYTES,
-    )
-}
-
-/// Chunk size [`read_csv_infer`] streams with.
-const DEFAULT_CHUNK_BYTES: usize = 64 * 1024;
 
 /// Resolves the label and protected columns in a header, with the same
 /// errors whichever ingestion path runs.
@@ -493,88 +364,6 @@ pub fn read_csv_infer_buffered<R: BufRead>(
     ))
 }
 
-/// Assembles records (lines) out of fixed-size chunks read from `reader`,
-/// reproducing `BufRead::lines` semantics exactly: records split on `\n`, a
-/// trailing `\r` is stripped only from `\n`-terminated records (a final
-/// unterminated line keeps its `\r`), and invalid UTF-8 surfaces as the same
-/// `InvalidData` I/O error. Carry-over bytes are compacted once per refill,
-/// so a record straddling any number of chunk boundaries costs amortized
-/// O(record), not O(pending²).
-struct RecordReader<R: BufRead> {
-    reader: R,
-    chunk: Vec<u8>,
-    /// Unconsumed bytes: `pending[pos..]` is carried-over input.
-    pending: Vec<u8>,
-    pos: usize,
-    /// `pending[pos..searched]` is known to contain no `\n`.
-    searched: usize,
-    eof: bool,
-}
-
-impl<R: BufRead> RecordReader<R> {
-    fn new(reader: R, chunk_bytes: usize) -> Self {
-        Self {
-            reader,
-            chunk: vec![0; chunk_bytes.max(1)],
-            pending: Vec::new(),
-            pos: 0,
-            searched: 0,
-            eof: false,
-        }
-    }
-
-    /// The next record, or `None` at end of input.
-    fn next_record(&mut self) -> Result<Option<String>, CsvError> {
-        loop {
-            if let Some(rel) = self.pending[self.searched..]
-                .iter()
-                .position(|&b| b == b'\n')
-            {
-                let nl = self.searched + rel;
-                let mut end = nl;
-                if end > self.pos && self.pending[end - 1] == b'\r' {
-                    end -= 1;
-                }
-                let record = utf8_record(&self.pending[self.pos..end])?;
-                self.pos = nl + 1;
-                self.searched = self.pos;
-                return Ok(Some(record));
-            }
-            self.searched = self.pending.len();
-            if self.eof {
-                if self.pos >= self.pending.len() {
-                    return Ok(None);
-                }
-                // Final unterminated line: no `\n` was stripped, so no `\r`
-                // is either (mirrors `BufRead::lines`).
-                let record = utf8_record(&self.pending[self.pos..])?;
-                self.pos = self.pending.len();
-                return Ok(Some(record));
-            }
-            self.pending.drain(..self.pos);
-            self.searched -= self.pos;
-            self.pos = 0;
-            let n = self.reader.read(&mut self.chunk).map_err(CsvError::Io)?;
-            if n == 0 {
-                self.eof = true;
-            } else {
-                self.pending.extend_from_slice(&self.chunk[..n]);
-            }
-        }
-    }
-}
-
-/// Decodes one record's bytes, failing exactly like `BufRead::lines` does on
-/// invalid UTF-8.
-fn utf8_record(bytes: &[u8]) -> Result<String, CsvError> {
-    std::str::from_utf8(bytes).map(str::to_owned).map_err(|_| {
-        CsvError::Io(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "stream did not contain valid UTF-8",
-        ))
-    })
-}
-
 /// One streamed column being materialized in the second pass, its type fixed
 /// by the first pass.
 enum ColumnBuilder {
@@ -586,32 +375,50 @@ enum ColumnBuilder {
     },
 }
 
-/// Streaming implementation of [`read_csv_infer`] with an explicit chunk
-/// size (exposed so tests can force chunk boundaries to straddle quoted
-/// fields and multi-byte rows; `read_csv_infer` passes 64 KiB). Two passes:
+/// Reads an arbitrary CSV into a [`Dataset`], inferring the schema:
+///
+/// * a column whose every field parses as a finite `f64` becomes numeric;
+/// * every other column becomes categorical, levels in first-appearance
+///   order;
+/// * `label_column` (by header name) must hold `0`/`1` and becomes the
+///   label;
+/// * `protected_column` + `privileged` become the [`ProtectedSpec`]: an
+///   [`InferredPrivileged::Equals`] rule requires a categorical column with
+///   that level present, an [`InferredPrivileged::AtLeast`] rule a numeric
+///   one.
+///
+/// Rows must all have the header's field count; blank lines are skipped.
+/// RFC-4180 quoting is supported: a quoted field may contain separators,
+/// and doubled quotes escape a literal quote. Malformed quoting (an
+/// unterminated or misplaced quote) is rejected with the offending line
+/// number rather than silently mis-aligned.
+///
+/// This reader **streams**: it reads the input line by line twice, and
+/// holds one record at a time beyond the typed columns themselves.
 ///
 /// 1. **Inference** — validate structure record by record (field counts,
 ///    quoting), keep one `numeric_ok` flag per column, count data rows.
-/// 2. **Materialization** — rewind, then fill typed columns preallocated at
-///    the first pass's row count; labels are validated in row order (the
-///    first pass already proved structure, so the first label error is the
-///    same one the buffered path reports).
+/// 2. **Materialization** — rewind (the `Seek` bound), then fill typed
+///    columns preallocated at the first pass's row count; labels are
+///    validated in row order (the first pass already proved structure, so
+///    the first label error is the same one the buffered path reports).
 ///
-/// `chunk_bytes` is clamped to at least 1; records may straddle any number
-/// of chunks.
-pub fn read_csv_infer_chunked<R: BufRead + Seek>(
+/// Results — datasets *and* errors, including which error wins when a file
+/// has several — are bit-identical to the buffered reference path,
+/// [`read_csv_infer_buffered`]; the `scale_properties` suite pins that
+/// equivalence.
+pub fn read_csv_infer<R: BufRead + Seek>(
     mut reader: R,
     label_column: &str,
     protected_column: &str,
     privileged: &InferredPrivileged,
-    chunk_bytes: usize,
 ) -> Result<Dataset, CsvError> {
     let parse_err = |line: usize, message: String| CsvError::Parse { line, message };
-    let mut records = RecordReader::new(&mut reader, chunk_bytes);
-    let header = records.next_record()?.ok_or(CsvError::Parse {
+    let mut lines = (&mut reader).lines();
+    let header = lines.next().ok_or(CsvError::Parse {
         line: 1,
         message: "missing header".into(),
-    })?;
+    })??;
     let names: Vec<String> = split_record(&header, 1)?;
     let n_cols = names.len();
     let (label_idx, protected_idx) =
@@ -620,9 +427,9 @@ pub fn read_csv_infer_chunked<R: BufRead + Seek>(
     // Pass 1: structure validation + per-column numeric inference + count.
     let mut numeric_ok = vec![true; n_cols];
     let mut n_rows = 0usize;
-    let mut line_no = 1usize;
-    while let Some(line) = records.next_record()? {
-        line_no += 1;
+    for (idx, line) in lines.enumerate() {
+        let line_no = idx + 2;
+        let line = line?;
         if line.is_empty() {
             continue;
         }
@@ -644,12 +451,9 @@ pub fn read_csv_infer_chunked<R: BufRead + Seek>(
     if n_rows == 0 {
         return Err(parse_err(2, "no data rows".into()));
     }
-    drop(records);
 
     // Pass 2: rewind and materialize into preallocated typed columns.
-    reader.seek(SeekFrom::Start(0)).map_err(CsvError::Io)?;
-    let mut records = RecordReader::new(&mut reader, chunk_bytes);
-    let _header = records.next_record()?; // structure proven in pass 1
+    reader.seek(SeekFrom::Start(0))?;
     let mut feature_of_col: Vec<Option<usize>> = vec![None; n_cols];
     let mut builders: Vec<ColumnBuilder> = Vec::with_capacity(n_cols - 1);
     for c in 0..n_cols {
@@ -668,9 +472,10 @@ pub fn read_csv_infer_chunked<R: BufRead + Seek>(
         });
     }
     let mut labels: Vec<u8> = Vec::with_capacity(n_rows);
-    let mut line_no = 1usize;
-    while let Some(line) = records.next_record()? {
-        line_no += 1;
+    // The header's structure was proven in pass 1.
+    for (idx, line) in reader.lines().skip(1).enumerate() {
+        let line_no = idx + 2;
+        let line = line?;
         if line.is_empty() {
             continue;
         }
@@ -717,7 +522,6 @@ pub fn read_csv_infer_chunked<R: BufRead + Seek>(
             })?;
         labels.push(y);
     }
-    drop(records);
 
     let mut features: Vec<Feature> = Vec::with_capacity(builders.len());
     let mut columns: Vec<Column> = Vec::with_capacity(builders.len());
@@ -759,15 +563,30 @@ pub fn read_csv_infer_chunked<R: BufRead + Seek>(
 mod tests {
     use super::*;
     use crate::generators::german;
-    use std::io::Cursor;
+    use std::io::{BufReader, Cursor};
+
+    /// Asserts that `read` (an export of `original` re-imported with
+    /// inference) kept every cell, label and privileged flag: the inferred
+    /// schema may order levels differently, so rows compare as rendered.
+    fn assert_same_rows(original: &Dataset, read: &Dataset) {
+        assert_eq!(read.n_rows(), original.n_rows());
+        assert_eq!(read.labels(), original.labels());
+        assert_eq!(read.privileged_mask(), original.privileged_mask());
+        for r in 0..original.n_rows() {
+            assert_eq!(original.describe_row(r), read.describe_row(r));
+        }
+    }
+
+    /// The German generator's protected group, as an inference rule.
+    const GERMAN_AGE: InferredPrivileged = InferredPrivileged::AtLeast(45.0);
 
     #[test]
     fn round_trips_german() {
         let d = german(50, 1);
         let mut buf = Vec::new();
         write_csv(&d, &mut buf).unwrap();
-        let back = read_csv(Cursor::new(&buf), d.schema(), d.protected().clone()).unwrap();
-        assert_eq!(d, back);
+        let back = read_csv_infer(Cursor::new(&buf), "good_credit", "age", &GERMAN_AGE).unwrap();
+        assert_same_rows(&d, &back);
     }
 
     #[test]
@@ -779,45 +598,6 @@ mod tests {
         let header = text.lines().next().unwrap();
         assert!(header.ends_with(",good_credit"), "{header}");
         assert_eq!(text.lines().count(), 3);
-    }
-
-    #[test]
-    fn rejects_wrong_column_count() {
-        let d = german(2, 1);
-        let err = read_csv(
-            Cursor::new(b"a,b\n" as &[u8]),
-            d.schema(),
-            d.protected().clone(),
-        )
-        .unwrap_err();
-        match err {
-            CsvError::Parse { line: 1, .. } => {}
-            other => panic!("unexpected error {other:?}"),
-        }
-    }
-
-    #[test]
-    fn rejects_unknown_level() {
-        let d = german(1, 1);
-        let mut buf = Vec::new();
-        write_csv(&d, &mut buf).unwrap();
-        let mut text = String::from_utf8(buf).unwrap();
-        // Corrupt the first data field (checking_status) to a bogus level.
-        let lines: Vec<&str> = text.lines().collect();
-        let mut fields: Vec<&str> = lines[1].split(',').collect();
-        fields[0] = "BOGUS";
-        let corrupted = fields.join(",");
-        text = format!("{}\n{}\n", lines[0], corrupted);
-        let err = read_csv(
-            Cursor::new(text.as_bytes()),
-            d.schema(),
-            d.protected().clone(),
-        )
-        .unwrap_err();
-        match err {
-            CsvError::Parse { line: 2, message } => assert!(message.contains("BOGUS")),
-            other => panic!("unexpected error {other:?}"),
-        }
     }
 
     const FOREIGN: &str = "\
@@ -869,24 +649,14 @@ age,gender,income,approved
         let original = german(40, 9);
         let mut buf = Vec::new();
         write_csv(&original, &mut buf).unwrap();
-        let inferred = read_csv_infer(
-            Cursor::new(&buf),
-            "good_credit",
-            "age",
-            &InferredPrivileged::AtLeast(45.0),
-        )
-        .unwrap();
-        assert_eq!(inferred.n_rows(), original.n_rows());
-        assert_eq!(inferred.labels(), original.labels());
-        assert_eq!(inferred.privileged_mask(), original.privileged_mask());
-        for r in 0..original.n_rows() {
-            assert_eq!(original.describe_row(r), inferred.describe_row(r));
-        }
+        let inferred =
+            read_csv_infer(Cursor::new(&buf), "good_credit", "age", &GERMAN_AGE).unwrap();
+        assert_same_rows(&original, &inferred);
     }
 
-    /// Every chunk size — down to one byte, so boundaries land inside
-    /// quoted fields, multi-byte characters, and `\r\n` pairs — must yield
-    /// exactly what the buffered reference yields.
+    /// Every read buffer size — down to one byte, so buffer boundaries land
+    /// inside quoted fields, multi-byte characters, and `\r\n` pairs — must
+    /// yield exactly what the buffered reference yields.
     #[test]
     fn streaming_matches_buffered_at_every_tiny_chunk_size() {
         let csv = "name,née,approved\r\n\
@@ -897,21 +667,15 @@ age,gender,income,approved
         let rule = InferredPrivileged::Equals("café".into());
         let buffered =
             read_csv_infer_buffered(Cursor::new(csv.as_bytes()), "approved", "née", &rule).unwrap();
-        for chunk in [1usize, 2, 3, 5, 7, 16, 64, 4096] {
-            let streamed = read_csv_infer_chunked(
-                Cursor::new(csv.as_bytes()),
-                "approved",
-                "née",
-                &rule,
-                chunk,
-            )
-            .unwrap();
+        for chunk in 1..40 {
+            let reader = BufReader::with_capacity(chunk, Cursor::new(csv.as_bytes()));
+            let streamed = read_csv_infer(reader, "approved", "née", &rule).unwrap();
             assert_eq!(streamed, buffered, "chunk={chunk}");
         }
     }
 
     /// Errors must also match the buffered path — same variant, same line —
-    /// at chunk sizes that split the offending record.
+    /// at buffer sizes that split the offending record.
     #[test]
     fn streaming_reports_buffered_errors_at_tiny_chunks() {
         let cases: &[&str] = &[
@@ -931,17 +695,12 @@ age,gender,income,approved
                 )
                 .unwrap_err()
             );
-            for chunk in [1usize, 3, 8] {
+            for chunk in 1..40 {
+                let reader = BufReader::with_capacity(chunk, Cursor::new(csv.as_bytes()));
                 let got = format!(
                     "{:?}",
-                    read_csv_infer_chunked(
-                        Cursor::new(csv.as_bytes()),
-                        "y",
-                        "a",
-                        &InferredPrivileged::AtLeast(0.0),
-                        chunk,
-                    )
-                    .unwrap_err()
+                    read_csv_infer(reader, "y", "a", &InferredPrivileged::AtLeast(0.0))
+                        .unwrap_err()
                 );
                 assert_eq!(got, want, "csv={csv:?} chunk={chunk}");
             }
@@ -1059,28 +818,13 @@ age,gender,income,approved
         let text = String::from_utf8(buf.clone()).unwrap();
         assert!(text.contains("\"Acme, Inc.\""), "{text}");
         assert!(text.contains("\"\"\"Quoted\"\" LLC\""), "{text}");
-        // Schema-validated reader round-trips exactly.
-        let back = read_csv(
-            Cursor::new(&buf),
-            original.schema(),
-            original.protected().clone(),
-        )
-        .unwrap();
-        assert_eq!(original, back);
-        // Schema-inferring reader recovers every cell too.
-        let inferred = read_csv_infer(
-            Cursor::new(&buf),
-            "approved",
-            "age",
-            &InferredPrivileged::AtLeast(45.0),
-        )
-        .unwrap();
-        assert_eq!(inferred.n_rows(), original.n_rows());
-        assert_eq!(inferred.labels(), original.labels());
-        assert_eq!(inferred.privileged_mask(), original.privileged_mask());
-        for r in 0..original.n_rows() {
-            assert_eq!(original.describe_row(r), inferred.describe_row(r));
-        }
+        // The streaming and the buffered importer recover every cell.
+        let rule = InferredPrivileged::AtLeast(45.0);
+        let streamed = read_csv_infer(Cursor::new(&buf), "approved", "age", &rule).unwrap();
+        assert_same_rows(&original, &streamed);
+        let buffered =
+            read_csv_infer_buffered(Cursor::new(&buf), "approved", "age", &rule).unwrap();
+        assert_same_rows(&original, &buffered);
     }
 
     #[test]
@@ -1090,12 +834,13 @@ age,gender,income,approved
         write_csv(&d, &mut buf).unwrap();
         let mut text = String::from_utf8(buf).unwrap();
         text.push('\n');
-        let back = read_csv(
+        let back = read_csv_infer(
             Cursor::new(text.as_bytes()),
-            d.schema(),
-            d.protected().clone(),
+            "good_credit",
+            "age",
+            &GERMAN_AGE,
         )
         .unwrap();
-        assert_eq!(back.n_rows(), 3);
+        assert_same_rows(&d, &back);
     }
 }

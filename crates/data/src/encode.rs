@@ -61,21 +61,6 @@ impl EncodingLayout {
     pub fn n_cols(&self) -> usize {
         self.n_cols
     }
-
-    /// The group that owns encoded column `col`.
-    pub fn group_of_col(&self, col: usize) -> &EncodedGroup {
-        self.groups
-            .iter()
-            .find(|g| match g {
-                EncodedGroup::Numeric { col: c, .. } => *c == col,
-                EncodedGroup::OneHot {
-                    first_col,
-                    n_levels,
-                    ..
-                } => col >= *first_col && col < first_col + n_levels,
-            })
-            .expect("column within layout")
-    }
 }
 
 /// Minimum standard deviation used for standardization, to avoid dividing by

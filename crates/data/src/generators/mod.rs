@@ -17,7 +17,25 @@ pub use adult::adult;
 pub use german::german;
 pub use sqf::sqf;
 
+use crate::dataset::Dataset;
 use gopher_prng::Rng;
+
+/// A generator: `(n_rows, seed)` in, a dataset out.
+pub type Generator = fn(usize, u64) -> Dataset;
+
+/// The built-in generator called `name`: `german`, `adult` or `sqf`.
+pub fn by_name(name: &str) -> Option<Generator> {
+    match name {
+        "german" => Some(german),
+        "adult" => Some(adult),
+        "sqf" => Some(sqf),
+        _ => None,
+    }
+}
+
+/// XORed into a session's seed to draw the rows a data delta adds, so they
+/// differ from the session's original draw under the same seed.
+pub const DELTA_SEED_XOR: u64 = 0x9e37_79b9;
 
 /// Logistic squashing used by all generators to convert a latent score into
 /// a label probability.

@@ -2,30 +2,29 @@
 //!
 //! The Pradhan et al. pipeline needs four capabilities from its influence
 //! layer — score a training subset's responsibility for a bias metric,
-//! produce the ground-truth retrained model for a subset, precompute
+//! produce the ground-truth retrained models for subsets, precompute
 //! per-metric state, and absorb training-data deltas incrementally. For the
 //! differentiable families those are Hessian-based influence functions
-//! ([`InfluenceEngine`], wrapped here as [`HessianBackend`]); for tree
-//! ensembles they are exact machine unlearning (Surve & Pradhan,
-//! [`UnlearningBackend`]). [`InfluenceBackend`] is the seam between the two:
-//! the explanation session is generic over it and never mentions gradients.
+//! ([`InfluenceEngine`] is their backend); for tree ensembles they are
+//! exact machine unlearning (Surve & Pradhan, [`UnlearningBackend`]).
+//! [`InfluenceBackend`] is the seam between the two: the explanation
+//! session is generic over it and never mentions gradients.
 //!
 //! [`ModelFamily`] closes the loop by naming, for each model type, its
 //! backend and its default training procedure — the two facts a session
 //! builder needs that `Model` alone cannot provide.
 //!
-//! **Bit-identity contract**: for lr/svm/mlp, every path through
-//! [`HessianBackend`] is a pure delegation to the exact code the session
-//! called before the trait existed — same `BiasInfluence` construction per
-//! sweep, same warm-started retrains, same engine delta — so explanations
-//! are bit-identical through the trait (pinned by the
+//! For lr/svm/mlp the session's backend *is* the engine: the trait methods
+//! call the engine's own update, the same `BiasInfluence` construction per
+//! sweep, and the same warm-started retrains, so explanations through the
+//! trait are bit-identical to the direct engine path (pinned by the
 //! `influence_backend` integration tests).
 
 use crate::bias::{responsibility, BiasEval, BiasInfluence, BiasPrecomp};
 use crate::engine::{
     EngineUpdateReport, Estimator, InfluenceConfig, InfluenceEngine, RebuildCause,
 };
-use crate::retrain::{retrain_without, retrain_without_many};
+use crate::retrain::retrain_without_many;
 use gopher_data::Encoded;
 use gopher_fairness::FairnessMetric;
 use gopher_models::train::{fit_default, TrainReport};
@@ -55,12 +54,6 @@ pub trait InfluenceBackend: Send + Sync {
     /// The trained model.
     fn model(&self) -> &Self::Model;
 
-    /// Number of training rows the backend currently reflects.
-    fn n_train(&self) -> usize;
-
-    /// The influence configuration the backend was built with.
-    fn config(&self) -> &InfluenceConfig;
-
     /// Per-metric precomputation (baseline biases, and the metric gradient
     /// where the family has one). Sessions cache one per metric.
     fn precompute(&self, metric: FairnessMetric, test: &Encoded) -> BiasPrecomp;
@@ -83,13 +76,9 @@ pub trait InfluenceBackend: Send + Sync {
         eval: BiasEval,
     ) -> SubsetScorer<'a>;
 
-    /// Ground-truth oracle: the model retrained from scratch without the
-    /// given rows.
-    fn ground_truth_model(&self, train: &Encoded, rows: &[u32]) -> Self::Model;
-
-    /// Fans [`ground_truth_model`](Self::ground_truth_model) out over many
-    /// subsets across up to `threads` workers; results are in input order
-    /// and bit-identical at any thread count.
+    /// Ground-truth oracle: for each subset, the model retrained from
+    /// scratch without its rows, fanned out across up to `threads` workers.
+    /// Results are in input order and bit-identical at any thread count.
     fn ground_truth_models(
         &self,
         train: &Encoded,
@@ -124,47 +113,22 @@ pub trait ModelFamily: Model {
     fn fit(&mut self, train: &Encoded) -> TrainReport;
 }
 
-/// The Hessian-based influence backend: a transparent wrapper around
-/// [`InfluenceEngine`] for any [`Differentiable`] family. Every method is a
-/// pure delegation, which is what keeps lr/svm/mlp explanations
-/// bit-identical through the trait seam.
-pub struct HessianBackend<M: Differentiable> {
-    engine: InfluenceEngine<M>,
-}
-
-impl<M: Differentiable> HessianBackend<M> {
-    /// The wrapped influence engine, for Hessian-only queries (per-row
-    /// gradients, parameter changes, the factored Hessian). Only reachable
-    /// when the session's family actually *is* Hessian-backed — forest
-    /// sessions fail to type-check here instead of panicking.
-    pub fn engine(&self) -> &InfluenceEngine<M> {
-        &self.engine
-    }
-}
-
-impl<M: Differentiable> InfluenceBackend for HessianBackend<M> {
+/// The Hessian-based influence backend for any [`Differentiable`] family:
+/// per-row gradients and the factored Hessian, queried by
+/// [`BiasInfluence`].
+impl<M: Differentiable> InfluenceBackend for InfluenceEngine<M> {
     type Model = M;
 
     fn build(model: M, train: &Encoded, config: InfluenceConfig) -> Self {
-        Self {
-            engine: InfluenceEngine::new(model, train, config),
-        }
+        Self::new(model, train, config)
     }
 
     fn model(&self) -> &M {
-        self.engine.model()
-    }
-
-    fn n_train(&self) -> usize {
-        self.engine.n_train()
-    }
-
-    fn config(&self) -> &InfluenceConfig {
-        self.engine.config()
+        InfluenceEngine::model(self)
     }
 
     fn precompute(&self, metric: FairnessMetric, test: &Encoded) -> BiasPrecomp {
-        BiasPrecomp::compute(metric, self.engine.model(), test)
+        BiasPrecomp::compute(metric, InfluenceEngine::model(self), test)
     }
 
     fn scorer<'a>(
@@ -176,16 +140,12 @@ impl<M: Differentiable> InfluenceBackend for HessianBackend<M> {
         estimator: Estimator,
         eval: BiasEval,
     ) -> SubsetScorer<'a> {
-        let bi = BiasInfluence::from_precomp(&self.engine, metric, test, precomp);
+        let bi = BiasInfluence::from_precomp(self, metric, test, precomp);
         Box::new(move |rows: &[u32]| bi.responsibility(train, rows, estimator, eval))
     }
 
-    fn ground_truth_model(&self, train: &Encoded, rows: &[u32]) -> M {
-        retrain_without(self.engine.model(), train, rows).model
-    }
-
     fn ground_truth_models(&self, train: &Encoded, subsets: &[Vec<u32>], threads: usize) -> Vec<M> {
-        retrain_without_many(self.engine.model(), train, subsets, threads)
+        retrain_without_many(InfluenceEngine::model(self), train, subsets, threads)
             .into_iter()
             .map(|outcome| outcome.model)
             .collect()
@@ -199,7 +159,7 @@ impl<M: Differentiable> InfluenceBackend for HessianBackend<M> {
         removed: &[(&[f64], f64)],
         added: &[(&[f64], f64)],
     ) -> EngineUpdateReport {
-        self.engine.update(new_train, removed_rows, removed, added)
+        InfluenceEngine::update(self, new_train, removed_rows, removed, added)
     }
 }
 
@@ -213,8 +173,6 @@ impl<M: Differentiable> InfluenceBackend for HessianBackend<M> {
 /// measures against.
 pub struct UnlearningBackend {
     forest: Forest,
-    n_train: usize,
-    config: InfluenceConfig,
 }
 
 impl UnlearningBackend {
@@ -227,33 +185,23 @@ impl UnlearningBackend {
 impl InfluenceBackend for UnlearningBackend {
     type Model = Forest;
 
+    /// There is no Hessian to damp, so `config` is unused.
+    ///
     /// # Panics
     /// If the forest has not been fit, or was fit on a different number of
     /// rows than `train` has.
-    fn build(model: Forest, train: &Encoded, config: InfluenceConfig) -> Self {
+    fn build(model: Forest, train: &Encoded, _config: InfluenceConfig) -> Self {
         assert!(model.is_fit(), "UnlearningBackend needs a fitted Forest");
         assert_eq!(
             model.n_train_rows(),
             train.n_rows(),
             "forest was fit on a different training set"
         );
-        Self {
-            forest: model,
-            n_train: train.n_rows(),
-            config,
-        }
+        Self { forest: model }
     }
 
     fn model(&self) -> &Forest {
         &self.forest
-    }
-
-    fn n_train(&self) -> usize {
-        self.n_train
-    }
-
-    fn config(&self) -> &InfluenceConfig {
-        &self.config
     }
 
     /// No parameter vector means no metric gradient: `grad_f` stays empty
@@ -297,17 +245,6 @@ impl InfluenceBackend for UnlearningBackend {
         })
     }
 
-    fn ground_truth_model(&self, train: &Encoded, rows: &[u32]) -> Forest {
-        let mut remove = vec![false; train.n_rows()];
-        for &r in rows {
-            remove[r as usize] = true;
-        }
-        let reduced = train.remove_rows(&remove);
-        let mut forest = Forest::new(self.forest.n_inputs(), self.forest.config().clone());
-        forest.fit(&reduced);
-        forest
-    }
-
     fn ground_truth_models(
         &self,
         train: &Encoded,
@@ -315,7 +252,14 @@ impl InfluenceBackend for UnlearningBackend {
         threads: usize,
     ) -> Vec<Forest> {
         gopher_par::par_map(threads, subsets, |_, rows| {
-            self.ground_truth_model(train, rows)
+            let mut remove = vec![false; train.n_rows()];
+            for &r in rows {
+                remove[r as usize] = true;
+            }
+            let reduced = train.remove_rows(&remove);
+            let mut forest = Forest::new(self.forest.n_inputs(), self.forest.config().clone());
+            forest.fit(&reduced);
+            forest
         })
     }
 
@@ -339,7 +283,6 @@ impl InfluenceBackend for UnlearningBackend {
             removed.sort_unstable();
             self.forest.unlearn_in_place(old_train, &removed);
             self.forest.remap_after_removal(&removed);
-            self.n_train = new_train.n_rows();
             EngineUpdateReport {
                 rebuild: None,
                 retrain: train_error_report(&self.forest, new_train, 0),
@@ -348,7 +291,6 @@ impl InfluenceBackend for UnlearningBackend {
             let mut forest = Forest::new(self.forest.n_inputs(), self.forest.config().clone());
             let retrain = forest.fit(new_train);
             self.forest = forest;
-            self.n_train = new_train.n_rows();
             EngineUpdateReport {
                 rebuild: Some(RebuildCause::ForestAddition),
                 retrain,
@@ -373,21 +315,21 @@ fn train_error_report(forest: &Forest, train: &Encoded, iterations: usize) -> Tr
 }
 
 impl ModelFamily for LogisticRegression {
-    type Backend = HessianBackend<Self>;
+    type Backend = InfluenceEngine<Self>;
     fn fit(&mut self, train: &Encoded) -> TrainReport {
         fit_default(self, train)
     }
 }
 
 impl ModelFamily for LinearSvm {
-    type Backend = HessianBackend<Self>;
+    type Backend = InfluenceEngine<Self>;
     fn fit(&mut self, train: &Encoded) -> TrainReport {
         fit_default(self, train)
     }
 }
 
 impl ModelFamily for Mlp {
-    type Backend = HessianBackend<Self>;
+    type Backend = InfluenceEngine<Self>;
     fn fit(&mut self, train: &Encoded) -> TrainReport {
         fit_default(self, train)
     }
@@ -403,6 +345,7 @@ impl ModelFamily for Forest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::retrain::retrain_without;
     use gopher_data::generators::german;
     use gopher_data::Encoder;
     use gopher_models::ForestConfig;
@@ -422,11 +365,11 @@ mod tests {
         let (train, test) = split(600, 21);
         let mut model = LogisticRegression::new(train.n_cols(), 1e-3);
         ModelFamily::fit(&mut model, &train);
-        let backend: HessianBackend<LogisticRegression> =
+        let backend: InfluenceEngine<LogisticRegression> =
             InfluenceBackend::build(model, &train, InfluenceConfig::default());
         let metric = FairnessMetric::StatisticalParity;
         let precomp = backend.precompute(metric, &test);
-        let bi = BiasInfluence::from_precomp(backend.engine(), metric, &test, precomp.clone());
+        let bi = BiasInfluence::from_precomp(&backend, metric, &test, precomp.clone());
         let scorer = backend.scorer(
             &train,
             &test,
@@ -452,12 +395,10 @@ mod tests {
         let _ = test;
         let mut model = LogisticRegression::new(train.n_cols(), 1e-3);
         ModelFamily::fit(&mut model, &train);
-        let backend: HessianBackend<LogisticRegression> =
+        let backend: InfluenceEngine<LogisticRegression> =
             InfluenceBackend::build(model, &train, InfluenceConfig::default());
         let rows: Vec<u32> = (0..25).collect();
-        let via_backend = backend.ground_truth_model(&train, &rows);
         let direct = retrain_without(backend.model(), &train, &rows).model;
-        assert_eq!(via_backend.params(), direct.params());
         let many = backend.ground_truth_models(&train, std::slice::from_ref(&rows), 1);
         assert_eq!(many[0].params(), direct.params());
     }
@@ -489,7 +430,10 @@ mod tests {
             BiasEval::ReEvalSmooth,
         );
         let est = scorer(&rows);
-        let oracle = backend.ground_truth_model(&train, &rows);
+        let oracle = backend
+            .ground_truth_models(&train, std::slice::from_ref(&rows), 1)
+            .pop()
+            .expect("one subset in, one model out");
         let gt = -(gopher_fairness::bias(metric, &oracle, &test) - base) / base;
         assert_eq!(
             est.signum(),
@@ -513,7 +457,7 @@ mod tests {
         let new_train = train.remove_rows(&mask);
         let report = backend.update(&train, &new_train, &removed, &[], &[]);
         assert!(!report.fell_back());
-        assert_eq!(backend.n_train(), new_train.n_rows());
+        assert_eq!(backend.model().n_train_rows(), new_train.n_rows());
         // The unlearned forest matches unlearn-then-remap applied directly.
         let mut reference = forest.unlearn(&train, &[3, 10, 57, 200]);
         reference.remap_after_removal(&[3, 10, 57, 200]);

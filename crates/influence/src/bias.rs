@@ -120,11 +120,6 @@ impl<'a, M: Differentiable> BiasInfluence<'a, M> {
         self.base_smooth
     }
 
-    /// The precomputed `∇θ F(θ*, D_test)`.
-    pub fn bias_grad(&self) -> &[f64] {
-        &self.grad_f
-    }
-
     /// Estimated bias change `ΔF ≈ F(θ̄_S) − F(θ*)` if the given training
     /// rows were removed.
     pub fn bias_change(

@@ -501,12 +501,6 @@ impl<M: Differentiable> InfluenceEngine<M> {
         self.n
     }
 
-    /// The configuration the engine was built with (session updates clone
-    /// it when constructing from-scratch reference engines).
-    pub fn config(&self) -> &InfluenceConfig {
-        &self.config
-    }
-
     /// Number of parameters.
     pub fn n_params(&self) -> usize {
         self.model.n_params()

@@ -42,7 +42,7 @@ mod bias;
 mod engine;
 mod retrain;
 
-pub use backend::{HessianBackend, InfluenceBackend, ModelFamily, SubsetScorer, UnlearningBackend};
+pub use backend::{InfluenceBackend, ModelFamily, SubsetScorer, UnlearningBackend};
 pub use bias::{responsibility, BiasEval, BiasInfluence, BiasPrecomp};
 pub use engine::{EngineUpdateReport, Estimator, InfluenceConfig, InfluenceEngine, RebuildCause};
 pub use retrain::{retrain_updated, retrain_without, retrain_without_many, RetrainOutcome};

@@ -125,12 +125,6 @@ impl BitSet {
         }
     }
 
-    /// Size of the intersection without materializing it (alias of
-    /// [`BitSet::and_count`], kept for call-site readability).
-    pub fn intersection_count(&self, other: &BitSet) -> usize {
-        self.and_count(other)
-    }
-
     /// Fused and+popcount: `self.and(other).count()` in a single pass over
     /// the words, with no intermediate allocation.
     ///
@@ -309,7 +303,6 @@ mod tests {
         let b = BitSet::from_indices(100, &[5, 50, 65, 99]);
         let i = a.and(&b);
         assert_eq!(i.to_indices(), vec![5, 50, 99]);
-        assert_eq!(a.intersection_count(&b), 3);
         assert_eq!(a.and_count(&b), 3);
     }
 
@@ -357,7 +350,7 @@ mod tests {
         let a = BitSet::from_indices(64, &[0, 1, 2]);
         let b = BitSet::from_indices(64, &[3, 4, 5]);
         assert!(a.and(&b).is_empty());
-        assert_eq!(a.intersection_count(&b), 0);
+        assert_eq!(a.and_count(&b), 0);
     }
 
     #[test]

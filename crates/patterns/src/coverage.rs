@@ -63,8 +63,9 @@ impl CoverageCache {
         Self::with_capacity_cap(DEFAULT_COVERAGE_CACHE_CAP)
     }
 
-    /// An empty cache that stops inserting once `cap` entries are stored.
-    pub fn with_capacity_cap(cap: usize) -> Self {
+    /// An empty cache that stops inserting once `cap` entries are stored
+    /// (the tests shrink the cap to reach it).
+    fn with_capacity_cap(cap: usize) -> Self {
         Self {
             inner: Mutex::new(CacheInner::default()),
             cap,
@@ -74,13 +75,6 @@ impl CoverageCache {
     /// Number of cached coverages.
     pub fn len(&self) -> usize {
         self.lock().entries.len()
-    }
-
-    /// The retention cap this cache was built with (entries past it are
-    /// computed but not stored). Session updates read it to size the
-    /// replacement cache identically.
-    pub fn cap(&self) -> usize {
-        self.cap
     }
 
     /// Locks the cache, recovering from poisoning: entries are pure

@@ -9,7 +9,7 @@ pub fn containment(phi: &Candidate, other: &Candidate) -> f64 {
     if denom == 0 {
         return 0.0;
     }
-    phi.coverage.intersection_count(&other.coverage) as f64 / denom as f64
+    phi.coverage.and_count(&other.coverage) as f64 / denom as f64
 }
 
 /// Selects the top-k most interesting, mutually diverse candidates:

@@ -217,7 +217,6 @@ pub fn session_stats_json(stats: &SessionStats) -> Json {
         ("threads", Json::num(stats.threads as f64)),
         ("requests_served", Json::num(stats.requests_served as f64)),
         ("sweep_entries", Json::num(stats.sweep_entries as f64)),
-        ("sweep_cache_cap", Json::num(stats.sweep_cache_cap as f64)),
         ("sweep_hits", Json::num(stats.sweep_hits as f64)),
         ("sweep_misses", Json::num(stats.sweep_misses as f64)),
         ("sweep_evictions", Json::num(stats.sweep_evictions as f64)),

@@ -13,7 +13,7 @@ use gopher_core::{
     ExplainRequest, ExplainResponse, ExplainSession, SessionBuilder, SessionStats, UpdateReport,
 };
 use gopher_data::csv::{parse_protected_spec, read_csv_infer};
-use gopher_data::generators::{adult, german, sqf};
+use gopher_data::generators::{self, DELTA_SEED_XOR};
 use gopher_data::Dataset;
 use gopher_influence::ModelFamily;
 use gopher_json::Json;
@@ -157,15 +157,11 @@ pub struct SessionConfig {
     pub l2: f64,
     /// Worker threads (0 = auto).
     pub threads: usize,
-    /// Scored-sweep cache cap override.
-    pub sweep_cache_cap: Option<usize>,
-    /// Coverage cache cap override.
-    pub coverage_cache_cap: Option<usize>,
 }
 
 /// The JSON fields `POST /sessions` understands. Unknown keys are hard
 /// errors — a typo'd knob must not silently fall back to a default.
-pub const SESSION_FIELDS: [&str; 13] = [
+pub const SESSION_FIELDS: [&str; 11] = [
     "name",
     "generator",
     "rows",
@@ -177,8 +173,6 @@ pub const SESSION_FIELDS: [&str; 13] = [
     "test_fraction",
     "l2",
     "threads",
-    "sweep_cache_cap",
-    "coverage_cache_cap",
 ];
 
 fn valid_name(name: &str) -> bool {
@@ -269,9 +263,7 @@ impl SessionConfig {
                     }
                 }
                 let generator = get_s("generator")?.unwrap_or("german").to_string();
-                if !["german", "adult", "sqf"].contains(&generator.as_str()) {
-                    return Err(format!("unknown generator {generator:?}"));
-                }
+                generator_named(&generator)?;
                 let rows = get_count("rows")?.unwrap_or(1000);
                 if rows < 20 {
                     return Err(format!("\"rows\" must be at least 20, got {rows}"));
@@ -313,8 +305,6 @@ impl SessionConfig {
             test_fraction,
             l2,
             threads: get_count("threads")?.unwrap_or(0),
-            sweep_cache_cap: get_count("sweep_cache_cap")?,
-            coverage_cache_cap: get_count("coverage_cache_cap")?,
         })
     }
 
@@ -479,16 +469,18 @@ impl UpdateSpec {
                     .into(),
             );
         };
-        let generate = match name.as_str() {
-            "german" => german,
-            "adult" => adult,
-            "sqf" => sqf,
-            other => return Err(format!("unknown generator {other:?}")),
-        };
-        // A seed offset keeps the delta rows distinct from the session's
+        // The seed mix keeps the delta rows distinct from the session's
         // original draw even when the caller reuses the session seed.
-        Ok(Some(generate(self.add_rows, self.seed ^ 0x9e37_79b9)))
+        Ok(Some(generator_named(name)?(
+            self.add_rows,
+            self.seed ^ DELTA_SEED_XOR,
+        )))
     }
+}
+
+/// The built-in generator called `name`, or the `400` naming it.
+fn generator_named(name: &str) -> Result<generators::Generator, String> {
+    generators::by_name(name).ok_or_else(|| format!("unknown generator {name:?}"))
 }
 
 /// Builds the dataset a config describes. CSV errors keep their line numbers
@@ -496,15 +488,7 @@ impl UpdateSpec {
 /// `400`.
 fn load_data(config: &SessionConfig) -> Result<Dataset, String> {
     match &config.source {
-        DataSource::Generator { name, rows } => {
-            let generate = match name.as_str() {
-                "german" => german,
-                "adult" => adult,
-                "sqf" => sqf,
-                other => return Err(format!("unknown generator {other:?}")),
-            };
-            Ok(generate(*rows, config.seed))
-        }
+        DataSource::Generator { name, rows } => Ok(generator_named(name)?(*rows, config.seed)),
         DataSource::Csv {
             text,
             label,
@@ -535,13 +519,7 @@ pub fn build_session(config: &SessionConfig) -> Result<(AnySession, usize), Stri
             test.n_rows()
         ));
     }
-    let mut builder = SessionBuilder::new().threads(config.threads);
-    if let Some(cap) = config.sweep_cache_cap {
-        builder = builder.sweep_cache_cap(cap);
-    }
-    if let Some(cap) = config.coverage_cache_cap {
-        builder = builder.coverage_cache_cap(cap);
-    }
+    let builder = SessionBuilder::new().threads(config.threads);
     let l2 = config.l2;
     let session = match config.model.as_str() {
         "lr" | "logistic" => {

@@ -282,6 +282,26 @@ fn protocol_errors_map_to_the_right_statuses() {
     server.join();
 }
 
+/// The session caches' bounds are constants, not upload knobs: an upload
+/// naming either cap is a 400 like any unknown field.
+#[test]
+fn cache_caps_are_unknown_upload_fields() {
+    let (server, addr) = start(ServeConfig::default());
+    for field in ["sweep_cache_cap", "coverage_cache_cap"] {
+        let body = format!(r#"{{"name":"caps", "generator":"german", "rows":300, "{field}":0}}"#);
+        let answer = request_once(addr, "POST", "/sessions", Some(&body)).unwrap();
+        assert_eq!(answer.status, 400, "{}", answer.body);
+        let error = parse(&answer.body);
+        let message = error.get("error").and_then(Json::as_str).unwrap();
+        assert!(
+            message.contains("unknown field") && message.contains(field),
+            "{message}"
+        );
+    }
+    server.trigger_shutdown();
+    server.join();
+}
+
 /// The accept thread blocks in `accept()` instead of polling, so a fresh
 /// connection reaches a worker as soon as it arrives: twenty sequential
 /// one-shot requests take a few milliseconds in all, where a 10 ms poll

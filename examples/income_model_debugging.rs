@@ -46,9 +46,9 @@ fn main() {
 
     // FO-tree baseline: regress per-point first-order influences on the raw
     // features and read patterns off the most influential nodes. The
-    // session's engine handle serves this advanced query too.
+    // session's influence engine serves this advanced query too.
     let bi = BiasInfluence::new(
-        session.engine(),
+        session.backend(),
         FairnessMetric::StatisticalParity,
         session.test(),
     );

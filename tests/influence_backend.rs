@@ -1,21 +1,19 @@
-//! Refactor-identity pins for the influence-backend trait split.
+//! Identity pins for the influence-backend trait.
 //!
-//! The `InfluenceBackend` extraction must be invisible for the analytic
-//! families: an `ExplainSession<LogisticRegression | LinearSvm | Mlp>`
-//! routed through `HessianBackend` has to produce **bit-identical**
+//! The `InfluenceBackend` seam must be invisible for the analytic families:
+//! an `ExplainSession<LogisticRegression | LinearSvm | Mlp>`, whose backend
+//! is the `InfluenceEngine` itself, has to produce **bit-identical**
 //! responsibilities, ground-truth retrains, and incremental updates to the
-//! direct `InfluenceEngine`/`BiasInfluence` code path the session inlined
-//! before the split. The `Forest` family rides the same session machinery
-//! through `UnlearningBackend`, whose estimates are pinned against the
-//! scratch-retrain oracle on German-1k instead (there is no pre-split
-//! reference to be identical to).
+//! direct `InfluenceEngine`/`BiasInfluence` code path. The `Forest` family
+//! rides the same session machinery through `UnlearningBackend`, whose
+//! estimates are pinned against the scratch-retrain oracle on German-1k
+//! instead (it has no direct engine path to be identical to).
 
 use gopher_core::{ExplainRequest, SessionBuilder};
 use gopher_data::generators::german;
 use gopher_data::{Dataset, Encoder};
 use gopher_influence::{
-    BiasEval, BiasInfluence, HessianBackend, InfluenceBackend, InfluenceEngine, ModelFamily,
-    RebuildCause,
+    BiasEval, BiasInfluence, InfluenceConfig, InfluenceEngine, ModelFamily, RebuildCause,
 };
 use gopher_json::Json;
 use gopher_models::{Differentiable, Forest, ForestConfig, LinearSvm, LogisticRegression, Mlp};
@@ -28,11 +26,11 @@ fn split(n: usize, seed: u64) -> (Dataset, Dataset) {
 }
 
 /// Explains through the generic session (backend path), then recomputes
-/// every reported number through the pre-split shape — `session.engine()` +
+/// every reported number directly — the session's engine +
 /// `BiasInfluence` — and demands `f64::to_bits` equality.
 fn assert_hessian_family_bit_identical<M>(make: impl Fn(usize) -> M)
 where
-    M: ModelFamily<Backend = HessianBackend<M>> + Differentiable,
+    M: ModelFamily<Backend = InfluenceEngine<M>> + Differentiable,
 {
     let (train, test) = split(800, 41);
     let session = SessionBuilder::new().fit(&make, &train, &test);
@@ -49,7 +47,7 @@ where
     let encoder = Encoder::fit(&train);
     let enc_train = encoder.transform(&train);
     let enc_test = encoder.transform(&test);
-    let bi = BiasInfluence::new(session.engine(), req.metric, &enc_test);
+    let bi = BiasInfluence::new(session.backend(), req.metric, &enc_test);
     for e in &report.explanations {
         let rows = e.candidate.coverage.to_indices();
         let direct = bi.responsibility(&enc_train, &rows, req.estimator, req.bias_eval);
@@ -96,13 +94,13 @@ fn lr_update_through_the_backend_matches_the_direct_engine_path() {
     let mut session =
         SessionBuilder::new().fit(|n| LogisticRegression::new(n, 1e-3), &train, &test);
 
-    // Direct replica of the pre-split update path: a bare engine over the
+    // Direct replica of the session's update path: a bare engine over the
     // same encoded data, fed the exact row deltas the session computes.
     let encoder = Encoder::fit(&train);
     let enc_train = encoder.transform(&train);
     let mut model = LogisticRegression::new(enc_train.n_cols(), 1e-3);
     gopher_models::train::fit_default(&mut model, &enc_train);
-    let mut engine = InfluenceEngine::new(model, &enc_train, session.backend().config().clone());
+    let mut engine = InfluenceEngine::new(model, &enc_train, InfluenceConfig::default());
     assert_eq!(
         session.model().params(),
         engine.model().params(),

@@ -32,7 +32,7 @@ proptest! {
         let sb = BitSet::from_indices(300, &b.iter().copied().collect::<Vec<_>>());
         let naive: Vec<u32> = a.intersection(&b).copied().collect();
         prop_assert_eq!(sa.and(&sb).to_indices(), naive.clone());
-        prop_assert_eq!(sa.intersection_count(&sb), naive.len());
+        prop_assert_eq!(sa.and_count(&sb), naive.len());
         // Commutativity.
         prop_assert_eq!(sa.and(&sb), sb.and(&sa));
     }
@@ -75,13 +75,13 @@ proptest! {
         let and = sa.and(&sb);
         prop_assert_eq!(and.to_indices(), naive.clone());
         prop_assert_eq!(and.count(), naive.len());
-        prop_assert_eq!(sa.intersection_count(&sb), naive.len());
+        prop_assert_eq!(sa.and_count(&sb), naive.len());
         prop_assert_eq!(and.len(), len);
     }
 
     /// The fused kernel and the materialized path agree everywhere the
     /// 4-word unroll and a partial final word can interact: `and_count`
-    /// (and its `intersection_count` alias) equals `and().count()` at
+    /// equals `and().count()` at
     /// universe lengths not divisible by 64, including lengths shorter
     /// than, equal to, and straddling the 256-bit unroll width.
     #[test]
@@ -100,7 +100,6 @@ proptest! {
         let sb = BitSet::from_indices(len, &clamp(&seed_b));
         let materialized = sa.and(&sb).count();
         prop_assert_eq!(sa.and_count(&sb), materialized);
-        prop_assert_eq!(sa.intersection_count(&sb), materialized);
         // Commutative, and exact against a dense complement too.
         prop_assert_eq!(sb.and_count(&sa), materialized);
         let full = BitSet::from_indices(len, &(0..len as u32).collect::<Vec<_>>());

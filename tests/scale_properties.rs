@@ -1,20 +1,19 @@
 //! Scale property tier: the SQF-scale streaming CSV reader must be
 //! provably invisible in results.
 //!
-//! `read_csv_infer` streams in chunks with a rewind; random CSVs (quoted
+//! `read_csv_infer` streams line by line with a rewind; random CSVs (quoted
 //! separators, doubled quotes, multi-byte UTF-8, blank lines, `\r\n`,
-//! missing trailing newline) at chunk sizes down to one byte must produce
-//! bit-identical datasets *and* errors to the buffered reference path.
+//! missing trailing newline) read through buffers down to one byte must
+//! produce bit-identical datasets *and* errors to the buffered reference
+//! path.
 
-use gopher_data::csv::{
-    read_csv_infer_buffered, read_csv_infer_chunked, CsvError, InferredPrivileged,
-};
+use gopher_data::csv::{read_csv_infer, read_csv_infer_buffered, CsvError, InferredPrivileged};
 use gopher_data::Dataset;
 use proptest::prelude::*;
-use std::io::Cursor;
+use std::io::{BufReader, Cursor};
 
 /// Cell palettes. The "category" palette is deliberately hostile: embedded
-/// separators, doubled quotes, multi-byte UTF-8 (so chunk boundaries can
+/// separators, doubled quotes, multi-byte UTF-8 (so buffer boundaries can
 /// split a character), empty fields.
 const NUM_CELLS: &[&str] = &["1", "2.5", "-3", "1e3", "0.125", "NaN", "x", "7"];
 const CAT_CELLS: &[&str] = &[
@@ -73,8 +72,8 @@ fn render(result: Result<Dataset, CsvError>) -> String {
 }
 
 proptest! {
-    /// Chunked streaming at any chunk size — boundaries forced inside
-    /// quoted fields, multi-byte characters, and `\r\n` pairs — is
+    /// Streaming through a read buffer of any size — boundaries forced
+    /// inside quoted fields, multi-byte characters, and `\r\n` pairs — is
     /// bit-identical to the buffered reference, datasets and errors alike.
     #[test]
     fn streaming_csv_is_bit_identical_to_buffered(
@@ -90,8 +89,8 @@ proptest! {
         let buffered = render(read_csv_infer_buffered(
             Cursor::new(csv.as_bytes()), "y", "grp", &rule,
         ));
-        let streamed = render(read_csv_infer_chunked(
-            Cursor::new(csv.as_bytes()), "y", "grp", &rule, chunk,
+        let streamed = render(read_csv_infer(
+            BufReader::with_capacity(chunk, Cursor::new(csv.as_bytes())), "y", "grp", &rule,
         ));
         // (On mismatch the rendered strings carry the full dataset/error, so
         // the failing case is reconstructible from the assertion output.)

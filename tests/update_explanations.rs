@@ -111,7 +111,6 @@ fn fewer_iterations_is_weaker_or_equal() {
         &UpdateConfig {
             max_iters: 2,
             ground_truth: false,
-            ..Default::default()
         },
     );
     let strong = gopher.update_explanation(
@@ -120,7 +119,6 @@ fn fewer_iterations_is_weaker_or_equal() {
         &UpdateConfig {
             max_iters: 150,
             ground_truth: false,
-            ..Default::default()
         },
     );
     assert!(

@@ -5,18 +5,17 @@
 //! Two families of arms:
 //!
 //! * **`scale_sqf_{100k,500k,1m}/cold_sweep`** — one cold staged sweep per
-//!   iteration (fresh coverage cache over a prebuilt predicate index) over
+//!   iteration (fresh coverage cache over a prebuilt predicate table) over
 //!   synthetic SQF at 100k/500k/1M rows,
 //!   support τ = 0.1, depth 3, responsibility pruning off, one cheap
 //!   count-based scorer so the structural merge pass (an exact fused
 //!   `and_count` per merge) dominates the measurement.
 //! * **`scale_sqf_session_100k/second_order_cold_explain`** — a cold
 //!   sweep at SQF-100k scored *second-order* by a session's influence
-//!   backend, over a fresh coverage cache per iteration (the session's
-//!   predicate index is built once), so each iteration pays the full
-//!   sweep. After timing, the sweep's per-level timings re-measure the
-//!   structural share at scale (German-10k/first-order put it at ~2%; tune
-//!   structural work where it actually costs).
+//!   backend, over a fresh coverage cache per iteration, so each
+//!   iteration pays the full sweep. After timing, the sweep's per-level
+//!   timings re-measure the structural share at scale (German-10k/first-order
+//!   put it at ~2%; tune structural work where it actually costs).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gopher_bench::workloads::{prepare, train_lr, DatasetKind};
@@ -24,9 +23,7 @@ use gopher_core::{ExplainRequest, SessionBuilder};
 use gopher_data::generators::sqf;
 use gopher_influence::{Estimator, InfluenceBackend};
 use gopher_patterns::lattice::{compute_candidates_multi, LatticeConfig};
-use gopher_patterns::{
-    generate_predicates, BitSet, CoverageCache, PredicateIndex, PredicateTable, ScoreFn,
-};
+use gopher_patterns::{generate_predicates, BitSet, CoverageCache, PredicateTable, ScoreFn};
 
 /// (rows, label, timed samples) — samples shrink as the sweeps grow.
 const SIZES: [(usize, &str, usize); 3] = [
@@ -43,18 +40,18 @@ fn config() -> LatticeConfig {
     }
 }
 
-/// One cold staged sweep over a prebuilt predicate index: fresh coverage
-/// cache per call, one cheap scorer. The index
-/// (predicate materialization — data prep) is built once per size outside
-/// the timed region, so the measurement is the structural merge pass plus
-/// scoring. Returns the number of candidates scored.
-fn cold_sweep(table: &PredicateTable, index: &PredicateIndex, n_rows: usize) -> usize {
+/// One cold staged sweep over a prebuilt predicate table: fresh coverage
+/// cache per call, one cheap scorer. The table (predicate materialization —
+/// data prep) is built once per size outside the timed region, so the
+/// measurement is the structural merge pass plus scoring. Returns the
+/// number of candidates scored.
+fn cold_sweep(table: &PredicateTable, n_rows: usize) -> usize {
     let cache = CoverageCache::new();
     // Density scoring: one popcount per candidate, so merge resolution
     // dominates the arm instead of a per-row scoring loop.
     let scorer = |cov: &BitSet| cov.count() as f64 / n_rows as f64;
     let scorers: Vec<ScoreFn<'_>> = vec![Box::new(scorer)];
-    let mut results = compute_candidates_multi(table, &scorers, &config(), &cache, index, 1);
+    let mut results = compute_candidates_multi(table, &scorers, &config(), &cache, 1);
     let (_, stats) = results.pop().expect("one scorer in, one result out");
     stats.total_scored
 }
@@ -63,16 +60,11 @@ fn bench_cold_sweeps(c: &mut Criterion) {
     for (n, label, samples) in SIZES {
         let d = sqf(n, 7);
         let table = generate_predicates(&d, 4);
-        let index_cache = CoverageCache::new();
-        let index = PredicateIndex::build(&table, &index_cache);
-        println!(
-            "{label}: {} candidates scored",
-            cold_sweep(&table, &index, n)
-        );
+        println!("{label}: {} candidates scored", cold_sweep(&table, n));
 
         let mut group = c.benchmark_group(format!("scale_sqf_{label}"));
         group.sample_size(samples);
-        group.bench_function("cold_sweep", |b| b.iter(|| cold_sweep(&table, &index, n)));
+        group.bench_function("cold_sweep", |b| b.iter(|| cold_sweep(&table, n)));
         group.finish();
     }
 }
@@ -103,17 +95,10 @@ fn bench_session_second_order(c: &mut Criterion) {
     );
     let scorers: Vec<ScoreFn<'_>> = vec![Box::new(|cov: &BitSet| scorer(&cov.to_indices()))];
     let table = session.predicate_table();
-    let index = PredicateIndex::build(table, &CoverageCache::new());
     let cold_sweep = || {
         let cache = CoverageCache::new();
-        let mut results = compute_candidates_multi(
-            table,
-            &scorers,
-            &request.lattice,
-            &cache,
-            &index,
-            session.threads(),
-        );
+        let mut results =
+            compute_candidates_multi(table, &scorers, &request.lattice, &cache, session.threads());
         results.pop().expect("one scorer in, one result out").1
     };
 

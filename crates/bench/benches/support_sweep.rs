@@ -9,8 +9,7 @@
 //! (statistical parity, first-order estimator, depth 3, ground truth off):
 //!
 //! * **`cold_per_tau`** — each τ' ∈ {0.05, 0.1, 0.2} sweeps over a fresh
-//!   coverage cache (the predicate index is built once, untimed), so it
-//!   intersects every supported merge again.
+//!   coverage cache, so it intersects every supported merge again.
 //! * **`coverage_served_per_tau`** — the τ' sweeps share one coverage cache
 //!   primed with one τ = 0.02 sweep: each τ' reads its supported coverages
 //!   from the cache and adds no coverage miss.
@@ -31,7 +30,7 @@ use gopher_core::{ExplainRequest, ExplainSession, SessionBuilder};
 use gopher_influence::{Estimator, InfluenceBackend};
 use gopher_models::LogisticRegression;
 use gopher_patterns::lattice::compute_candidates_multi;
-use gopher_patterns::{BitSet, CoverageCache, PredicateIndex, ScoreFn};
+use gopher_patterns::{BitSet, CoverageCache, ScoreFn};
 
 /// The τ ladder: one loose prime plus the three tighter sweeps the timed
 /// arms answer.
@@ -71,11 +70,10 @@ fn bench_support_sweep(c: &mut Criterion) {
     );
     let scorers: Vec<ScoreFn<'_>> = vec![Box::new(|cov: &BitSet| scorer(&cov.to_indices()))];
     let table = session.predicate_table();
-    let index = PredicateIndex::build(table, &CoverageCache::new());
     let sweep_taus = |cache: &CoverageCache, taus: &[f64]| {
         for &tau in taus {
             let lattice = request(tau).lattice;
-            compute_candidates_multi(table, &scorers, &lattice, cache, &index, session.threads());
+            compute_candidates_multi(table, &scorers, &lattice, cache, session.threads());
         }
     };
 

@@ -75,7 +75,7 @@ COMMON OPTIONS:
     --l2 <LAMBDA>           L2 regularization strength [1e-3]
     --threads <N>           worker threads for explain/report/query (each
                             lattice level's merge resolution and score
-                            pass, sweep groups, ground-truth retrains);
+                            pass, ground-truth retrains);
                             0 = auto: $GOPHER_THREADS if set, else
                             all available cores [0]. Results are identical
                             at every thread count.

@@ -233,34 +233,48 @@ fn query_stats_block_shows_cross_metric_structure_reuse() {
 }
 
 /// A two-τ batch end to end (the CI smoke step's offline twin): two
-/// structural keys, so two scored sweeps, which run concurrently over one
-/// coverage cache (how many coverages each reuses depends on their
-/// interleaving, so only the sweep counters are pinned).
+/// structural keys, so two scored sweeps, which run one after the other
+/// over one coverage cache. The `--stats` block is the same at 1 and 4
+/// threads, but for the thread count and the latency quantiles.
 #[test]
 fn query_stats_block_shows_tau_range_serving() {
     let dir = std::env::temp_dir().join(format!("gopher-taus-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let requests = dir.join("taus.json");
     std::fs::write(&requests, r#"[{"support": 0.02}, {"support": 0.05}]"#).unwrap();
-    let out = run_json(&[
-        "query",
-        "--requests",
-        requests.to_str().unwrap(),
-        "--data",
-        "german",
-        "--rows",
-        "300",
-        "--threads",
-        "4",
-        "--stats",
-    ]);
-    let responses = out.get("responses").and_then(Json::as_arr).unwrap();
-    assert_eq!(responses.len(), 2);
-    let stats = out.get("session_stats").expect("--stats adds the block");
+    let stats_at = |threads: &str| {
+        let out = run_json(&[
+            "query",
+            "--requests",
+            requests.to_str().unwrap(),
+            "--data",
+            "german",
+            "--rows",
+            "300",
+            "--threads",
+            threads,
+            "--stats",
+        ]);
+        let responses = out.get("responses").and_then(Json::as_arr).unwrap();
+        assert_eq!(responses.len(), 2);
+        let Some(Json::Obj(mut stats)) = out.get("session_stats").cloned() else {
+            panic!("--stats adds the block");
+        };
+        for key in ["threads", "explain_p50_us", "explain_p99_us"] {
+            assert!(stats.remove(key).is_some(), "{key}");
+        }
+        stats
+    };
+    let stats = stats_at("4");
     let counter = |k: &str| stats.get(k).and_then(Json::as_f64).unwrap();
     assert_eq!(counter("sweep_misses"), 2.0, "distinct structural keys");
     assert_eq!(counter("sweep_hits"), 0.0);
     assert!(counter("cached_coverages") > 0.0);
+    assert_eq!(
+        stats,
+        stats_at("1"),
+        "the counters repeat at any thread count"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

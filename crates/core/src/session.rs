@@ -55,7 +55,7 @@ use gopher_influence::{
 };
 use gopher_patterns::{
     generate_predicates, lattice, min_count_for, topk, BitSet, Candidate, CoverageCache,
-    LatticeConfig, Pattern, PredicateIndex, PredicateTable, ScoreFn, SearchStats,
+    LatticeConfig, Pattern, PredicateTable, ScoreFn, SearchStats,
 };
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -124,8 +124,8 @@ impl SessionBuilder {
     }
 
     /// Worker threads for every query: each lattice level's merge
-    /// resolution and score pass, structural sweep groups, and ground-truth
-    /// retrains all fan out across this many threads. `0` (the default)
+    /// resolution and score pass and the ground-truth retrains fan out
+    /// across this many threads. `0` (the default)
     /// resolves to the `GOPHER_THREADS` environment variable if set, else
     /// the host's available parallelism.
     /// Results are bit-identical at every thread count.
@@ -715,7 +715,9 @@ pub struct SessionStats {
     pub sweep_misses: u64,
     /// Scored sweeps evicted to respect the cap.
     pub sweep_evictions: u64,
-    /// Materialized pattern coverages shared across sweeps.
+    /// Merged-pattern coverages (two or more predicates) materialized by
+    /// sweeps and shared across them. Single predicates' coverages live in
+    /// the predicate table and are never counted here.
     pub cached_coverages: usize,
     /// Coverage-cache lookups answered without intersecting.
     pub coverage_hits: u64,
@@ -751,10 +753,10 @@ pub struct SessionStats {
 /// A long-lived explainer bound to one trained model.
 ///
 /// Owns everything expensive — the raw and encoded data, the influence
-/// engine (per-example gradients + factored Hessian), the predicate table, a
-/// [`CoverageCache`] of materialized pattern bitsets, per-metric bias
-/// precomputations, and finished sweeps — and answers [`ExplainRequest`]s
-/// against that state. All caches sit behind mutexes, so a session is `Sync`
+/// engine (per-example gradients + factored Hessian), the predicate table
+/// with every predicate's coverage, a [`CoverageCache`] of materialized
+/// merged-pattern bitsets, per-metric bias precomputations, and finished
+/// sweeps — and answers [`ExplainRequest`]s against that state. All caches sit behind mutexes, so a session is `Sync`
 /// and can serve concurrent `&self` queries.
 pub struct ExplainSession<M: ModelFamily> {
     train_raw: Dataset,
@@ -762,11 +764,12 @@ pub struct ExplainSession<M: ModelFamily> {
     train: Encoded,
     test: Encoded,
     backend: M::Backend,
+    /// The predicates and their coverage bitsets, materialized once at
+    /// build (and patched by [`Self::update`]).
     table: PredicateTable,
-    /// Every predicate's coverage bitset, materialized once at build.
-    index: PredicateIndex,
     accuracy: f64,
     threads: usize,
+    /// Merged-pattern coverages materialized by earlier sweeps.
     coverage: CoverageCache,
     bias_cache: Mutex<HashMap<FairnessMetric, BiasPrecomp>>,
     /// Finished scored sweeps, keyed by structural × scoring.
@@ -788,15 +791,6 @@ pub struct ExplainSession<M: ModelFamily> {
     truth_memo: TruthMemo,
 }
 
-/// A fresh coverage cache holding every predicate's coverage, and the
-/// index over them: sweeps at any support threshold or metric start from
-/// these shared bitsets.
-fn index_predicates(table: &PredicateTable) -> (CoverageCache, PredicateIndex) {
-    let coverage = CoverageCache::new();
-    let index = PredicateIndex::build(table, &coverage);
-    (coverage, index)
-}
-
 impl<M: ModelFamily> ExplainSession<M> {
     /// A session over `train_raw` (encoded by `encoder` into `train`, with
     /// the encoded `test`), its built `backend` and predicate `table`, and
@@ -810,7 +804,6 @@ impl<M: ModelFamily> ExplainSession<M> {
         table: PredicateTable,
         threads: usize,
     ) -> Self {
-        let (coverage, index) = index_predicates(&table);
         let accuracy = gopher_models::train::accuracy(backend.model(), &test);
         Self {
             train_raw: train_raw.clone(),
@@ -819,10 +812,9 @@ impl<M: ModelFamily> ExplainSession<M> {
             test,
             backend,
             table,
-            index,
             accuracy,
             threads,
-            coverage,
+            coverage: CoverageCache::new(),
             bias_cache: Mutex::new(HashMap::new()),
             sweep_cache: Mutex::new(LruCache::new(SWEEP_CACHE_CAP)),
             flights: Mutex::new(HashMap::new()),
@@ -915,11 +907,6 @@ impl<M: ModelFamily> ExplainSession<M> {
         self.bias_precomp(metric).base_hard
     }
 
-    /// Number of materialized pattern coverages the session has cached.
-    pub fn cached_coverages(&self) -> usize {
-        self.coverage.len()
-    }
-
     /// Answers one request. Equivalent to `explain_batch` with a singleton
     /// slice; the response content matches a fresh session answering the
     /// request alone bit for bit.
@@ -938,8 +925,11 @@ impl<M: ModelFamily> ExplainSession<M> {
     ///   every request (metric × estimator × bias-eval) in one parallel
     ///   pass across the session's worker threads, so even a solo cold
     ///   request uses every thread;
-    /// * distinct structural groups run **concurrently**, each on its own
-    ///   worker;
+    /// * distinct structural groups sweep **one after another**, in the
+    ///   order the batch first asks them, each at the session's full thread
+    ///   count: a later group reads the coverages an earlier one
+    ///   materialized, and the coverage counters repeat exactly at any
+    ///   thread count;
     /// * requests with identical scoring too (differing only in k,
     ///   containment, or ground-truth flags) share the sweep *result*;
     /// * a sweep another caller is already computing is **not** computed
@@ -1019,24 +1009,16 @@ impl<M: ModelFamily> ExplainSession<M> {
             }
         }
 
-        // Distinct structural groups are independent sweeps: fan them out,
-        // splitting the thread budget between the group level and each
-        // group's level pipeline so nesting can't oversubscribe to
-        // ~threads² live workers. Each group hands its sweeps to their
+        // Sweep the groups in that order; each level's pipeline fans out
+        // across the session's threads. Each group hands its sweeps to their
         // waiters as soon as it finishes; this batch keeps them too, so it
         // answers without a second lookup even past the LRU cap.
-        let outer = self.threads.min(structural_groups.len()).max(1);
-        let inner = (self.threads / outer).max(1);
-        let group_results = gopher_par::par_map(outer, &structural_groups, |_, group| {
-            let sweeps = self.run_sweeps(&group.lattice, &group.members, inner);
-            for (key, sweep) in &sweeps {
-                claims.land(key, sweep);
+        for group in &structural_groups {
+            for (key, sweep) in self.run_sweeps(&group.lattice, &group.members) {
+                claims.land(&key, &sweep);
+                let duration = sweep.duration;
+                ready.insert(key, (sweep, duration));
             }
-            sweeps
-        });
-        for (key, sweep) in group_results.into_iter().flatten() {
-            let duration = sweep.duration;
-            ready.insert(key, (sweep, duration));
         }
 
         // Only now, with every claim of this batch landed, wait on other
@@ -1046,7 +1028,7 @@ impl<M: ModelFamily> ExplainSession<M> {
         for (key, req, flight) in waits {
             let t_wait = Instant::now();
             let sweep = flight.wait().unwrap_or_else(|| {
-                self.run_sweeps(&req.lattice, &[(key.clone(), req)], self.threads)
+                self.run_sweeps(&req.lattice, &[(key.clone(), req)])
                     .pop()
                     .expect("one member in, one sweep out")
                     .1
@@ -1068,16 +1050,14 @@ impl<M: ModelFamily> ExplainSession<M> {
     }
 
     /// Runs one multi-scorer sweep for all `members` (same structural
-    /// lattice config, distinct scoring) over the session's predicate index
-    /// and coverage cache, running the level pipeline on up to `threads`
-    /// workers (the batched path splits the session budget between
-    /// concurrent groups and their pipelines). Results are cached subject to
-    /// the LRU bound and returned for this batch.
+    /// lattice config, distinct scoring) over the session's predicate table
+    /// and coverage cache, running the level pipeline on the session's
+    /// worker threads. Results are cached subject to the LRU bound and
+    /// returned for this batch.
     fn run_sweeps(
         &self,
         lattice_cfg: &LatticeConfig,
         members: &[(SweepKey, &ExplainRequest)],
-        threads: usize,
     ) -> Vec<(SweepKey, Arc<SweepResult>)> {
         let scorers: Vec<ScoreFn<'_>> = members
             .iter()
@@ -1103,8 +1083,7 @@ impl<M: ModelFamily> ExplainSession<M> {
             &scorers,
             lattice_cfg,
             &self.coverage,
-            &self.index,
-            threads,
+            self.threads,
         );
         let mut fresh_sweeps = Vec::with_capacity(members.len());
         let mut cache = lock_recover(&self.sweep_cache);
@@ -1195,7 +1174,7 @@ impl<M: ModelFamily> ExplainSession<M> {
             .collect();
         let mut retrained = self
             .backend
-            .ground_truth_models(&self.train, &subsets, self.threads.min(subsets.len()))
+            .ground_truth_models(&self.train, &subsets, self.threads)
             .into_iter();
         let test = &self.test;
         selected
@@ -1252,10 +1231,10 @@ impl<M: ModelFamily> ExplainSession<M> {
     ///   cold fit within the trainer's tolerance;
     /// * **predicate coverages** are bitset-patched (prefix-sum remap +
     ///   matching only the appended rows), bit-identical to re-evaluating
-    ///   the frozen predicates, and indexed into a fresh coverage cache;
-    ///   merged-pattern coverages range over the old rows and are dropped
-    ///   (counted in [`UpdateReport::artifacts_invalidated`]), so later
-    ///   sweeps re-intersect what they need;
+    ///   the frozen predicates; the cached merged-pattern coverages range
+    ///   over the old rows and are dropped (counted in
+    ///   [`UpdateReport::artifacts_invalidated`]), so later sweeps
+    ///   re-intersect what they need;
     /// * **scored sweeps, bias gradients, and the ground-truth memo** are
     ///   invalidated wholesale (they depend on the model's parameters,
     ///   which moved).
@@ -1305,13 +1284,10 @@ impl<M: ModelFamily> ExplainSession<M> {
         );
 
         // Coverage layer: prefix-sum bitset patch over the frozen predicate
-        // set, then a fresh index + coverage cache over the new universe
-        // (old cached merge coverages range over the old row space and can
-        // never be served again). The old index filled its cache first, so
-        // every entry past the index's own is a merged-pattern coverage.
+        // set, and an empty coverage cache: every cached coverage is a merged
+        // pattern's over the old row space, which can never be served again.
         let table = self.table.patch(&new_raw, removed);
-        let invalidated = self.coverage.len().saturating_sub(self.index.len());
-        let (coverage, index) = index_predicates(&table);
+        let invalidated = self.coverage.len();
 
         // Scored sweeps, bias gradients, and ground truths are
         // functions of the parameters, which just moved: invalid wholesale.
@@ -1322,8 +1298,7 @@ impl<M: ModelFamily> ExplainSession<M> {
         self.train_raw = new_raw;
         self.train = new_train;
         self.table = table;
-        self.index = index;
-        self.coverage = coverage;
+        self.coverage = CoverageCache::new();
         self.accuracy = gopher_models::train::accuracy(self.backend.model(), &self.test);
 
         self.updates_applied.fetch_add(1, Ordering::Relaxed);
@@ -1444,14 +1419,14 @@ mod tests {
         // Same sweep: identical scoring counts, k only trims the selection.
         assert_eq!(again.report.stats.total_scored, scored_once);
         assert!(again.report.explanations.len() <= 1);
-        assert!(s.cached_coverages() > 0);
+        assert!(s.stats().cached_coverages > 0);
     }
 
     #[test]
     fn distinct_metrics_share_the_coverage_cache() {
         let s = session(500, 44);
         let _ = s.explain(&ExplainRequest::default().with_ground_truth(false));
-        let after_first = s.cached_coverages();
+        let after_first = s.stats().cached_coverages;
         assert!(after_first > 0);
         let _ = s.explain(
             &ExplainRequest::default()
@@ -1460,7 +1435,7 @@ mod tests {
         );
         // The second metric walks (a subset of) the same lattice; coverage
         // entries are keyed by pattern, so overlap is reused, not recloned.
-        assert!(s.cached_coverages() >= after_first);
+        assert!(s.stats().cached_coverages >= after_first);
     }
 
     #[test]
@@ -1631,9 +1606,9 @@ mod tests {
         let initial = s.stats();
         assert_eq!(initial.threads, 3);
         assert_eq!((initial.sweep_hits, initial.sweep_misses), (0, 0));
-        // The predicate index materializes every singleton at build.
-        assert!(initial.cached_coverages > 0);
-        assert!(initial.coverage_misses > 0);
+        // Predicate coverages live in the table: a fresh session has
+        // materialized no coverage yet.
+        assert_eq!((initial.cached_coverages, initial.coverage_misses), (0, 0));
         let req = ExplainRequest::default().with_ground_truth(false);
         let _ = s.explain(&req);
         let cold = s.stats();
@@ -1974,28 +1949,23 @@ mod tests {
         let _ = s.explain(&req);
         let _ = s.explain(&req.clone().with_metric(FairnessMetric::EqualOpportunity));
         let before = s.stats();
-        let predicates = s.predicate_table().len();
         assert_eq!(before.sweep_entries, 2);
         assert_eq!(before.updates_applied, 0);
-        assert!(before.cached_coverages > predicates);
+        assert!(before.cached_coverages > 0);
 
         let report = s.update(&[17], &german(1, 63));
         let after = s.stats();
         assert_eq!(after.updates_applied, 1);
         assert_eq!(after.sweep_entries, 0, "scored sweeps are stale wholesale");
         assert_eq!(
-            report.artifacts_invalidated,
-            before.cached_coverages - predicates,
+            report.artifacts_invalidated, before.cached_coverages,
             "every merged-pattern coverage is discarded"
         );
-        assert_eq!(after.cached_coverages, predicates, "only the fresh index");
+        assert_eq!(after.cached_coverages, 0, "the cache starts empty");
         let _ = s.explain(&req);
         let warm = s.stats();
         assert_eq!(warm.sweep_misses, before.sweep_misses + 1);
-        assert!(
-            warm.cached_coverages > predicates,
-            "the sweep re-materializes"
-        );
+        assert!(warm.cached_coverages > 0, "the sweep re-materializes");
     }
 
     /// An adversarial delta — a fifth of the training set removed at once —

@@ -13,7 +13,7 @@
 //! coordinates stay within `[−1, 1]` during optimization and are snapped to
 //! the nearest valid one-hot when the final updated dataset is materialized.
 
-use crate::explainer::{Explanation, ExplanationReport};
+use crate::explainer::ExplanationReport;
 use crate::session::{ExplainRequest, ExplainSession};
 use gopher_data::{Encoded, EncodedGroup, Value};
 use gopher_fairness::FairnessMetric;
@@ -294,11 +294,9 @@ where
         cfg: &UpdateConfig,
     ) -> (ExplanationReport, Vec<UpdateExplanation>) {
         let report = self.explain(request).report;
-        let updates = gopher_par::par_map(
-            self.threads().min(report.explanations.len()),
-            &report.explanations,
-            |_, e: &Explanation| self.update_explanation(&e.candidate, request.metric, cfg),
-        );
+        let updates = gopher_par::par_map(self.threads(), &report.explanations, |_, e| {
+            self.update_explanation(&e.candidate, request.metric, cfg)
+        });
         (report, updates)
     }
 

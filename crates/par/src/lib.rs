@@ -4,8 +4,7 @@
 //! engine is built on [`std::thread::scope`] instead of rayon. One shape
 //! covers every fan-out in the workspace: [`par_map`] maps a `Fn` over a
 //! shared slice, collecting results in input order (each lattice level's
-//! merge resolution and score pass, structural sweep groups, ground-truth
-//! retrains).
+//! enumeration, merge resolution and score pass, ground-truth retrains).
 //!
 //! Items are handed out via an atomic cursor, so uneven work items balance
 //! across workers, and determinism is preserved: item `i` is always

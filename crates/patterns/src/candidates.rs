@@ -4,6 +4,7 @@ use crate::bitset::BitSet;
 use crate::predicate::Predicate;
 use gopher_data::binning::Bins;
 use gopher_data::{Dataset, FeatureKind};
+use std::sync::Arc;
 
 /// All candidate predicates over a dataset, each with its precomputed
 /// coverage bitset.
@@ -17,10 +18,14 @@ use gopher_data::{Dataset, FeatureKind};
 /// `1 − support_threshold`'s complement… are *kept* here — support filtering
 /// belongs to the lattice (it owns the threshold); generation only drops
 /// empty and full coverage sets, which can never appear in a useful pattern.
+///
+/// The table is the one store of predicate coverages: each is an
+/// `Arc`, so a sweep's level-1 candidates share the table's bitsets instead
+/// of copying them.
 #[derive(Debug, Clone)]
 pub struct PredicateTable {
     predicates: Vec<Predicate>,
-    coverage: Vec<BitSet>,
+    coverage: Vec<Arc<BitSet>>,
     n_rows: usize,
 }
 
@@ -45,8 +50,9 @@ impl PredicateTable {
         &self.predicates[id as usize]
     }
 
-    /// The coverage of the predicate with the given id.
-    pub fn coverage(&self, id: u16) -> &BitSet {
+    /// The coverage of the predicate with the given id, shared with every
+    /// candidate built from it.
+    pub fn coverage(&self, id: u16) -> &Arc<BitSet> {
         &self.coverage[id as usize]
     }
 
@@ -56,6 +62,40 @@ impl PredicateTable {
             .iter()
             .enumerate()
             .map(|(i, p)| (i as u16, p))
+    }
+
+    /// Appends `pred` with coverage `cov`, unless it covers no row or every
+    /// row (never or always true, so useless in a pattern).
+    ///
+    /// # Panics
+    /// If the table already holds `u16::MAX` predicates.
+    fn push(&mut self, pred: Predicate, cov: BitSet) {
+        let count = cov.count();
+        if count == 0 || count == self.n_rows {
+            return;
+        }
+        assert!(
+            self.predicates.len() < u16::MAX as usize,
+            "too many candidate predicates; use coarser binning"
+        );
+        self.predicates.push(pred);
+        self.coverage.push(Arc::new(cov));
+    }
+
+    /// Appends the threshold pair `X < t`, `X ≥ t` of numeric feature `f`,
+    /// whose column is `vals`, in that order.
+    fn push_split(&mut self, f: usize, t: f64, vals: &[f64]) {
+        let mut lt_cov = BitSet::new(self.n_rows);
+        let mut ge_cov = BitSet::new(self.n_rows);
+        for (r, &v) in vals.iter().enumerate() {
+            if v < t {
+                lt_cov.insert(r);
+            } else {
+                ge_cov.insert(r);
+            }
+        }
+        self.push(Predicate::lt(f, t), lt_cov);
+        self.push(Predicate::ge(f, t), ge_cov);
     }
 
     /// Incrementally re-anchors this table onto a post-delta dataset whose
@@ -110,7 +150,7 @@ impl PredicateTable {
                         fresh.insert(a);
                     }
                 }
-                fresh
+                Arc::new(fresh)
             })
             .collect();
         PredicateTable {
@@ -136,7 +176,7 @@ impl PredicateTable {
                         cov.insert(r);
                     }
                 }
-                cov
+                Arc::new(cov)
             })
             .collect();
         PredicateTable {
@@ -156,27 +196,11 @@ impl PredicateTable {
 /// binning coarseness instead of hitting this).
 pub fn generate_predicates(data: &Dataset, max_bins: usize) -> PredicateTable {
     let n = data.n_rows();
-    let mut predicates: Vec<Predicate> = Vec::new();
-    let mut coverage: Vec<BitSet> = Vec::new();
-
-    fn push_into(
-        predicates: &mut Vec<Predicate>,
-        coverage: &mut Vec<BitSet>,
-        n: usize,
-        pred: Predicate,
-        cov: BitSet,
-    ) {
-        let count = cov.count();
-        if count == 0 || count == n {
-            return; // useless: never or always true
-        }
-        assert!(
-            predicates.len() < u16::MAX as usize,
-            "too many candidate predicates; use coarser binning"
-        );
-        predicates.push(pred);
-        coverage.push(cov);
-    }
+    let mut table = PredicateTable {
+        predicates: Vec::new(),
+        coverage: Vec::new(),
+        n_rows: n,
+    };
 
     for (f, feat) in data.schema().features().iter().enumerate() {
         // Dispatch on the schema kind once per column, then scan the typed
@@ -191,42 +215,13 @@ pub fn generate_predicates(data: &Dataset, max_bins: usize) -> PredicateTable {
                             cov.insert(r);
                         }
                     }
-                    push_into(
-                        &mut predicates,
-                        &mut coverage,
-                        n,
-                        Predicate::eq_level(f, level),
-                        cov,
-                    );
+                    table.push(Predicate::eq_level(f, level), cov);
                 }
             }
             FeatureKind::Numeric => {
                 let vals = data.column(f).as_numeric();
-                let bins = Bins::quantile(vals, max_bins);
-                for &t in bins.thresholds() {
-                    let mut lt_cov = BitSet::new(n);
-                    let mut ge_cov = BitSet::new(n);
-                    for (r, &v) in vals.iter().enumerate() {
-                        if v < t {
-                            lt_cov.insert(r);
-                        } else {
-                            ge_cov.insert(r);
-                        }
-                    }
-                    push_into(
-                        &mut predicates,
-                        &mut coverage,
-                        n,
-                        Predicate::lt(f, t),
-                        lt_cov,
-                    );
-                    push_into(
-                        &mut predicates,
-                        &mut coverage,
-                        n,
-                        Predicate::ge(f, t),
-                        ge_cov,
-                    );
+                for &t in Bins::quantile(vals, max_bins).thresholds() {
+                    table.push_split(f, t, vals);
                 }
             }
         }
@@ -238,46 +233,17 @@ pub fn generate_predicates(data: &Dataset, max_bins: usize) -> PredicateTable {
     // to land on it.
     if let gopher_data::schema::PrivilegedIf::AtLeast(cutoff) = data.protected().privileged {
         let f = data.protected().feature;
-        let already = predicates.iter().any(|p: &Predicate| {
+        let already = table.predicates.iter().any(|p: &Predicate| {
             p.feature == f && matches!(p.value, crate::PredValue::Threshold(t) if t == cutoff)
         });
         if !already {
-            {
-                // `AtLeast` protected specs are validated numeric at dataset
-                // construction, so the typed accessor cannot panic here.
-                let vals = data.column(f).as_numeric();
-                let mut lt_cov = BitSet::new(n);
-                let mut ge_cov = BitSet::new(n);
-                for (r, &v) in vals.iter().enumerate() {
-                    if v < cutoff {
-                        lt_cov.insert(r);
-                    } else {
-                        ge_cov.insert(r);
-                    }
-                }
-                push_into(
-                    &mut predicates,
-                    &mut coverage,
-                    n,
-                    Predicate::lt(f, cutoff),
-                    lt_cov,
-                );
-                push_into(
-                    &mut predicates,
-                    &mut coverage,
-                    n,
-                    Predicate::ge(f, cutoff),
-                    ge_cov,
-                );
-            }
+            // `AtLeast` protected specs are validated numeric at dataset
+            // construction, so the typed accessor cannot panic here.
+            table.push_split(f, cutoff, data.column(f).as_numeric());
         }
     }
 
-    PredicateTable {
-        predicates,
-        coverage,
-        n_rows: n,
-    }
+    table
 }
 
 #[cfg(test)]

@@ -3,9 +3,11 @@
 //! The lattice search intersects predicate coverages constantly, and an
 //! interactive session asks for the *same* intersections again on every
 //! query (the pattern structure depends only on the data, not on the metric
-//! or estimator being debugged). [`CoverageCache`] memoizes each pattern's
-//! coverage by its sorted predicate-id key so a warm session — or a batch of
-//! queries fanned out over one sweep — pays for every `AND` exactly once.
+//! or estimator being debugged). [`CoverageCache`] memoizes each merged
+//! pattern's coverage by its sorted predicate-id key so a warm session — or
+//! a batch of queries fanned out over one sweep — pays for every `AND`
+//! exactly once. Single predicates are not cached here: their coverages
+//! live in the [`PredicateTable`](crate::PredicateTable).
 
 use crate::bitset::BitSet;
 use std::collections::HashMap;

@@ -27,7 +27,6 @@
 use crate::bitset::BitSet;
 use crate::candidates::PredicateTable;
 use crate::coverage::CoverageCache;
-use crate::index::PredicateIndex;
 use crate::pattern::Pattern;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -94,7 +93,7 @@ pub struct LevelStats {
     pub kept: usize,
     /// Wall-clock time of the level's structural phase: enumerating every
     /// live frontier's merges and resolving their supports (for level 1,
-    /// filtering the predicate index by support).
+    /// filtering the predicate table by support).
     pub structural: Duration,
     /// Wall-clock time of the level's ordered score pass over every
     /// supported candidate of every scorer.
@@ -138,9 +137,8 @@ impl SearchStats {
 /// * responsibility not exceeding both parents — dropped (when
 ///   `prune_by_responsibility` is set).
 ///
-/// This convenience wrapper builds a transient coverage cache and predicate
-/// index; long-lived callers (sessions) hold their own and call
-/// [`compute_candidates_multi`].
+/// This convenience wrapper builds a transient coverage cache; long-lived
+/// callers (sessions) hold their own and call [`compute_candidates_multi`].
 pub fn compute_candidates<F>(
     table: &PredicateTable,
     score: F,
@@ -149,15 +147,12 @@ pub fn compute_candidates<F>(
 where
     F: Fn(&BitSet) -> f64 + Send + Sync,
 {
-    let cache = CoverageCache::new();
-    let index = PredicateIndex::build(table, &cache);
     let scorer: ScoreFn<'_> = Box::new(score);
     compute_candidates_multi(
         table,
         std::slice::from_ref(&scorer),
         config,
-        &cache,
-        &index,
+        &CoverageCache::new(),
         1,
     )
     .pop()
@@ -176,21 +171,20 @@ where
 /// order-independent (merge resolution, pure scores) or runs in the serial
 /// enumeration order (deduplication, pruning).
 ///
-/// Both `cache` and `index` outlive the call on purpose: an interactive
-/// session passes its long-lived coverage cache and predicate index, so
-/// later queries — a different metric, estimator, bias evaluation, or
-/// support threshold — skip every intersection this sweep materialized.
+/// Level 1 reads the table's own coverages; `cache` holds the merged ones
+/// and outlives the call on purpose: an interactive session passes its
+/// long-lived coverage cache, so later queries — a different metric,
+/// estimator, bias evaluation, or support threshold — skip every
+/// intersection this sweep materialized.
 ///
 /// # Panics
-/// If `config.support_threshold` is outside `[0, 1)`,
-/// `config.max_predicates` is zero, or `index` was built over a different
-/// row count than `table`.
+/// If `config.support_threshold` is outside `[0, 1)` or
+/// `config.max_predicates` is zero.
 pub fn compute_candidates_multi(
     table: &PredicateTable,
     scorers: &[ScoreFn<'_>],
     config: &LatticeConfig,
     cache: &CoverageCache,
-    index: &PredicateIndex,
     threads: usize,
 ) -> Vec<(Vec<Candidate>, SearchStats)> {
     assert!(
@@ -202,11 +196,6 @@ pub fn compute_candidates_multi(
         "need at least one predicate per pattern"
     );
     let n = table.n_rows();
-    assert_eq!(
-        index.n_rows(),
-        n,
-        "predicate index was built for a different dataset"
-    );
     let min_count = min_count_for(config.support_threshold, n);
 
     /// Everything one scorer owns during the sweep.
@@ -231,19 +220,21 @@ pub fn compute_candidates_multi(
             break;
         }
 
-        // Structural phase. Level 1 proposes the index's supported
+        // Structural phase. Level 1 proposes the table's supported
         // predicates to every scorer.
         let t_level = Instant::now();
         let proposals = if level == 1 {
-            let singles: Vec<Proposal> = index
-                .entries()
+            let singles: Vec<Proposal> = table
                 .iter()
-                .filter(|e| e.count >= min_count)
-                .map(|e| Proposal {
-                    pattern: Pattern::singleton(e.id),
-                    coverage: Arc::clone(&e.coverage),
-                    count: e.count,
-                    parents: None,
+                .filter_map(|(id, _)| {
+                    let coverage = table.coverage(id);
+                    let count = coverage.count();
+                    (count >= min_count).then(|| Proposal {
+                        pattern: Pattern::singleton(id),
+                        coverage: Arc::clone(coverage),
+                        count,
+                        parents: None,
+                    })
                 })
                 .collect();
             vec![singles; live.len()]
@@ -715,7 +706,7 @@ mod tests {
             for &id in c.pattern.ids() {
                 let cov = table.coverage(id);
                 expected = Some(match expected {
-                    None => cov.clone(),
+                    None => BitSet::clone(cov),
                     Some(e) => e.and(cov),
                 });
             }
@@ -751,11 +742,9 @@ mod tests {
         // oversubscribed 8 all reproduce the solo runs bit for bit.
         for threads in [1, 2, 8] {
             let cache = CoverageCache::new();
-            let index = PredicateIndex::build(&table, &cache);
             let scorers: Vec<ScoreFn<'_>> =
                 vec![Box::new(toy_score(&labels)), Box::new(priv_score)];
-            let mut multi =
-                compute_candidates_multi(&table, &scorers, &config, &cache, &index, threads);
+            let mut multi = compute_candidates_multi(&table, &scorers, &config, &cache, threads);
             let (multi_b, mstats_b) = multi.pop().unwrap();
             let (multi_a, mstats_a) = multi.pop().unwrap();
 
@@ -780,7 +769,7 @@ mod tests {
                 }
             }
             assert!(
-                cache.len() > index.len(),
+                !cache.is_empty(),
                 "sweep must materialize merged coverages in the shared cache"
             );
         }
@@ -801,10 +790,9 @@ mod tests {
         let (solo, solo_stats) = compute_candidates(&table, toy_score(&labels), &config);
 
         let cache = CoverageCache::new();
-        let index = PredicateIndex::build(&table, &cache);
         let run = || {
             let scorers: Vec<ScoreFn<'_>> = vec![Box::new(toy_score(&labels))];
-            compute_candidates_multi(&table, &scorers, &config, &cache, &index, 2)
+            compute_candidates_multi(&table, &scorers, &config, &cache, 2)
                 .pop()
                 .unwrap()
         };
@@ -837,12 +825,10 @@ mod tests {
             ..Default::default()
         };
         let labels = d.labels().to_vec();
-        let cache = CoverageCache::new();
-        let index = PredicateIndex::build(&table, &cache);
         let scorers: Vec<ScoreFn<'_>> = (0..3)
             .map(|_| Box::new(toy_score(&labels)) as ScoreFn<'_>)
             .collect();
-        let results = compute_candidates_multi(&table, &scorers, &config, &cache, &index, 4);
+        let results = compute_candidates_multi(&table, &scorers, &config, &CoverageCache::new(), 4);
         for (_, stats) in &results {
             assert!(!stats.levels.is_empty());
             for level in &stats.levels {
@@ -879,11 +865,9 @@ mod tests {
                 calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 score(cov)
             };
-            let cache = CoverageCache::new();
-            let index = PredicateIndex::build(&table, &cache);
             let scorers: Vec<ScoreFn<'_>> = vec![Box::new(counting)];
             let (_, stats) =
-                compute_candidates_multi(&table, &scorers, &config, &cache, &index, threads)
+                compute_candidates_multi(&table, &scorers, &config, &CoverageCache::new(), threads)
                     .pop()
                     .unwrap();
             assert_eq!(
@@ -916,17 +900,14 @@ mod tests {
         }
     }
 
-    /// A session-sized German table with its index built through `cache`.
-    fn indexed(n: usize) -> (PredicateTable, CoverageCache, PredicateIndex) {
-        let table = generate_predicates(&german(n, 93), 4);
-        let cache = CoverageCache::new();
-        let index = PredicateIndex::build(&table, &cache);
-        (table, cache, index)
+    /// A session-sized German table.
+    fn german_table(n: usize) -> PredicateTable {
+        generate_predicates(&german(n, 93), 4)
     }
 
     #[test]
     fn singles_are_filtered_by_support() {
-        let (table, _cache, index) = indexed(400);
+        let table = german_table(400);
         let config = LatticeConfig {
             support_threshold: 0.1,
             max_predicates: 1,
@@ -935,33 +916,42 @@ mod tests {
         let min = min_count_for(config.support_threshold, table.n_rows());
         assert_eq!(min, 40);
         let (singles, _) = compute_candidates(&table, |_: &BitSet| 0.0, &config);
-        let expected: Vec<_> = index.entries().iter().filter(|e| e.count >= min).collect();
+        let expected: Vec<u16> = table
+            .iter()
+            .map(|(id, _)| id)
+            .filter(|&id| table.coverage(id).count() >= min)
+            .collect();
         assert!(!expected.is_empty());
         assert_eq!(singles.len(), expected.len());
-        for (s, e) in singles.iter().zip(expected) {
-            assert_eq!(s.pattern.ids(), [e.id]);
-            assert_eq!(s.coverage.count(), e.count);
-            assert_eq!(s.support, e.count as f64 / 400.0);
+        for (s, id) in singles.iter().zip(expected) {
+            assert_eq!(s.pattern.ids(), [id]);
+            assert_eq!(s.coverage.count(), table.coverage(id).count());
+            assert_eq!(s.support, table.coverage(id).count() as f64 / 400.0);
+            // Level 1 hands out the table's own bitsets, never copies.
+            assert!(Arc::ptr_eq(&s.coverage, table.coverage(id)));
         }
     }
 
     #[test]
     fn resolve_records_supported_and_failed_merges() {
-        let (table, cache, index) = indexed(400);
+        let table = german_table(400);
+        let cache = CoverageCache::new();
         let min = min_count_for(0.3, table.n_rows());
-        let entries = index.entries();
+        let n_preds = table.len() as u16;
         let pair_where = |supported: bool| {
-            (0..entries.len())
-                .flat_map(|i| (i + 1..entries.len()).map(move |j| (i, j)))
-                .map(|(i, j)| (&entries[i], &entries[j]))
-                .find(|(a, b)| (a.coverage.and_count(&b.coverage) >= min) == supported)
+            (0..n_preds)
+                .flat_map(|a| (a + 1..n_preds).map(move |b| (a, b)))
+                .find(|&(a, b)| {
+                    (table.coverage(a).and_count(table.coverage(b)) >= min) == supported
+                })
                 .expect("τ = 0.3 has supported and failed pairs")
         };
         for supported in [true, false] {
-            let (a, b) = pair_where(supported);
-            let ids = [a.id, b.id];
+            let (x, y) = pair_where(supported);
+            let ids = [x, y];
+            let (a, b) = (table.coverage(x), table.coverage(y));
             let misses_before = cache.stats().misses;
-            let resolved = resolve_merge(&ids, &cache, min, &a.coverage, &b.coverage);
+            let resolved = resolve_merge(&ids, &cache, min, a, b);
             // Lazy materialization: only a supported merge reaches the
             // coverage cache at all; a failed one is counted, never
             // allocated.
@@ -969,7 +959,7 @@ mod tests {
             match &resolved {
                 Some((coverage, count)) => {
                     assert!(supported);
-                    assert_eq!(**coverage, a.coverage.and(&b.coverage));
+                    assert_eq!(**coverage, a.and(b));
                     assert_eq!(*count, coverage.count());
                     assert_eq!(misses_after_first, misses_before + 1);
                 }
@@ -984,7 +974,7 @@ mod tests {
             }
             // A second resolve intersects nothing new: the supported merge
             // is a cache hit, the failed one is re-counted.
-            let again = resolve_merge(&ids, &cache, min, &a.coverage, &b.coverage);
+            let again = resolve_merge(&ids, &cache, min, a, b);
             assert_eq!(
                 again.map(|(_, count)| count),
                 resolved.map(|(_, count)| count)
@@ -996,16 +986,17 @@ mod tests {
     #[test]
     fn failed_merges_never_touch_the_coverage_cache() {
         // τ = 0.9: virtually every merge fails the support check.
-        let (table, cache, index) = indexed(400);
+        let table = german_table(400);
+        let cache = CoverageCache::new();
         let min = min_count_for(0.9, table.n_rows());
         let entries_before = cache.len();
         let mut resolved = 0usize;
         let mut failed = 0usize;
-        let entries = &index.entries()[..8];
-        for (i, a) in entries.iter().enumerate() {
-            for b in &entries[i + 1..] {
+        for a in 0..8u16 {
+            for b in a + 1..8 {
                 resolved += 1;
-                if resolve_merge(&[a.id, b.id], &cache, min, &a.coverage, &b.coverage).is_none() {
+                let (ca, cb) = (table.coverage(a), table.coverage(b));
+                if resolve_merge(&[a, b], &cache, min, ca, cb).is_none() {
                     failed += 1;
                 }
             }
@@ -1018,7 +1009,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "support threshold")]
     fn sweep_rejects_invalid_threshold() {
-        let (table, _cache, _index) = indexed(100);
+        let table = german_table(100);
         let config = LatticeConfig {
             support_threshold: 1.0,
             ..Default::default()

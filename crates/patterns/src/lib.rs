@@ -24,7 +24,6 @@
 mod bitset;
 mod candidates;
 pub mod coverage;
-pub mod index;
 pub mod lattice;
 mod pattern;
 mod predicate;
@@ -33,7 +32,6 @@ pub mod topk;
 pub use bitset::BitSet;
 pub use candidates::{generate_predicates, PredicateTable};
 pub use coverage::{CoverageCache, CoverageCacheStats};
-pub use index::PredicateIndex;
 pub use lattice::{min_count_for, Candidate, LatticeConfig, LevelStats, ScoreFn, SearchStats};
 pub use pattern::Pattern;
 pub use predicate::{Op, PredValue, Predicate};

@@ -1,16 +1,16 @@
 //! Parallel == sequential bit-identity for the session query engine.
 //!
 //! The parallel execution layer (each lattice level's merge resolution and
-//! score pass, concurrent structural groups, ground-truth retrain fan-out)
-//! must be invisible in the results: `explain_batch` with `threads = N`
-//! answers every request mix exactly as `threads = 1` does — same
-//! candidates, same responsibility bits, same stats counts, same response
-//! order. The property test drives random request mixes at both thread
+//! score pass, ground-truth retrain fan-out) must be invisible in the
+//! results: `explain_batch` with `threads = N` answers every request mix
+//! exactly as `threads = 1` does — same candidates, same responsibility
+//! bits, same stats counts, same response order, and the same session
+//! counters. The property test drives random request mixes at both thread
 //! counts against identically-built sessions, one solo request per non-LR
 //! family pins the other backends, and the timing test additionally checks
 //! the wall-clock win on multi-core hosts.
 
-use gopher_core::{ExplainRequest, ExplainResponse, ExplainSession, SessionBuilder};
+use gopher_core::{ExplainRequest, ExplainResponse, ExplainSession, SessionBuilder, SessionStats};
 use gopher_data::generators::german;
 use gopher_fairness::FairnessMetric;
 use gopher_influence::{BiasEval, Estimator, ModelFamily};
@@ -234,6 +234,15 @@ proptest! {
                 );
             }
         }
+        // Every cache counter repeats exactly: only the thread count and the
+        // wall-clock latency quantiles may differ.
+        let comparable = |stats: SessionStats| SessionStats {
+            threads: 0,
+            explain_p50_us: 0,
+            explain_p99_us: 0,
+            ..stats
+        };
+        prop_assert_eq!(comparable(sequential.stats()), comparable(parallel.stats()));
     }
 }
 

@@ -11,8 +11,8 @@ use gopher_fairness::FairnessMetric;
 use gopher_models::LogisticRegression;
 use gopher_patterns::lattice::{compute_candidates_multi, LatticeConfig};
 use gopher_patterns::{
-    generate_predicates, min_count_for, BitSet, Candidate, CoverageCache, PredicateIndex,
-    PredicateTable, ScoreFn, SearchStats,
+    generate_predicates, min_count_for, BitSet, Candidate, CoverageCache, PredicateTable, ScoreFn,
+    SearchStats,
 };
 use gopher_prng::Rng;
 use proptest::prelude::*;
@@ -68,8 +68,8 @@ fn make_scorer<'a>(
     }
 }
 
-/// Runs one staged multi-sweep with a fresh cache and index and returns
-/// each scorer's results plus the cache, for auditing.
+/// Runs one staged multi-sweep with a fresh cache and returns each scorer's
+/// results plus the cache, for auditing.
 fn run_sweep(
     table: &PredicateTable,
     config: &LatticeConfig,
@@ -79,19 +79,18 @@ fn run_sweep(
     threads: usize,
 ) -> (Vec<(Vec<Candidate>, SearchStats)>, CoverageCache) {
     let cache = CoverageCache::new();
-    let index = PredicateIndex::build(table, &cache);
     let scorers: Vec<ScoreFn<'_>> = scorer_kinds
         .iter()
         .map(|&k| Box::new(make_scorer(k, labels, privileged)) as ScoreFn<'_>)
         .collect();
-    let results = compute_candidates_multi(table, &scorers, config, &cache, &index, threads);
+    let results = compute_candidates_multi(table, &scorers, config, &cache, threads);
     (results, cache)
 }
 
 /// A merged pattern's coverage recomputed from scratch by intersecting its
 /// predicates' table coverages — the audit oracle.
 fn exact_coverage(table: &PredicateTable, ids: &[u16]) -> BitSet {
-    let mut cov = table.coverage(ids[0]).clone();
+    let mut cov = BitSet::clone(table.coverage(ids[0]));
     for &id in &ids[1..] {
         cov = cov.and(table.coverage(id));
     }
@@ -227,23 +226,20 @@ proptest! {
         };
         let _cpu = CPU_LOCK.lock().unwrap_or_else(|e| e.into_inner());
 
-        let run = |config: &LatticeConfig, cache: &CoverageCache, index: &PredicateIndex| {
+        let run = |config: &LatticeConfig, cache: &CoverageCache| {
             let scorers: Vec<ScoreFn<'_>> = vec![Box::new(make_scorer(kind, labels, &privileged))];
-            compute_candidates_multi(table, &scorers, config, cache, index, threads)
+            compute_candidates_multi(table, &scorers, config, cache, threads)
                 .pop()
                 .unwrap()
         };
         // A sweep at the loose τ warms the cache.
         let warm_cache = CoverageCache::new();
-        let warm_index = PredicateIndex::build(table, &warm_cache);
-        run(&loose_cfg, &warm_cache, &warm_index);
+        run(&loose_cfg, &warm_cache);
         let misses_before = warm_cache.stats().misses;
-        let (warm_cands, warm_stats) = run(&tight_cfg, &warm_cache, &warm_index);
+        let (warm_cands, warm_stats) = run(&tight_cfg, &warm_cache);
         prop_assert_eq!(warm_cache.stats().misses, misses_before);
 
-        let cold_cache = CoverageCache::new();
-        let cold_index = PredicateIndex::build(table, &cold_cache);
-        let (cold_cands, cold_stats) = run(&tight_cfg, &cold_cache, &cold_index);
+        let (cold_cands, cold_stats) = run(&tight_cfg, &CoverageCache::new());
         prop_assert_eq!(warm_cands.len(), cold_cands.len());
         for (a, b) in warm_cands.iter().zip(&cold_cands) {
             prop_assert_eq!(a.pattern.ids(), b.pattern.ids());
